@@ -11,9 +11,10 @@
 //! fig7e fig7f fig8 fig9 fig10 fig11 table2 runtime`.
 //!
 //! Each experiment prints the series/rows of the corresponding figure or
-//! table; EXPERIMENTS.md records paper-vs-measured per experiment. `--fast`
+//! table; the `table2_toy_example` and `paper_claims` integration tests pin
+//! the paper's numbers and claims against the same generators. `--fast`
 //! shrinks repetition counts and the Monte-Carlo grid (useful for smoke
-//! runs); defaults match the fidelity used for EXPERIMENTS.md.
+//! runs); the defaults are the full-fidelity settings.
 
 use std::time::Instant;
 

@@ -15,6 +15,9 @@
 //!   strings `"NaN"` / `"inf"` / `"-inf"`.
 //! * **One value per line.** The writer never emits raw newlines (strings
 //!   escape them), so a rendered value is always a single wire line.
+//! * **Bounded nesting.** Arrays and objects nest at most [`MAX_DEPTH`]
+//!   deep; a deeper document is a [`JsonError`], not a recursion that
+//!   overflows the worker's stack.
 
 use std::fmt::Write as _;
 
@@ -74,11 +77,6 @@ impl Json {
         } else {
             Json::Str("-inf".to_string())
         }
-    }
-
-    /// Encodes an optional `f64` (`None` ⇒ `null`).
-    pub fn from_opt_f64(v: Option<f64>) -> Json {
-        v.map(Json::from_f64).unwrap_or(Json::Null)
     }
 
     /// Member lookup on an object.
@@ -220,11 +218,17 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The protocol's own
+/// records nest single digits deep; the bound only has to stop a hostile
+/// line (a frame may carry megabytes of `[`) from recursing without limit.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -238,6 +242,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -273,8 +279,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.expect("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.expect("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("nesting deeper than MAX_DEPTH"));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
@@ -538,6 +555,18 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        // A megabyte of openers fails at the bound instead of overflowing
+        // the stack, in arrays and objects alike.
+        assert!(parse(&format!(r#"{{"op":"query","sql":{}"#, "[".repeat(1 << 20))).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(1 << 18)).is_err());
     }
 
     #[test]

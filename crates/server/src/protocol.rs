@@ -12,12 +12,24 @@
 //! Numbers survive the wire bit-for-bit (see [`crate::json`]), which is what
 //! lets the parity tests compare server answers against direct
 //! [`uu_query::catalog::Catalog`] calls with `==`, not tolerances.
+//!
+//! Every record is declared once, through `wire_record!`: a field's name is
+//! its wire key, its type picks the codec, and the order of declaration is
+//! the order of keys on the wire. These declarations are the single source
+//! of the protocol's field names.
 
 use crate::json::{parse, Json, JsonError};
 use uu_core::engine::{EstimatorKind, NamedEstimate, UnknownEstimator};
 use uu_core::recommend::Recommendation;
 use uu_query::exec::{ExecError, QueryResult};
 use uu_query::value::Value;
+
+/// Incremental-maintenance counters in a `stats` response, aggregated over
+/// every `append_stream` / appending `load_csv` served since start.
+pub use uu_query::catalog::IncrementalStats as WireIncrementalStats;
+/// Durability-layer counters in a `stats` response (protocol v7). All
+/// zeros on a server running without `--data-dir`.
+pub use uu_store::StorageStats as WireStorageStats;
 
 /// Protocol revision; bumped on incompatible changes. Servers echo it in
 /// `stats` responses. Revision 2 added named server-side sessions, prepared
@@ -28,7 +40,11 @@ use uu_query::value::Value;
 /// backpressure/backend) to `stats`. Revision 5 added the `append_stream`
 /// verb with its `appended` response and the incremental-maintenance
 /// counters (`incremental` batches/rows/merges/refreezes/fallbacks) to
-/// `stats`. Revision 7 added the durability layer: the `checkpoint` verb
+/// `stats`. Revision 6 added observability: the `metrics` verb with its
+/// per-`(verb, stage)` latency digests, the `trace` flag on `query` with the
+/// span tree it returns, and the worker-queue counters (peak depth, total
+/// and largest wait) in `conn`.
+/// Revision 7 added the durability layer: the `checkpoint` verb
 /// with its `checkpointed` response, the `storage` counter block
 /// (WAL/checkpoint/recovery) in `stats`, the `storage` error code, and the
 /// `data_dir`/`durability`/`last_checkpoint_age_ms` fields in `server_info`.
@@ -52,268 +68,447 @@ impl From<JsonError> for ProtoError {
     }
 }
 
-fn missing(field: &str) -> ProtoError {
-    ProtoError(format!("missing or mistyped field {field:?}"))
+// ---------------------------------------------------------------------------
+// Field codec
+// ---------------------------------------------------------------------------
+
+/// How one value travels as a JSON value.
+pub(crate) trait Wire: Sized {
+    /// The value's JSON form.
+    fn to_json(&self) -> Json;
+
+    /// Reads the value back. A plain type mismatch is [`mistyped`]; the
+    /// record field holding the value names it after its key.
+    fn from_json(json: &Json) -> Result<Self, ProtoError>;
+
+    /// What a record field of this type decodes to when its key is absent;
+    /// `None` makes the key required.
+    fn absent() -> Option<Self> {
+        None
+    }
 }
 
-fn req_str(obj: &Json, field: &str) -> Result<String, ProtoError> {
-    obj.get(field)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| missing(field))
+/// A type mismatch not yet attributed to a key (see [`field`]).
+fn mistyped() -> ProtoError {
+    ProtoError(String::new())
 }
 
-fn req_str_arr(obj: &Json, field: &str) -> Result<Vec<String>, ProtoError> {
-    obj.get(field)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| missing(field))?
-        .iter()
-        .map(|v| v.as_str().map(str::to_string))
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| missing(field))
+fn missing(key: &str) -> ProtoError {
+    ProtoError(format!("missing or mistyped field {key:?}"))
 }
 
-fn opt_bool(obj: &Json, field: &str, default: bool) -> Result<bool, ProtoError> {
-    match obj.get(field) {
+/// Decodes `json`, the value found under `key`.
+fn keyed<T: Wire>(key: &str, json: &Json) -> Result<T, ProtoError> {
+    T::from_json(json).map_err(|e| if e.0.is_empty() { missing(key) } else { e })
+}
+
+/// Decodes the value under `key` of `obj`.
+fn field<T: Wire>(obj: &Json, key: &str) -> Result<T, ProtoError> {
+    match obj.get(key) {
+        Some(json) => keyed(key, json),
+        None => T::absent().ok_or_else(|| missing(key)),
+    }
+}
+
+/// Decodes the value under `key` of `obj`; an absent or `null` key yields
+/// `default`.
+fn field_or<T: Wire>(obj: &Json, key: &str, default: T) -> Result<T, ProtoError> {
+    match obj.get(key) {
         None | Some(Json::Null) => Ok(default),
-        Some(v) => v.as_bool().ok_or_else(|| missing(field)),
+        Some(json) => keyed(key, json),
     }
 }
 
-fn opt_f64(obj: &Json, field: &str) -> Result<Option<f64>, ProtoError> {
-    match obj.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_f64_lossless().map(Some).ok_or_else(|| missing(field)),
+impl Wire for u64 {
+    fn to_json(&self) -> Json {
+        Json::Int(*self as i64)
+    }
+    fn from_json(json: &Json) -> Result<Self, ProtoError> {
+        json.as_u64().ok_or_else(mistyped)
     }
 }
 
-fn req_f64(obj: &Json, field: &str) -> Result<f64, ProtoError> {
-    obj.get(field)
-        .and_then(Json::as_f64_lossless)
-        .ok_or_else(|| missing(field))
+impl Wire for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(json: &Json) -> Result<Self, ProtoError> {
+        json.as_bool().ok_or_else(mistyped)
+    }
 }
 
-fn req_u64(obj: &Json, field: &str) -> Result<u64, ProtoError> {
-    obj.get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| missing(field))
+impl Wire for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_json(json: &Json) -> Result<Self, ProtoError> {
+        json.as_str().map(str::to_string).ok_or_else(mistyped)
+    }
+}
+
+/// Floats go through the non-finite marker strings, so NaN/±inf survive.
+impl Wire for f64 {
+    fn to_json(&self) -> Json {
+        Json::from_f64(*self)
+    }
+    fn from_json(json: &Json) -> Result<Self, ProtoError> {
+        json.as_f64_lossless().ok_or_else(mistyped)
+    }
+}
+
+/// `None` travels as `null`; an absent key also decodes as `None`.
+impl<T: Wire> Wire for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+    fn from_json(json: &Json) -> Result<Self, ProtoError> {
+        if json.is_null() {
+            Ok(None)
+        } else {
+            T::from_json(json).map(Some)
+        }
+    }
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(json: &Json) -> Result<Self, ProtoError> {
+        json.as_arr()
+            .ok_or_else(mistyped)?
+            .iter()
+            .map(T::from_json)
+            .collect()
+    }
+}
+
+/// A schema column: the two-element array `[name, type]`.
+impl Wire for (String, String) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+    fn from_json(json: &Json) -> Result<Self, ProtoError> {
+        match json.as_arr() {
+            Some([name, ty]) => Ok((String::from_json(name)?, String::from_json(ty)?)),
+            _ => Err(mistyped()),
+        }
+    }
+}
+
+/// A JSON object whose keys are a struct's fields, as declared through
+/// [`wire_record!`] (or flattened into one of its enum lines).
+trait Record: Sized {
+    /// Appends one `(key, value)` pair per field, in declaration order.
+    fn write_fields(&self, pairs: &mut Vec<(String, Json)>);
+
+    /// Reads every field from the object `obj`.
+    fn read_fields(obj: &Json) -> Result<Self, ProtoError>;
+}
+
+impl<T: Record> Wire for T {
+    fn to_json(&self) -> Json {
+        let mut pairs = Vec::new();
+        self.write_fields(&mut pairs);
+        Json::Obj(pairs)
+    }
+    fn from_json(json: &Json) -> Result<Self, ProtoError> {
+        T::read_fields(json)
+    }
+}
+
+impl<T: Record> Record for Box<T> {
+    fn write_fields(&self, pairs: &mut Vec<(String, Json)>) {
+        (**self).write_fields(pairs);
+    }
+    fn read_fields(obj: &Json) -> Result<Self, ProtoError> {
+        T::read_fields(obj).map(Box::new)
+    }
+}
+
+/// Declares wire records. Each field's name is its wire key, its type picks
+/// the codec ([`Wire`]), and keys travel in declaration order. A bracketed
+/// rule after the type changes one field's handling:
+///
+/// * `[default: EXPR]` — an absent or `null` key decodes as `EXPR`;
+/// * `[omit_none]` — a `None` leaves the key out of the line.
+///
+/// Without a rule every key is required, except that an absent `Option`
+/// field decodes as `None`.
+///
+/// * `pub struct` declarations become [`Record`]s: one JSON object each.
+/// * A `pub enum` has one line shape per variant, told apart by the
+///   variant's `= "tag"`. A tuple variant flattens its [`Record`] payload
+///   into the line; a struct variant declares its fields inline, with the
+///   same rules. At most one variant may be untagged; it is read back when
+///   the caller passes no tag. The enum gets `tag`, `write_payload` (the
+///   variant's fields, without the tag) and `read_payload`; the caller
+///   frames the line around them.
+/// * `@impl` attaches the codec to a struct declared in another crate.
+macro_rules! wire_record {
+    (@put $pairs:ident, $key:expr, $value:expr, [omit_none]) => {
+        if let Some(value) = $value {
+            $pairs.push(($key.to_string(), Wire::to_json(value)));
+        }
+    };
+    (@put $pairs:ident, $key:expr, $value:expr, [$(default: $default:expr)?]) => {
+        $pairs.push(($key.to_string(), Wire::to_json($value)))
+    };
+    (@get $obj:ident, $key:expr, [default: $default:expr]) => {
+        field_or($obj, $key, $default)
+    };
+    (@get $obj:ident, $key:expr, [$(omit_none)?]) => {
+        field($obj, $key)
+    };
+    (@tag) => {
+        None
+    };
+    (@tag $tag:literal) => {
+        Some($tag)
+    };
+    (@bind $binding:ident, $ty:ty) => {
+        $binding
+    };
+    (@impl $name:path { $($field:ident $([$($rule:tt)*])?),* $(,)? }) => {
+        impl Record for $name {
+            fn write_fields(&self, pairs: &mut Vec<(String, Json)>) {
+                $(wire_record!(@put pairs, stringify!($field), &self.$field, [$($($rule)*)?]);)*
+            }
+            fn read_fields(obj: &Json) -> Result<Self, ProtoError> {
+                Ok(Self {
+                    $($field: wire_record!(@get obj, stringify!($field), [$($($rule)*)?])?,)*
+                })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident
+                $(($inner:ty))?
+                $({
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $fty:ty $([$($rule:tt)*])?
+                    ),* $(,)?
+                })?
+                $(= $tag:literal)?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $(($inner))? $({ $($(#[$fmeta])* $field: $fty),* })?,
+            )*
+        }
+
+        impl $name {
+            /// The variant's wire tag (`None` for the untagged variant).
+            fn tag(&self) -> Option<&'static str> {
+                match self {
+                    $(Self::$variant { .. } => wire_record!(@tag $($tag)?),)*
+                }
+            }
+
+            /// Appends the variant's payload fields (everything but the tag).
+            fn write_payload(&self, pairs: &mut Vec<(String, Json)>) {
+                match self {
+                    $(
+                        Self::$variant
+                        $((wire_record!(@bind inner, $inner)))?
+                        $({ $($field),* })? => {
+                            $(<$inner as Record>::write_fields(inner, pairs);)?
+                            $($(
+                                wire_record!(@put pairs, stringify!($field), $field, [$($($rule)*)?]);
+                            )*)?
+                        }
+                    )*
+                }
+            }
+
+            /// Reads the variant that `tag` names from the object `obj`.
+            fn read_payload(tag: Option<&str>, obj: &Json) -> Result<Self, ProtoError> {
+                match tag {
+                    $(
+                        wire_record!(@tag $($tag)?) => Ok(Self::$variant
+                            $((<$inner as Record>::read_fields(obj)?))?
+                            $({ $(
+                                $field: wire_record!(@get obj, stringify!($field), [$($($rule)*)?])?,
+                            )* })?),
+                    )*
+                    other => Err(ProtoError(format!(
+                        "unknown op {:?}",
+                        other.unwrap_or_default()
+                    ))),
+                }
+            }
+        }
+    };
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                pub $field:ident: $ty:ty $([$($rule:tt)*])?
+            ),* $(,)?
+        }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+        wire_record!(@impl $name { $($field $([$($rule)*])?),* });
+    )*};
 }
 
 // ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
-/// A `query` request: SQL plus estimator names.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryRequest {
-    /// The SQL text (`SELECT <agg> FROM <table> [WHERE …] [GROUP BY …]`).
-    pub sql: String,
-    /// Estimator names, resolved via `EstimatorKind::by_name`. The first is
-    /// the primary correction applied to the aggregate; every name also
-    /// contributes a per-estimator Δ in the response. Empty means "no
-    /// correction" (closed-world answer only).
-    pub estimators: Vec<String>,
-    /// Route through the catalog's profile cache (default). `false` forces
-    /// the uncached execution path (statistics rebuilt from the table).
-    pub cached: bool,
-    /// Capture a per-stage span tree for this request and return it in the
-    /// reply's `trace` field (protocol v6; default off).
-    pub trace: bool,
-}
+wire_record! {
+    /// A `query` request: SQL plus estimator names.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QueryRequest {
+        /// The SQL text (`SELECT <agg> FROM <table> [WHERE …] [GROUP BY …]`).
+        pub sql: String,
+        /// Estimator names, resolved via `EstimatorKind::by_name`. The first is
+        /// the primary correction applied to the aggregate; every name also
+        /// contributes a per-estimator Δ in the response. Empty (or absent)
+        /// means "no correction" (closed-world answer only).
+        pub estimators: Vec<String> [default: Vec::new()],
+        /// Route through the catalog's profile cache (default). `false` forces
+        /// the uncached execution path (statistics rebuilt from the table).
+        pub cached: bool [default: true],
+        /// Capture a per-stage span tree for this request and return it in the
+        /// reply's `trace` field (protocol v6; default off).
+        pub trace: bool [default: false],
+    }
 
-/// A `load_csv` admin request: create (or extend) a table from an
-/// RFC-4180 observation log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadCsvRequest {
-    /// Table name to register (or extend when `append`).
-    pub table: String,
-    /// Schema columns as `(name, type)` with type one of `int`/`float`/`str`.
-    pub columns: Vec<(String, String)>,
-    /// Column holding the entity identity.
-    pub entity_column: String,
-    /// CSV column holding the observing source id.
-    pub source_column: String,
-    /// The CSV document (header row + observation rows).
-    pub csv: String,
-    /// Extend an existing table instead of requiring a fresh name.
-    pub append: bool,
-}
-
-/// One client request line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Execute a query.
-    Query(QueryRequest),
-    /// Load observations into the catalog.
-    LoadCsv(LoadCsvRequest),
-    /// Append an observation batch to an existing table through the
-    /// incremental-maintenance path: cached projections grow in place,
-    /// sort permutations absorb the delta by merge, and cached profile
-    /// snapshots re-freeze instead of being evicted. The table's schema is
-    /// fixed, so unlike `load_csv` no column list travels with the batch.
-    AppendStream {
-        /// Target table (must already be registered).
-        table: String,
+    /// A `load_csv` admin request: create (or extend) a table from an
+    /// RFC-4180 observation log.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LoadCsvRequest {
+        /// Table name to register (or extend when `append`).
+        pub table: String,
+        /// Schema columns as `(name, type)` with type one of `int`/`float`/`str`.
+        pub columns: Vec<(String, String)>,
+        /// Column holding the entity identity.
+        pub entity_column: String,
         /// CSV column holding the observing source id.
-        source_column: String,
+        pub source_column: String,
+        /// Extend an existing table instead of requiring a fresh name
+        /// (default off). Travels before the bulky `csv` document.
+        pub append: bool [default: false],
         /// The CSV document (header row + observation rows).
-        csv: String,
-    },
-    /// Pre-warm the profile cache for a query.
-    Warm {
-        /// The SQL whose selection should be captured.
-        sql: String,
-    },
-    /// Open a named server-side session with a pinned estimator selection.
-    /// Sessions are addressed by name from any connection and hold the
-    /// session's prepared queries.
-    SessionOpen {
-        /// Session name (unique among open sessions).
-        name: String,
-        /// Estimator names pinned for the session's lifetime; the first is
-        /// the primary correction for every `execute_prepared`.
-        estimators: Vec<String>,
-    },
-    /// Close a named session, dropping its prepared queries.
-    SessionClose {
-        /// Session name.
-        name: String,
-    },
-    /// Parse and freeze a query inside a named session: the SQL is parsed
-    /// once and its selection snapshots are captured, so repeated
-    /// `execute_prepared` calls skip the parser entirely.
-    Prepare {
-        /// Owning session.
-        session: String,
-        /// Statement name (unique within the session).
-        name: String,
-        /// The SQL text to freeze.
-        sql: String,
-    },
-    /// Execute a prepared query; answers with the same `query` response
-    /// shape as [`Request::Query`].
-    ExecutePrepared {
-        /// Owning session.
-        session: String,
-        /// Statement name.
-        name: String,
-    },
-    /// Drop one prepared query from a session.
-    Deallocate {
-        /// Owning session.
-        session: String,
-        /// Statement name.
-        name: String,
-    },
-    /// Server identity: version, uptime, active sessions, enabled fronts.
-    ServerInfo,
-    /// Server / cache / executor counters.
-    Stats,
-    /// Latency-histogram summary: p50/p90/p99/max per `(verb, stage)`
-    /// (protocol v6). The full bucket data is served by the Prometheus
-    /// endpoint; this verb carries the quantile digest.
-    Metrics,
-    /// Liveness probe.
-    Ping,
-    /// Force a durability checkpoint: snapshot every table (rows, lineage,
-    /// cached selections) to the data directory and truncate the
-    /// observation WAL (protocol v7). Errors with code `storage` when the
-    /// server runs without `--data-dir`.
-    Checkpoint,
-    /// Stop accepting connections and exit once drained. A durable server
-    /// flushes its WAL and writes a final checkpoint first, so a restart
-    /// replays nothing.
-    Shutdown,
+        pub csv: String,
+    }
+}
+
+wire_record! {
+    /// One client request line: `{"op":<tag>, <payload fields>}`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Execute a query.
+        Query(QueryRequest) = "query",
+        /// Load observations into the catalog.
+        LoadCsv(LoadCsvRequest) = "load_csv",
+        /// Append an observation batch to an existing table through the
+        /// incremental-maintenance path: cached projections grow in place,
+        /// sort permutations absorb the delta by merge, and cached profile
+        /// snapshots re-freeze instead of being evicted. The table's schema is
+        /// fixed, so unlike `load_csv` no column list travels with the batch.
+        AppendStream {
+            /// Target table (must already be registered).
+            table: String,
+            /// CSV column holding the observing source id.
+            source_column: String,
+            /// The CSV document (header row + observation rows).
+            csv: String,
+        } = "append_stream",
+        /// Pre-warm the profile cache for a query.
+        Warm {
+            /// The SQL whose selection should be captured.
+            sql: String,
+        } = "warm",
+        /// Open a named server-side session with a pinned estimator selection.
+        /// Sessions are addressed by name from any connection and hold the
+        /// session's prepared queries.
+        SessionOpen {
+            /// Session name (unique among open sessions).
+            name: String,
+            /// Estimator names pinned for the session's lifetime; the first is
+            /// the primary correction for every `execute_prepared`.
+            estimators: Vec<String> [default: Vec::new()],
+        } = "session_open",
+        /// Close a named session, dropping its prepared queries.
+        SessionClose {
+            /// Session name.
+            name: String,
+        } = "session_close",
+        /// Parse and freeze a query inside a named session: the SQL is parsed
+        /// once and its selection snapshots are captured, so repeated
+        /// `execute_prepared` calls skip the parser entirely.
+        Prepare {
+            /// Owning session.
+            session: String,
+            /// Statement name (unique within the session).
+            name: String,
+            /// The SQL text to freeze.
+            sql: String,
+        } = "prepare",
+        /// Execute a prepared query; answers with the same `query` response
+        /// shape as [`Request::Query`].
+        ExecutePrepared {
+            /// Owning session.
+            session: String,
+            /// Statement name.
+            name: String,
+        } = "execute_prepared",
+        /// Drop one prepared query from a session.
+        Deallocate {
+            /// Owning session.
+            session: String,
+            /// Statement name.
+            name: String,
+        } = "deallocate",
+        /// Server identity: version, uptime, active sessions, enabled fronts.
+        ServerInfo = "server_info",
+        /// Server / cache / executor counters.
+        Stats = "stats",
+        /// Latency-histogram summary: p50/p90/p99/max per `(verb, stage)`
+        /// (protocol v6). The full bucket data is served by the Prometheus
+        /// endpoint; this verb carries the quantile digest.
+        Metrics = "metrics",
+        /// Liveness probe.
+        Ping = "ping",
+        /// Force a durability checkpoint: snapshot every table (rows, lineage,
+        /// cached selections) to the data directory and truncate the
+        /// observation WAL (protocol v7). Errors with code `storage` when the
+        /// server runs without `--data-dir`.
+        Checkpoint = "checkpoint",
+        /// Stop accepting connections and exit once drained. A durable server
+        /// flushes its WAL and writes a final checkpoint first, so a restart
+        /// replays nothing.
+        Shutdown = "shutdown",
+    }
 }
 
 impl Request {
     /// Renders the request as one wire line (no trailing newline).
     pub fn encode(&self) -> String {
-        let json = match self {
-            Request::Query(q) => Json::obj([
-                ("op", Json::Str("query".into())),
-                ("sql", Json::Str(q.sql.clone())),
-                (
-                    "estimators",
-                    Json::Arr(
-                        q.estimators
-                            .iter()
-                            .map(|name| Json::Str(name.clone()))
-                            .collect(),
-                    ),
-                ),
-                ("cached", Json::Bool(q.cached)),
-                ("trace", Json::Bool(q.trace)),
-            ]),
-            Request::LoadCsv(l) => Json::obj([
-                ("op", Json::Str("load_csv".into())),
-                ("table", Json::Str(l.table.clone())),
-                (
-                    "columns",
-                    Json::Arr(
-                        l.columns
-                            .iter()
-                            .map(|(name, ty)| {
-                                Json::Arr(vec![Json::Str(name.clone()), Json::Str(ty.clone())])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("entity_column", Json::Str(l.entity_column.clone())),
-                ("source_column", Json::Str(l.source_column.clone())),
-                ("append", Json::Bool(l.append)),
-                ("csv", Json::Str(l.csv.clone())),
-            ]),
-            Request::AppendStream {
-                table,
-                source_column,
-                csv,
-            } => Json::obj([
-                ("op", Json::Str("append_stream".into())),
-                ("table", Json::Str(table.clone())),
-                ("source_column", Json::Str(source_column.clone())),
-                ("csv", Json::Str(csv.clone())),
-            ]),
-            Request::Warm { sql } => Json::obj([
-                ("op", Json::Str("warm".into())),
-                ("sql", Json::Str(sql.clone())),
-            ]),
-            Request::SessionOpen { name, estimators } => Json::obj([
-                ("op", Json::Str("session_open".into())),
-                ("name", Json::Str(name.clone())),
-                (
-                    "estimators",
-                    Json::Arr(estimators.iter().map(|e| Json::Str(e.clone())).collect()),
-                ),
-            ]),
-            Request::SessionClose { name } => Json::obj([
-                ("op", Json::Str("session_close".into())),
-                ("name", Json::Str(name.clone())),
-            ]),
-            Request::Prepare { session, name, sql } => Json::obj([
-                ("op", Json::Str("prepare".into())),
-                ("session", Json::Str(session.clone())),
-                ("name", Json::Str(name.clone())),
-                ("sql", Json::Str(sql.clone())),
-            ]),
-            Request::ExecutePrepared { session, name } => Json::obj([
-                ("op", Json::Str("execute_prepared".into())),
-                ("session", Json::Str(session.clone())),
-                ("name", Json::Str(name.clone())),
-            ]),
-            Request::Deallocate { session, name } => Json::obj([
-                ("op", Json::Str("deallocate".into())),
-                ("session", Json::Str(session.clone())),
-                ("name", Json::Str(name.clone())),
-            ]),
-            Request::ServerInfo => Json::obj([("op", Json::Str("server_info".into()))]),
-            Request::Stats => Json::obj([("op", Json::Str("stats".into()))]),
-            Request::Metrics => Json::obj([("op", Json::Str("metrics".into()))]),
-            Request::Ping => Json::obj([("op", Json::Str("ping".into()))]),
-            Request::Checkpoint => Json::obj([("op", Json::Str("checkpoint".into()))]),
-            Request::Shutdown => Json::obj([("op", Json::Str("shutdown".into()))]),
-        };
-        json.render()
+        let mut pairs = Vec::new();
+        if let Some(op) = self.tag() {
+            pairs.push(("op".to_string(), Json::Str(op.to_string())));
+        }
+        self.write_payload(&mut pairs);
+        Json::Obj(pairs).render()
     }
 
     /// Parses one wire line into a request.
@@ -322,100 +517,8 @@ impl Request {
         if !matches!(json, Json::Obj(_)) {
             return Err(ProtoError("request must be a JSON object".into()));
         }
-        let op = req_str(&json, "op")?;
-        match op.as_str() {
-            "query" => {
-                let estimators = match json.get("estimators") {
-                    None | Some(Json::Null) => Vec::new(),
-                    Some(v) => v
-                        .as_arr()
-                        .ok_or_else(|| missing("estimators"))?
-                        .iter()
-                        .map(|e| e.as_str().map(str::to_string))
-                        .collect::<Option<Vec<_>>>()
-                        .ok_or_else(|| missing("estimators"))?,
-                };
-                Ok(Request::Query(QueryRequest {
-                    sql: req_str(&json, "sql")?,
-                    estimators,
-                    cached: opt_bool(&json, "cached", true)?,
-                    trace: opt_bool(&json, "trace", false)?,
-                }))
-            }
-            "load_csv" => {
-                let columns = json
-                    .get("columns")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| missing("columns"))?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair.as_arr()?;
-                        match pair {
-                            [name, ty] => {
-                                Some((name.as_str()?.to_string(), ty.as_str()?.to_string()))
-                            }
-                            _ => None,
-                        }
-                    })
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| missing("columns"))?;
-                Ok(Request::LoadCsv(LoadCsvRequest {
-                    table: req_str(&json, "table")?,
-                    columns,
-                    entity_column: req_str(&json, "entity_column")?,
-                    source_column: req_str(&json, "source_column")?,
-                    csv: req_str(&json, "csv")?,
-                    append: opt_bool(&json, "append", false)?,
-                }))
-            }
-            "append_stream" => Ok(Request::AppendStream {
-                table: req_str(&json, "table")?,
-                source_column: req_str(&json, "source_column")?,
-                csv: req_str(&json, "csv")?,
-            }),
-            "warm" => Ok(Request::Warm {
-                sql: req_str(&json, "sql")?,
-            }),
-            "session_open" => {
-                let estimators = match json.get("estimators") {
-                    None | Some(Json::Null) => Vec::new(),
-                    Some(v) => v
-                        .as_arr()
-                        .ok_or_else(|| missing("estimators"))?
-                        .iter()
-                        .map(|e| e.as_str().map(str::to_string))
-                        .collect::<Option<Vec<_>>>()
-                        .ok_or_else(|| missing("estimators"))?,
-                };
-                Ok(Request::SessionOpen {
-                    name: req_str(&json, "name")?,
-                    estimators,
-                })
-            }
-            "session_close" => Ok(Request::SessionClose {
-                name: req_str(&json, "name")?,
-            }),
-            "prepare" => Ok(Request::Prepare {
-                session: req_str(&json, "session")?,
-                name: req_str(&json, "name")?,
-                sql: req_str(&json, "sql")?,
-            }),
-            "execute_prepared" => Ok(Request::ExecutePrepared {
-                session: req_str(&json, "session")?,
-                name: req_str(&json, "name")?,
-            }),
-            "deallocate" => Ok(Request::Deallocate {
-                session: req_str(&json, "session")?,
-                name: req_str(&json, "name")?,
-            }),
-            "server_info" => Ok(Request::ServerInfo),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "ping" => Ok(Request::Ping),
-            "checkpoint" => Ok(Request::Checkpoint),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(ProtoError(format!("unknown op {other:?}"))),
-        }
+        let op = json.get("op").and_then(Json::as_str);
+        Request::read_payload(Some(op.ok_or_else(|| missing("op"))?), &json)
     }
 }
 
@@ -527,15 +630,28 @@ impl ErrorCode {
     }
 }
 
-/// A structured error response. The connection stays usable after any error.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireError {
-    /// Machine-readable code.
-    pub code: ErrorCode,
-    /// Human-readable description.
-    pub message: String,
-    /// For [`ErrorCode::UnknownEstimator`]: every accepted name.
-    pub accepted: Vec<String>,
+/// Error codes travel as their wire spelling.
+impl Wire for ErrorCode {
+    fn to_json(&self) -> Json {
+        Json::Str(self.as_str().to_string())
+    }
+    fn from_json(json: &Json) -> Result<Self, ProtoError> {
+        let code = json.as_str().ok_or_else(mistyped)?;
+        ErrorCode::parse(code).ok_or_else(|| ProtoError(format!("unknown error code {code:?}")))
+    }
+}
+
+wire_record! {
+    /// A structured error response. The connection stays usable after any error.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireError {
+        /// Machine-readable code.
+        pub code: ErrorCode,
+        /// Human-readable description.
+        pub message: String,
+        /// For [`ErrorCode::UnknownEstimator`]: every accepted name.
+        pub accepted: Vec<String> [default: Vec::new()],
+    }
 }
 
 impl WireError {
@@ -582,47 +698,364 @@ impl WireError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireValue(pub Value);
 
-impl WireValue {
+/// `null`, or `{"t": <type tag>, "v": <value>}`.
+impl Wire for WireValue {
     fn to_json(&self) -> Json {
-        match &self.0 {
-            Value::Null => Json::Null,
-            Value::Int(i) => Json::obj([("t", Json::Str("int".into())), ("v", Json::Int(*i))]),
-            Value::Float(f) => {
-                Json::obj([("t", Json::Str("float".into())), ("v", Json::from_f64(*f))])
-            }
-            Value::Str(s) => {
-                Json::obj([("t", Json::Str("str".into())), ("v", Json::Str(s.clone()))])
-            }
-        }
+        let (tag, value) = match &self.0 {
+            Value::Null => return Json::Null,
+            Value::Int(i) => ("int", Json::Int(*i)),
+            Value::Float(f) => ("float", f.to_json()),
+            Value::Str(s) => ("str", s.to_json()),
+        };
+        Json::obj([("t", Json::Str(tag.to_string())), ("v", value)])
     }
 
-    fn from_json(json: &Json) -> Result<WireValue, ProtoError> {
+    fn from_json(json: &Json) -> Result<Self, ProtoError> {
         if json.is_null() {
             return Ok(WireValue(Value::Null));
         }
-        let tag = req_str(json, "t")?;
+        let tag: String = field(json, "t")?;
         let v = json.get("v").ok_or_else(|| missing("v"))?;
         let value = match tag.as_str() {
             "int" => Value::Int(v.as_i64().ok_or_else(|| missing("v"))?),
-            "float" => Value::Float(v.as_f64_lossless().ok_or_else(|| missing("v"))?),
-            "str" => Value::Str(v.as_str().ok_or_else(|| missing("v"))?.to_string()),
+            "float" => Value::Float(keyed("v", v)?),
+            "str" => Value::Str(keyed("v", v)?),
             other => return Err(ProtoError(format!("unknown value tag {other:?}"))),
         };
         Ok(WireValue(value))
     }
 }
 
-/// One estimator's Δ within a query response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireEstimate {
-    /// Registry name.
-    pub name: String,
-    /// The SUM-impact estimate `Δ̂` (`None` when undefined for the sample).
-    pub delta: Option<f64>,
-    /// Population-richness estimate `N̂`.
-    pub n_hat: Option<f64>,
-    /// `φ_K + Δ̂` over the universe's observed sum.
-    pub corrected: Option<f64>,
+wire_record! {
+    /// One estimator's Δ within a query response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireEstimate {
+        /// Registry name.
+        pub name: String,
+        /// The SUM-impact estimate `Δ̂` (`None` when undefined for the sample).
+        pub delta: Option<f64>,
+        /// Population-richness estimate `N̂`.
+        pub n_hat: Option<f64>,
+        /// `φ_K + Δ̂` over the universe's observed sum.
+        pub corrected: Option<f64>,
+    }
+
+    /// §6.5 diagnostics on the wire.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireDiagnostics {
+        /// Good–Turing coverage `Ĉ`.
+        pub coverage: Option<f64>,
+        /// Contributing (non-empty) sources.
+        pub contributing_sources: u64,
+        /// Largest single-source share.
+        pub max_source_share: Option<f64>,
+        /// Gini coefficient of source contributions.
+        pub source_gini: Option<f64>,
+    }
+
+    /// §5 MIN/MAX trust report on the wire.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireExtreme {
+        /// Whether the observed extreme is endorsed.
+        pub trusted: bool,
+        /// The observed extreme.
+        pub observed: f64,
+        /// Estimated missing entities in the extreme bucket (untrusted only).
+        pub estimated_missing: Option<f64>,
+    }
+
+    /// One estimation universe's full answer (mirrors
+    /// [`uu_query::exec::QueryResult`] plus the per-estimator Δs).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireResult {
+        /// The executed query, pretty-printed (grouped results name the group).
+        pub query: String,
+        /// Closed-world answer.
+        pub observed: f64,
+        /// Corrected answer (`None` when withheld/undefined/not requested).
+        pub corrected: Option<f64>,
+        /// Name of the estimator behind `corrected`.
+        pub method: String,
+        /// Population richness `N̂`.
+        pub n_hat: Option<f64>,
+        /// §4 upper bound (SUM only).
+        pub upper_bound: Option<f64>,
+        /// §5 trust report (MIN/MAX only).
+        pub extreme: Option<WireExtreme>,
+        /// §6.5 diagnostics.
+        pub diagnostics: WireDiagnostics,
+        /// §6.5 recommendation (`bucket` / `monte-carlo` / `collect-more-data`).
+        pub recommendation: String,
+        /// Per-estimator SUM-impact Δs over this universe, in request order.
+        pub estimates: Vec<WireEstimate>,
+    }
+
+    /// One group row of a query response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct GroupReply {
+        /// Group key (`Null` for ungrouped queries).
+        pub key: WireValue,
+        /// The group's answer.
+        pub result: WireResult,
+    }
+
+    /// One node of a wire-encoded span tree (protocol v6).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireSpan {
+        /// Stage name (`uu_core::obs::Stage::as_str`).
+        pub stage: String,
+        /// Optional fine-grained label (e.g. the estimator name inside the
+        /// fan-out).
+        pub label: Option<String> [omit_none],
+        /// Index of the parent span in the reply's span list; `None` for roots.
+        pub parent: Option<u64>,
+        /// Start offset from the trace epoch, nanoseconds.
+        pub start_ns: u64,
+        /// Span duration, nanoseconds.
+        pub dur_ns: u64,
+    }
+
+    /// A full `query` response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QueryReply {
+        /// Echo of the request SQL.
+        pub sql: String,
+        /// Whether the selection came out of the profile cache.
+        pub cache_hit: bool [default: false],
+        /// Server-side execution time in microseconds.
+        pub elapsed_us: u64,
+        /// Whether the query had a `GROUP BY` (ungrouped answers still arrive as
+        /// one `Null`-keyed group).
+        pub grouped: bool [default: false],
+        /// Per-universe answers, in deterministic group order.
+        pub groups: Vec<GroupReply>,
+        /// The captured span tree, present only when the request asked for
+        /// `"trace":true` (protocol v6). Spans are in open order; `parent`
+        /// indices point into this list.
+        pub trace: Option<Vec<WireSpan>> [omit_none],
+    }
+
+    /// Cache counters in a `stats` response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireCacheStats {
+        /// Lookup hits.
+        pub hits: u64,
+        /// Lookup misses.
+        pub misses: u64,
+        /// Insertions.
+        pub insertions: u64,
+        /// Capacity / byte-budget evictions.
+        pub evictions: u64,
+        /// Explicit invalidations.
+        pub invalidations: u64,
+        /// TTL expirations.
+        pub expirations: u64,
+        /// Live entries.
+        pub len: u64,
+        /// Accounted bytes of live entries.
+        pub bytes: u64,
+        /// Configured entry capacity.
+        pub capacity: u64,
+        /// Configured byte budget, if any.
+        pub byte_budget: Option<f64>,
+        /// Configured TTL in milliseconds, if any.
+        pub ttl_ms: Option<f64>,
+    }
+
+    /// Executor counters in a `stats` response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireExecStats {
+        /// Worker budget.
+        pub threads: u64,
+        /// Regions entered.
+        pub regions: u64,
+        /// Regions that spawned helpers.
+        pub parallel_regions: u64,
+        /// Tasks executed.
+        pub tasks: u64,
+        /// Steal operations.
+        pub steals: u64,
+        /// Peak live workers.
+        pub peak_workers: u64,
+    }
+
+    /// Columnar-projection counters in a `stats` response, aggregated over every
+    /// registered table.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireProjectionStats {
+        /// Projections materialized from row storage.
+        pub builds: u64,
+        /// Requests served by an already-current projection.
+        pub reuses: u64,
+        /// Bytes held by currently-valid projections (stale ones count zero).
+        pub bytes: u64,
+    }
+
+    /// Connection-layer (reactor) counters in a `stats` response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireConnStats {
+        /// Connections currently open.
+        pub open: u64,
+        /// High-water mark of concurrently open connections.
+        pub peak_open: u64,
+        /// Complete inbound frames assembled (JSON lines + pgwire messages).
+        pub frames_in: u64,
+        /// Outbound replies queued.
+        pub frames_out: u64,
+        /// Bytes read off sockets.
+        pub bytes_in: u64,
+        /// Bytes written to sockets.
+        pub bytes_out: u64,
+        /// Connections closed by the idle-timeout reaper.
+        pub idle_reaped: u64,
+        /// Write-backpressure trips (reads paused at the high-water mark).
+        pub backpressure: u64,
+        /// High-water mark of frames waiting in the worker queue (protocol v6).
+        pub queue_depth_peak: u64,
+        /// Total microseconds frames spent queued before a worker picked them
+        /// up (protocol v6).
+        pub queue_wait_us_total: u64,
+        /// Largest single queue wait in microseconds (protocol v6).
+        pub queue_wait_us_max: u64,
+        /// The readiness backend the reactor selected (`epoll` or `poll`).
+        pub backend: String,
+    }
+
+    /// One named session's counters in a `stats` response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireSessionStats {
+        /// Session name.
+        pub name: String,
+        /// Pinned estimator names, in request order.
+        pub estimators: Vec<String>,
+        /// Prepared queries currently held.
+        pub prepared: u64,
+        /// `execute_prepared` calls served.
+        pub executes: u64,
+        /// Executions answered straight from a statement's frozen snapshots
+        /// (no profile-cache lookup at all).
+        pub frozen_hits: u64,
+        /// Milliseconds since the session was opened.
+        pub age_ms: u64,
+    }
+
+    /// A `stats` response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct StatsReply {
+        /// Protocol revision.
+        pub protocol: u64,
+        /// Registered tables, sorted.
+        pub tables: Vec<String>,
+        /// Connection-handler pool size.
+        pub workers: u64,
+        /// Connections accepted since start.
+        pub connections: u64,
+        /// Requests processed since start.
+        pub requests: u64,
+        /// Requests answered with an error.
+        pub errors: u64,
+        /// Milliseconds since the server started.
+        pub uptime_ms: u64,
+        /// Per-session counters for every open named session, sorted by name.
+        pub sessions: Vec<WireSessionStats>,
+        /// Profile-cache counters.
+        pub cache: WireCacheStats,
+        /// Columnar-projection counters.
+        pub projection: WireProjectionStats,
+        /// Shared-executor counters.
+        pub exec: WireExecStats,
+        /// Connection-layer (reactor) counters.
+        pub conn: WireConnStats,
+        /// Incremental-maintenance counters.
+        pub incremental: WireIncrementalStats,
+        /// Durability-layer counters (protocol v7; all zeros without
+        /// `--data-dir`).
+        pub storage: WireStorageStats,
+    }
+
+    /// One `(verb, stage)` latency digest in a `metrics` response
+    /// (protocol v6). Quantiles come from the merged log-bucketed histograms,
+    /// so they carry the bucket resolution (≈ √2), not exact order statistics.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireStageMetrics {
+        /// Protocol verb the durations were recorded under.
+        pub verb: String,
+        /// Pipeline stage name.
+        pub stage: String,
+        /// Number of recorded durations.
+        pub count: u64,
+        /// Median, microseconds.
+        pub p50_us: f64,
+        /// 90th percentile, microseconds.
+        pub p90_us: f64,
+        /// 99th percentile, microseconds.
+        pub p99_us: f64,
+        /// Largest recorded duration, microseconds.
+        pub max_us: f64,
+        /// Mean duration, microseconds.
+        pub mean_us: f64,
+    }
+
+    /// A `metrics` response (protocol v6).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MetricsReply {
+        /// Non-empty `(verb, stage)` digests, in stable verb-major order.
+        pub entries: Vec<WireStageMetrics>,
+    }
+
+    /// A `server_info` response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ServerInfoReply {
+        /// Server (crate) version.
+        pub version: String,
+        /// Protocol revision.
+        pub protocol: u64,
+        /// Milliseconds since the server started.
+        pub uptime_ms: u64,
+        /// Open named sessions.
+        pub active_sessions: u64,
+        /// Enabled transport fronts (e.g. `json`, `pgwire`).
+        pub fronts: Vec<String>,
+        /// Connection-handler pool size.
+        pub workers: u64,
+        /// The durability data directory, when the server runs with
+        /// `--data-dir` (protocol v7).
+        pub data_dir: Option<String>,
+        /// Durability mode: `off` without a data directory, else the fsync
+        /// policy (`always`/`batch`/`off` — the latter meaning "WAL without
+        /// fsync") (protocol v7).
+        pub durability: String,
+        /// Milliseconds since the last completed checkpoint; `None` when no
+        /// checkpoint has run in this process (protocol v7).
+        pub last_checkpoint_age_ms: Option<f64>,
+    }
+}
+
+wire_record!(@impl WireIncrementalStats {
+    delta_batches,
+    rows_appended,
+    permutation_merges,
+    snapshots_refrozen,
+    fallback_rebuilds,
+});
+
+wire_record!(@impl WireStorageStats {
+    wal_records,
+    wal_bytes,
+    fsyncs,
+    checkpoints,
+    recovered_tables,
+    replayed_records,
+    truncated_tail_bytes,
+});
+
+/// The wire spelling of a recommendation.
+pub fn recommendation_name(r: Recommendation) -> &'static str {
+    match r {
+        Recommendation::CollectMoreData => "collect-more-data",
+        Recommendation::Bucket => "bucket",
+        Recommendation::MonteCarlo => "monte-carlo",
+    }
 }
 
 impl WireEstimate {
@@ -634,83 +1067,6 @@ impl WireEstimate {
             n_hat: e.delta.n_hat,
             corrected: e.corrected,
         }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::Str(self.name.clone())),
-            ("delta", Json::from_opt_f64(self.delta)),
-            ("n_hat", Json::from_opt_f64(self.n_hat)),
-            ("corrected", Json::from_opt_f64(self.corrected)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<Self, ProtoError> {
-        Ok(WireEstimate {
-            name: req_str(json, "name")?,
-            delta: opt_f64(json, "delta")?,
-            n_hat: opt_f64(json, "n_hat")?,
-            corrected: opt_f64(json, "corrected")?,
-        })
-    }
-}
-
-/// §6.5 diagnostics on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireDiagnostics {
-    /// Good–Turing coverage `Ĉ`.
-    pub coverage: Option<f64>,
-    /// Contributing (non-empty) sources.
-    pub contributing_sources: u64,
-    /// Largest single-source share.
-    pub max_source_share: Option<f64>,
-    /// Gini coefficient of source contributions.
-    pub source_gini: Option<f64>,
-}
-
-/// §5 MIN/MAX trust report on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireExtreme {
-    /// Whether the observed extreme is endorsed.
-    pub trusted: bool,
-    /// The observed extreme.
-    pub observed: f64,
-    /// Estimated missing entities in the extreme bucket (untrusted only).
-    pub estimated_missing: Option<f64>,
-}
-
-/// One estimation universe's full answer (mirrors
-/// [`uu_query::exec::QueryResult`] plus the per-estimator Δs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireResult {
-    /// The executed query, pretty-printed (grouped results name the group).
-    pub query: String,
-    /// Closed-world answer.
-    pub observed: f64,
-    /// Corrected answer (`None` when withheld/undefined/not requested).
-    pub corrected: Option<f64>,
-    /// Name of the estimator behind `corrected`.
-    pub method: String,
-    /// Population richness `N̂`.
-    pub n_hat: Option<f64>,
-    /// §4 upper bound (SUM only).
-    pub upper_bound: Option<f64>,
-    /// §5 trust report (MIN/MAX only).
-    pub extreme: Option<WireExtreme>,
-    /// §6.5 diagnostics.
-    pub diagnostics: WireDiagnostics,
-    /// §6.5 recommendation (`bucket` / `monte-carlo` / `collect-more-data`).
-    pub recommendation: String,
-    /// Per-estimator SUM-impact Δs over this universe, in request order.
-    pub estimates: Vec<WireEstimate>,
-}
-
-/// The wire spelling of a recommendation.
-pub fn recommendation_name(r: Recommendation) -> &'static str {
-    match r {
-        Recommendation::CollectMoreData => "collect-more-data",
-        Recommendation::Bucket => "bucket",
-        Recommendation::MonteCarlo => "monte-carlo",
     }
 }
 
@@ -745,182 +1101,11 @@ impl WireResult {
         }
     }
 
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("query", Json::Str(self.query.clone())),
-            ("observed", Json::from_f64(self.observed)),
-            ("corrected", Json::from_opt_f64(self.corrected)),
-            ("method", Json::Str(self.method.clone())),
-            ("n_hat", Json::from_opt_f64(self.n_hat)),
-            ("upper_bound", Json::from_opt_f64(self.upper_bound)),
-            (
-                "extreme",
-                match &self.extreme {
-                    None => Json::Null,
-                    Some(e) => Json::obj([
-                        ("trusted", Json::Bool(e.trusted)),
-                        ("observed", Json::from_f64(e.observed)),
-                        ("estimated_missing", Json::from_opt_f64(e.estimated_missing)),
-                    ]),
-                },
-            ),
-            (
-                "diagnostics",
-                Json::obj([
-                    ("coverage", Json::from_opt_f64(self.diagnostics.coverage)),
-                    (
-                        "contributing_sources",
-                        Json::Int(self.diagnostics.contributing_sources as i64),
-                    ),
-                    (
-                        "max_source_share",
-                        Json::from_opt_f64(self.diagnostics.max_source_share),
-                    ),
-                    (
-                        "source_gini",
-                        Json::from_opt_f64(self.diagnostics.source_gini),
-                    ),
-                ]),
-            ),
-            ("recommendation", Json::Str(self.recommendation.clone())),
-            (
-                "estimates",
-                Json::Arr(self.estimates.iter().map(WireEstimate::to_json).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<Self, ProtoError> {
-        let diagnostics = json
-            .get("diagnostics")
-            .ok_or_else(|| missing("diagnostics"))?;
-        let extreme = match json.get("extreme") {
-            None | Some(Json::Null) => None,
-            Some(e) => Some(WireExtreme {
-                trusted: e
-                    .get("trusted")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| missing("trusted"))?,
-                observed: req_f64(e, "observed")?,
-                estimated_missing: opt_f64(e, "estimated_missing")?,
-            }),
-        };
-        Ok(WireResult {
-            query: req_str(json, "query")?,
-            observed: req_f64(json, "observed")?,
-            corrected: opt_f64(json, "corrected")?,
-            method: req_str(json, "method")?,
-            n_hat: opt_f64(json, "n_hat")?,
-            upper_bound: opt_f64(json, "upper_bound")?,
-            extreme,
-            diagnostics: WireDiagnostics {
-                coverage: opt_f64(diagnostics, "coverage")?,
-                contributing_sources: req_u64(diagnostics, "contributing_sources")?,
-                max_source_share: opt_f64(diagnostics, "max_source_share")?,
-                source_gini: opt_f64(diagnostics, "source_gini")?,
-            },
-            recommendation: req_str(json, "recommendation")?,
-            estimates: json
-                .get("estimates")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| missing("estimates"))?
-                .iter()
-                .map(WireEstimate::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        })
-    }
-
     /// Canonical single-line rendering — handy for bit-for-bit comparisons
     /// in tests (NaN-bearing results compare equal by text).
     pub fn canonical(&self) -> String {
         self.to_json().render()
     }
-}
-
-/// One group row of a query response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupReply {
-    /// Group key (`Null` for ungrouped queries).
-    pub key: WireValue,
-    /// The group's answer.
-    pub result: WireResult,
-}
-
-/// One node of a wire-encoded span tree (protocol v6).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSpan {
-    /// Stage name (`uu_core::obs::Stage::as_str`).
-    pub stage: String,
-    /// Optional fine-grained label (e.g. the estimator name inside the
-    /// fan-out).
-    pub label: Option<String>,
-    /// Index of the parent span in the reply's span list; `None` for roots.
-    pub parent: Option<u64>,
-    /// Start offset from the trace epoch, nanoseconds.
-    pub start_ns: u64,
-    /// Span duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
-impl WireSpan {
-    pub(crate) fn to_json(&self) -> Json {
-        let mut pairs = vec![("stage", Json::Str(self.stage.clone()))];
-        if let Some(label) = &self.label {
-            pairs.push(("label", Json::Str(label.clone())));
-        }
-        pairs.push((
-            "parent",
-            match self.parent {
-                Some(p) => Json::Int(p as i64),
-                None => Json::Null,
-            },
-        ));
-        pairs.push(("start_ns", Json::Int(self.start_ns as i64)));
-        pairs.push(("dur_ns", Json::Int(self.dur_ns as i64)));
-        Json::obj(pairs)
-    }
-
-    fn from_json(json: &Json) -> Result<WireSpan, ProtoError> {
-        let label = match json.get("label") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| missing("label"))?,
-            ),
-        };
-        let parent = match json.get("parent") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| missing("parent"))?),
-        };
-        Ok(WireSpan {
-            stage: req_str(json, "stage")?,
-            label,
-            parent,
-            start_ns: req_u64(json, "start_ns")?,
-            dur_ns: req_u64(json, "dur_ns")?,
-        })
-    }
-}
-
-/// A full `query` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryReply {
-    /// Echo of the request SQL.
-    pub sql: String,
-    /// Whether the selection came out of the profile cache.
-    pub cache_hit: bool,
-    /// Server-side execution time in microseconds.
-    pub elapsed_us: u64,
-    /// Whether the query had a `GROUP BY` (ungrouped answers still arrive as
-    /// one `Null`-keyed group).
-    pub grouped: bool,
-    /// Per-universe answers, in deterministic group order.
-    pub groups: Vec<GroupReply>,
-    /// The captured span tree, present only when the request asked for
-    /// `"trace":true` (protocol v6). Spans are in open order; `parent`
-    /// indices point into this list.
-    pub trace: Option<Vec<WireSpan>>,
 }
 
 impl QueryReply {
@@ -934,683 +1119,123 @@ impl QueryReply {
     }
 }
 
-/// Cache counters in a `stats` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireCacheStats {
-    /// Lookup hits.
-    pub hits: u64,
-    /// Lookup misses.
-    pub misses: u64,
-    /// Insertions.
-    pub insertions: u64,
-    /// Capacity / byte-budget evictions.
-    pub evictions: u64,
-    /// Explicit invalidations.
-    pub invalidations: u64,
-    /// TTL expirations.
-    pub expirations: u64,
-    /// Live entries.
-    pub len: u64,
-    /// Accounted bytes of live entries.
-    pub bytes: u64,
-    /// Configured entry capacity.
-    pub capacity: u64,
-    /// Configured byte budget, if any.
-    pub byte_budget: Option<f64>,
-    /// Configured TTL in milliseconds, if any.
-    pub ttl_ms: Option<f64>,
-}
-
-/// Executor counters in a `stats` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireExecStats {
-    /// Worker budget.
-    pub threads: u64,
-    /// Regions entered.
-    pub regions: u64,
-    /// Regions that spawned helpers.
-    pub parallel_regions: u64,
-    /// Tasks executed.
-    pub tasks: u64,
-    /// Steal operations.
-    pub steals: u64,
-    /// Peak live workers.
-    pub peak_workers: u64,
-}
-
-/// Columnar-projection counters in a `stats` response, aggregated over every
-/// registered table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireProjectionStats {
-    /// Projections materialized from row storage.
-    pub builds: u64,
-    /// Requests served by an already-current projection.
-    pub reuses: u64,
-    /// Bytes held by currently-valid projections (stale ones count zero).
-    pub bytes: u64,
-}
-
-/// Incremental-maintenance counters in a `stats` response, aggregated over
-/// every `append_stream` / appending `load_csv` served since start.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireIncrementalStats {
-    /// Append batches accepted.
-    pub delta_batches: u64,
-    /// Observations ingested through the append path.
-    pub rows_appended: u64,
-    /// Cached sort permutations extended by merge (not re-sorted).
-    pub permutation_merges: u64,
-    /// Cached selections re-frozen in place instead of evicted.
-    pub snapshots_refrozen: u64,
-    /// Cached selections that could not be re-frozen and fell back to
-    /// drop-and-rebuild (incremental off, stale version, touched group…).
-    pub fallback_rebuilds: u64,
-}
-
-/// Durability-layer counters in a `stats` response (protocol v7). All
-/// zeros on a server running without `--data-dir`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireStorageStats {
-    /// WAL records appended since startup.
-    pub wal_records: u64,
-    /// Framed WAL bytes appended since startup.
-    pub wal_bytes: u64,
-    /// `fsync`/`fdatasync` calls issued (WAL + snapshot files).
-    pub fsyncs: u64,
-    /// Checkpoints completed.
-    pub checkpoints: u64,
-    /// Tables restored from snapshots at startup.
-    pub recovered_tables: u64,
-    /// WAL records replayed at startup.
-    pub replayed_records: u64,
-    /// Torn WAL tail bytes truncated at startup.
-    pub truncated_tail_bytes: u64,
-}
-
-/// Connection-layer (reactor) counters in a `stats` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireConnStats {
-    /// Connections currently open.
-    pub open: u64,
-    /// High-water mark of concurrently open connections.
-    pub peak_open: u64,
-    /// Complete inbound frames assembled (JSON lines + pgwire messages).
-    pub frames_in: u64,
-    /// Outbound replies queued.
-    pub frames_out: u64,
-    /// Bytes read off sockets.
-    pub bytes_in: u64,
-    /// Bytes written to sockets.
-    pub bytes_out: u64,
-    /// Connections closed by the idle-timeout reaper.
-    pub idle_reaped: u64,
-    /// Write-backpressure trips (reads paused at the high-water mark).
-    pub backpressure: u64,
-    /// High-water mark of frames waiting in the worker queue (protocol v6).
-    pub queue_depth_peak: u64,
-    /// Total microseconds frames spent queued before a worker picked them
-    /// up (protocol v6).
-    pub queue_wait_us_total: u64,
-    /// Largest single queue wait in microseconds (protocol v6).
-    pub queue_wait_us_max: u64,
-    /// The readiness backend the reactor selected (`epoll` or `poll`).
-    pub backend: String,
-}
-
-/// One named session's counters in a `stats` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSessionStats {
-    /// Session name.
-    pub name: String,
-    /// Pinned estimator names, in request order.
-    pub estimators: Vec<String>,
-    /// Prepared queries currently held.
-    pub prepared: u64,
-    /// `execute_prepared` calls served.
-    pub executes: u64,
-    /// Executions answered straight from a statement's frozen snapshots
-    /// (no profile-cache lookup at all).
-    pub frozen_hits: u64,
-    /// Milliseconds since the session was opened.
-    pub age_ms: u64,
-}
-
-/// A `stats` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsReply {
-    /// Protocol revision.
-    pub protocol: u64,
-    /// Registered tables, sorted.
-    pub tables: Vec<String>,
-    /// Connection-handler pool size.
-    pub workers: u64,
-    /// Connections accepted since start.
-    pub connections: u64,
-    /// Requests processed since start.
-    pub requests: u64,
-    /// Requests answered with an error.
-    pub errors: u64,
-    /// Milliseconds since the server started.
-    pub uptime_ms: u64,
-    /// Per-session counters for every open named session, sorted by name.
-    pub sessions: Vec<WireSessionStats>,
-    /// Profile-cache counters.
-    pub cache: WireCacheStats,
-    /// Columnar-projection counters.
-    pub projection: WireProjectionStats,
-    /// Shared-executor counters.
-    pub exec: WireExecStats,
-    /// Connection-layer (reactor) counters.
-    pub conn: WireConnStats,
-    /// Incremental-maintenance counters.
-    pub incremental: WireIncrementalStats,
-    /// Durability-layer counters (protocol v7; all zeros without
-    /// `--data-dir`).
-    pub storage: WireStorageStats,
-}
-
-/// One `(verb, stage)` latency digest in a `metrics` response
-/// (protocol v6). Quantiles come from the merged log-bucketed histograms,
-/// so they carry the bucket resolution (≈ √2), not exact order statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireStageMetrics {
-    /// Protocol verb the durations were recorded under.
-    pub verb: String,
-    /// Pipeline stage name.
-    pub stage: String,
-    /// Number of recorded durations.
-    pub count: u64,
-    /// Median, microseconds.
-    pub p50_us: f64,
-    /// 90th percentile, microseconds.
-    pub p90_us: f64,
-    /// 99th percentile, microseconds.
-    pub p99_us: f64,
-    /// Largest recorded duration, microseconds.
-    pub max_us: f64,
-    /// Mean duration, microseconds.
-    pub mean_us: f64,
-}
-
-impl WireStageMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("verb", Json::Str(self.verb.clone())),
-            ("stage", Json::Str(self.stage.clone())),
-            ("count", Json::Int(self.count as i64)),
-            ("p50_us", Json::from_f64(self.p50_us)),
-            ("p90_us", Json::from_f64(self.p90_us)),
-            ("p99_us", Json::from_f64(self.p99_us)),
-            ("max_us", Json::from_f64(self.max_us)),
-            ("mean_us", Json::from_f64(self.mean_us)),
-        ])
+wire_record! {
+    /// One server response line: `{"ok":true,"op":<tag>, <payload fields>}`,
+    /// or `{"ok":false,"error":{<WireError fields>}}` for the untagged
+    /// [`Response::Error`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// Answer to [`Request::Query`].
+        Query(QueryReply) = "query",
+        /// Answer to [`Request::LoadCsv`].
+        Loaded {
+            /// Table written.
+            table: String,
+            /// Observations ingested by this request.
+            observations: u64,
+            /// Entities now in the table.
+            entities: u64,
+        } = "load_csv",
+        /// Answer to [`Request::AppendStream`]. An appending
+        /// [`Request::LoadCsv`] rides the same server-side delta path but keeps
+        /// answering with [`Response::Loaded`] for compatibility.
+        Appended {
+            /// Table extended.
+            table: String,
+            /// Observations ingested by this request.
+            observations: u64,
+            /// Entities now in the table.
+            entities: u64,
+            /// Cached selections re-frozen in place by this append.
+            refrozen: u64,
+            /// Whether the delta path ran (false means drop-and-rebuild
+            /// fallback: incremental maintenance disabled for the table or via
+            /// `UU_INCREMENTAL=0`).
+            incremental: bool,
+        } = "append_stream",
+        /// Answer to [`Request::Warm`].
+        Warmed {
+            /// Echo of the SQL.
+            sql: String,
+            /// Estimation universes captured.
+            universes: u64,
+            /// Whether the selection was already cached.
+            already_cached: bool [default: false],
+        } = "warm",
+        /// Answer to [`Request::SessionOpen`].
+        SessionOpened {
+            /// Session name.
+            name: String,
+            /// Pinned estimator names as resolved by the registry.
+            estimators: Vec<String>,
+        } = "session_open",
+        /// Answer to [`Request::SessionClose`].
+        SessionClosed {
+            /// Session name.
+            name: String,
+            /// Prepared queries dropped with the session.
+            prepared_dropped: u64,
+        } = "session_close",
+        /// Answer to [`Request::Prepare`].
+        Prepared {
+            /// Owning session.
+            session: String,
+            /// Statement name.
+            name: String,
+            /// Echo of the frozen SQL.
+            sql: String,
+            /// Estimation universes captured by the frozen selection.
+            universes: u64,
+            /// Whether the selection was already in the profile cache.
+            already_cached: bool [default: false],
+        } = "prepare",
+        /// Answer to [`Request::Deallocate`].
+        Deallocated {
+            /// Owning session.
+            session: String,
+            /// Statement name.
+            name: String,
+        } = "deallocate",
+        /// Answer to [`Request::ServerInfo`].
+        Info(ServerInfoReply) = "server_info",
+        /// Answer to [`Request::Stats`] (boxed: the reply is by far the widest
+        /// variant and would otherwise bloat every `Response`).
+        Stats(Box<StatsReply>) = "stats",
+        /// Answer to [`Request::Metrics`] (protocol v6).
+        Metrics(MetricsReply) = "metrics",
+        /// Answer to [`Request::Ping`].
+        Pong = "ping",
+        /// Answer to [`Request::Checkpoint`] (protocol v7).
+        Checkpointed {
+            /// Tables snapshotted.
+            tables: u64,
+            /// Snapshot bytes written.
+            bytes: u64,
+        } = "checkpoint",
+        /// Answer to [`Request::Shutdown`]; the server drains and exits.
+        Bye = "shutdown",
+        /// Any failure; the connection stays usable.
+        Error(WireError),
     }
-
-    fn from_json(json: &Json) -> Result<WireStageMetrics, ProtoError> {
-        Ok(WireStageMetrics {
-            verb: req_str(json, "verb")?,
-            stage: req_str(json, "stage")?,
-            count: req_u64(json, "count")?,
-            p50_us: req_f64(json, "p50_us")?,
-            p90_us: req_f64(json, "p90_us")?,
-            p99_us: req_f64(json, "p99_us")?,
-            max_us: req_f64(json, "max_us")?,
-            mean_us: req_f64(json, "mean_us")?,
-        })
-    }
-}
-
-/// A `metrics` response (protocol v6).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsReply {
-    /// Non-empty `(verb, stage)` digests, in stable verb-major order.
-    pub entries: Vec<WireStageMetrics>,
-}
-
-/// A `server_info` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerInfoReply {
-    /// Server (crate) version.
-    pub version: String,
-    /// Protocol revision.
-    pub protocol: u64,
-    /// Milliseconds since the server started.
-    pub uptime_ms: u64,
-    /// Open named sessions.
-    pub active_sessions: u64,
-    /// Enabled transport fronts (e.g. `json`, `pgwire`).
-    pub fronts: Vec<String>,
-    /// Connection-handler pool size.
-    pub workers: u64,
-    /// The durability data directory, when the server runs with
-    /// `--data-dir` (protocol v7).
-    pub data_dir: Option<String>,
-    /// Durability mode: `off` without a data directory, else the fsync
-    /// policy (`always`/`batch`/`off` — the latter meaning "WAL without
-    /// fsync") (protocol v7).
-    pub durability: String,
-    /// Milliseconds since the last completed checkpoint; `None` when no
-    /// checkpoint has run in this process (protocol v7).
-    pub last_checkpoint_age_ms: Option<f64>,
-}
-
-/// One server response line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Answer to [`Request::Query`].
-    Query(QueryReply),
-    /// Answer to [`Request::LoadCsv`].
-    Loaded {
-        /// Table written.
-        table: String,
-        /// Observations ingested by this request.
-        observations: u64,
-        /// Entities now in the table.
-        entities: u64,
-    },
-    /// Answer to [`Request::AppendStream`]. An appending
-    /// [`Request::LoadCsv`] rides the same server-side delta path but keeps
-    /// answering with [`Response::Loaded`] for compatibility.
-    Appended {
-        /// Table extended.
-        table: String,
-        /// Observations ingested by this request.
-        observations: u64,
-        /// Entities now in the table.
-        entities: u64,
-        /// Cached selections re-frozen in place by this append.
-        refrozen: u64,
-        /// Whether the delta path ran (false means drop-and-rebuild
-        /// fallback: incremental maintenance disabled for the table or via
-        /// `UU_INCREMENTAL=0`).
-        incremental: bool,
-    },
-    /// Answer to [`Request::Warm`].
-    Warmed {
-        /// Echo of the SQL.
-        sql: String,
-        /// Estimation universes captured.
-        universes: u64,
-        /// Whether the selection was already cached.
-        already_cached: bool,
-    },
-    /// Answer to [`Request::SessionOpen`].
-    SessionOpened {
-        /// Session name.
-        name: String,
-        /// Pinned estimator names as resolved by the registry.
-        estimators: Vec<String>,
-    },
-    /// Answer to [`Request::SessionClose`].
-    SessionClosed {
-        /// Session name.
-        name: String,
-        /// Prepared queries dropped with the session.
-        prepared_dropped: u64,
-    },
-    /// Answer to [`Request::Prepare`].
-    Prepared {
-        /// Owning session.
-        session: String,
-        /// Statement name.
-        name: String,
-        /// Echo of the frozen SQL.
-        sql: String,
-        /// Estimation universes captured by the frozen selection.
-        universes: u64,
-        /// Whether the selection was already in the profile cache.
-        already_cached: bool,
-    },
-    /// Answer to [`Request::Deallocate`].
-    Deallocated {
-        /// Owning session.
-        session: String,
-        /// Statement name.
-        name: String,
-    },
-    /// Answer to [`Request::ServerInfo`].
-    Info(ServerInfoReply),
-    /// Answer to [`Request::Stats`] (boxed: the reply is by far the widest
-    /// variant and would otherwise bloat every `Response`).
-    Stats(Box<StatsReply>),
-    /// Answer to [`Request::Metrics`] (protocol v6).
-    Metrics(MetricsReply),
-    /// Answer to [`Request::Ping`].
-    Pong,
-    /// Answer to [`Request::Checkpoint`] (protocol v7).
-    Checkpointed {
-        /// Tables snapshotted.
-        tables: u64,
-        /// Snapshot bytes written.
-        bytes: u64,
-    },
-    /// Answer to [`Request::Shutdown`]; the server drains and exits.
-    Bye,
-    /// Any failure; the connection stays usable.
-    Error(WireError),
 }
 
 impl Response {
     /// Renders the response as one wire line (no trailing newline).
     pub fn encode(&self) -> String {
-        let json = match self {
-            Response::Query(q) => {
+        let json = match self.tag() {
+            Some(op) => {
                 let mut pairs = vec![
-                    ("ok", Json::Bool(true)),
-                    ("op", Json::Str("query".into())),
-                    ("sql", Json::Str(q.sql.clone())),
-                    ("cache_hit", Json::Bool(q.cache_hit)),
-                    ("elapsed_us", Json::Int(q.elapsed_us as i64)),
-                    ("grouped", Json::Bool(q.grouped)),
-                    (
-                        "groups",
-                        Json::Arr(
-                            q.groups
-                                .iter()
-                                .map(|g| {
-                                    Json::obj([
-                                        ("key", g.key.to_json()),
-                                        ("result", g.result.to_json()),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
+                    ("ok".to_string(), Json::Bool(true)),
+                    ("op".to_string(), Json::Str(op.to_string())),
                 ];
-                if let Some(trace) = &q.trace {
-                    pairs.push((
-                        "trace",
-                        Json::Arr(trace.iter().map(WireSpan::to_json).collect()),
-                    ));
-                }
-                Json::obj(pairs)
+                self.write_payload(&mut pairs);
+                Json::Obj(pairs)
             }
-            Response::Loaded {
-                table,
-                observations,
-                entities,
-            } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("load_csv".into())),
-                ("table", Json::Str(table.clone())),
-                ("observations", Json::Int(*observations as i64)),
-                ("entities", Json::Int(*entities as i64)),
-            ]),
-            Response::Appended {
-                table,
-                observations,
-                entities,
-                refrozen,
-                incremental,
-            } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("append_stream".into())),
-                ("table", Json::Str(table.clone())),
-                ("observations", Json::Int(*observations as i64)),
-                ("entities", Json::Int(*entities as i64)),
-                ("refrozen", Json::Int(*refrozen as i64)),
-                ("incremental", Json::Bool(*incremental)),
-            ]),
-            Response::Warmed {
-                sql,
-                universes,
-                already_cached,
-            } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("warm".into())),
-                ("sql", Json::Str(sql.clone())),
-                ("universes", Json::Int(*universes as i64)),
-                ("already_cached", Json::Bool(*already_cached)),
-            ]),
-            Response::SessionOpened { name, estimators } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("session_open".into())),
-                ("name", Json::Str(name.clone())),
-                (
-                    "estimators",
-                    Json::Arr(estimators.iter().map(|e| Json::Str(e.clone())).collect()),
-                ),
-            ]),
-            Response::SessionClosed {
-                name,
-                prepared_dropped,
-            } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("session_close".into())),
-                ("name", Json::Str(name.clone())),
-                ("prepared_dropped", Json::Int(*prepared_dropped as i64)),
-            ]),
-            Response::Prepared {
-                session,
-                name,
-                sql,
-                universes,
-                already_cached,
-            } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("prepare".into())),
-                ("session", Json::Str(session.clone())),
-                ("name", Json::Str(name.clone())),
-                ("sql", Json::Str(sql.clone())),
-                ("universes", Json::Int(*universes as i64)),
-                ("already_cached", Json::Bool(*already_cached)),
-            ]),
-            Response::Deallocated { session, name } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("deallocate".into())),
-                ("session", Json::Str(session.clone())),
-                ("name", Json::Str(name.clone())),
-            ]),
-            Response::Info(i) => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("server_info".into())),
-                ("version", Json::Str(i.version.clone())),
-                ("protocol", Json::Int(i.protocol as i64)),
-                ("uptime_ms", Json::Int(i.uptime_ms as i64)),
-                ("active_sessions", Json::Int(i.active_sessions as i64)),
-                (
-                    "fronts",
-                    Json::Arr(i.fronts.iter().map(|f| Json::Str(f.clone())).collect()),
-                ),
-                ("workers", Json::Int(i.workers as i64)),
-                (
-                    "data_dir",
-                    match &i.data_dir {
-                        Some(dir) => Json::Str(dir.clone()),
-                        None => Json::Null,
-                    },
-                ),
-                ("durability", Json::Str(i.durability.clone())),
-                (
-                    "last_checkpoint_age_ms",
-                    Json::from_opt_f64(i.last_checkpoint_age_ms),
-                ),
-            ]),
-            Response::Stats(s) => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("stats".into())),
-                ("protocol", Json::Int(s.protocol as i64)),
-                (
-                    "tables",
-                    Json::Arr(s.tables.iter().map(|t| Json::Str(t.clone())).collect()),
-                ),
-                ("workers", Json::Int(s.workers as i64)),
-                ("connections", Json::Int(s.connections as i64)),
-                ("requests", Json::Int(s.requests as i64)),
-                ("errors", Json::Int(s.errors as i64)),
-                ("uptime_ms", Json::Int(s.uptime_ms as i64)),
-                (
-                    "sessions",
-                    Json::Arr(
-                        s.sessions
-                            .iter()
-                            .map(|sess| {
-                                Json::obj([
-                                    ("name", Json::Str(sess.name.clone())),
-                                    (
-                                        "estimators",
-                                        Json::Arr(
-                                            sess.estimators
-                                                .iter()
-                                                .map(|e| Json::Str(e.clone()))
-                                                .collect(),
-                                        ),
-                                    ),
-                                    ("prepared", Json::Int(sess.prepared as i64)),
-                                    ("executes", Json::Int(sess.executes as i64)),
-                                    ("frozen_hits", Json::Int(sess.frozen_hits as i64)),
-                                    ("age_ms", Json::Int(sess.age_ms as i64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "cache",
-                    Json::obj([
-                        ("hits", Json::Int(s.cache.hits as i64)),
-                        ("misses", Json::Int(s.cache.misses as i64)),
-                        ("insertions", Json::Int(s.cache.insertions as i64)),
-                        ("evictions", Json::Int(s.cache.evictions as i64)),
-                        ("invalidations", Json::Int(s.cache.invalidations as i64)),
-                        ("expirations", Json::Int(s.cache.expirations as i64)),
-                        ("len", Json::Int(s.cache.len as i64)),
-                        ("bytes", Json::Int(s.cache.bytes as i64)),
-                        ("capacity", Json::Int(s.cache.capacity as i64)),
-                        ("byte_budget", Json::from_opt_f64(s.cache.byte_budget)),
-                        ("ttl_ms", Json::from_opt_f64(s.cache.ttl_ms)),
-                    ]),
-                ),
-                (
-                    "projection",
-                    Json::obj([
-                        ("builds", Json::Int(s.projection.builds as i64)),
-                        ("reuses", Json::Int(s.projection.reuses as i64)),
-                        ("bytes", Json::Int(s.projection.bytes as i64)),
-                    ]),
-                ),
-                (
-                    "exec",
-                    Json::obj([
-                        ("threads", Json::Int(s.exec.threads as i64)),
-                        ("regions", Json::Int(s.exec.regions as i64)),
-                        (
-                            "parallel_regions",
-                            Json::Int(s.exec.parallel_regions as i64),
-                        ),
-                        ("tasks", Json::Int(s.exec.tasks as i64)),
-                        ("steals", Json::Int(s.exec.steals as i64)),
-                        ("peak_workers", Json::Int(s.exec.peak_workers as i64)),
-                    ]),
-                ),
-                (
-                    "conn",
-                    Json::obj([
-                        ("open", Json::Int(s.conn.open as i64)),
-                        ("peak_open", Json::Int(s.conn.peak_open as i64)),
-                        ("frames_in", Json::Int(s.conn.frames_in as i64)),
-                        ("frames_out", Json::Int(s.conn.frames_out as i64)),
-                        ("bytes_in", Json::Int(s.conn.bytes_in as i64)),
-                        ("bytes_out", Json::Int(s.conn.bytes_out as i64)),
-                        ("idle_reaped", Json::Int(s.conn.idle_reaped as i64)),
-                        ("backpressure", Json::Int(s.conn.backpressure as i64)),
-                        (
-                            "queue_depth_peak",
-                            Json::Int(s.conn.queue_depth_peak as i64),
-                        ),
-                        (
-                            "queue_wait_us_total",
-                            Json::Int(s.conn.queue_wait_us_total as i64),
-                        ),
-                        (
-                            "queue_wait_us_max",
-                            Json::Int(s.conn.queue_wait_us_max as i64),
-                        ),
-                        ("backend", Json::Str(s.conn.backend.clone())),
-                    ]),
-                ),
-                (
-                    "incremental",
-                    Json::obj([
-                        (
-                            "delta_batches",
-                            Json::Int(s.incremental.delta_batches as i64),
-                        ),
-                        (
-                            "rows_appended",
-                            Json::Int(s.incremental.rows_appended as i64),
-                        ),
-                        (
-                            "permutation_merges",
-                            Json::Int(s.incremental.permutation_merges as i64),
-                        ),
-                        (
-                            "snapshots_refrozen",
-                            Json::Int(s.incremental.snapshots_refrozen as i64),
-                        ),
-                        (
-                            "fallback_rebuilds",
-                            Json::Int(s.incremental.fallback_rebuilds as i64),
-                        ),
-                    ]),
-                ),
-                (
-                    "storage",
-                    Json::obj([
-                        ("wal_records", Json::Int(s.storage.wal_records as i64)),
-                        ("wal_bytes", Json::Int(s.storage.wal_bytes as i64)),
-                        ("fsyncs", Json::Int(s.storage.fsyncs as i64)),
-                        ("checkpoints", Json::Int(s.storage.checkpoints as i64)),
-                        (
-                            "recovered_tables",
-                            Json::Int(s.storage.recovered_tables as i64),
-                        ),
-                        (
-                            "replayed_records",
-                            Json::Int(s.storage.replayed_records as i64),
-                        ),
-                        (
-                            "truncated_tail_bytes",
-                            Json::Int(s.storage.truncated_tail_bytes as i64),
-                        ),
-                    ]),
-                ),
-            ]),
-            Response::Metrics(m) => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("metrics".into())),
-                (
-                    "entries",
-                    Json::Arr(m.entries.iter().map(WireStageMetrics::to_json).collect()),
-                ),
-            ]),
-            Response::Pong => {
-                Json::obj([("ok", Json::Bool(true)), ("op", Json::Str("ping".into()))])
+            None => {
+                let mut error = Vec::new();
+                self.write_payload(&mut error);
+                Json::obj([("ok", Json::Bool(false)), ("error", Json::Obj(error))])
             }
-            Response::Checkpointed { tables, bytes } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("checkpoint".into())),
-                ("tables", Json::Int(*tables as i64)),
-                ("bytes", Json::Int(*bytes as i64)),
-            ]),
-            Response::Bye => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("shutdown".into())),
-            ]),
-            Response::Error(e) => Json::obj([
-                ("ok", Json::Bool(false)),
-                (
-                    "error",
-                    Json::obj([
-                        ("code", Json::Str(e.code.as_str().into())),
-                        ("message", Json::Str(e.message.clone())),
-                        (
-                            "accepted",
-                            Json::Arr(e.accepted.iter().map(|n| Json::Str(n.clone())).collect()),
-                        ),
-                    ]),
-                ),
-            ]),
         };
         json.render()
     }
@@ -1618,238 +1243,12 @@ impl Response {
     /// Parses one wire line into a response.
     pub fn decode(line: &str) -> Result<Response, ProtoError> {
         let json = parse(line)?;
-        let ok = json
-            .get("ok")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| missing("ok"))?;
-        if !ok {
-            let e = json.get("error").ok_or_else(|| missing("error"))?;
-            let code_str = req_str(e, "code")?;
-            let code = ErrorCode::parse(&code_str)
-                .ok_or_else(|| ProtoError(format!("unknown error code {code_str:?}")))?;
-            let accepted = match e.get("accepted") {
-                None | Some(Json::Null) => Vec::new(),
-                Some(v) => v
-                    .as_arr()
-                    .ok_or_else(|| missing("accepted"))?
-                    .iter()
-                    .map(|n| n.as_str().map(str::to_string))
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| missing("accepted"))?,
-            };
-            return Ok(Response::Error(WireError {
-                code,
-                message: req_str(e, "message")?,
-                accepted,
-            }));
-        }
-        let op = req_str(&json, "op")?;
-        match op.as_str() {
-            "query" => {
-                let groups = json
-                    .get("groups")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| missing("groups"))?
-                    .iter()
-                    .map(|g| {
-                        Ok(GroupReply {
-                            key: WireValue::from_json(g.get("key").ok_or_else(|| missing("key"))?)?,
-                            result: WireResult::from_json(
-                                g.get("result").ok_or_else(|| missing("result"))?,
-                            )?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, ProtoError>>()?;
-                let trace = match json.get("trace") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_arr()
-                            .ok_or_else(|| missing("trace"))?
-                            .iter()
-                            .map(WireSpan::from_json)
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                };
-                Ok(Response::Query(QueryReply {
-                    sql: req_str(&json, "sql")?,
-                    cache_hit: opt_bool(&json, "cache_hit", false)?,
-                    elapsed_us: req_u64(&json, "elapsed_us")?,
-                    grouped: opt_bool(&json, "grouped", false)?,
-                    groups,
-                    trace,
-                }))
-            }
-            "load_csv" => Ok(Response::Loaded {
-                table: req_str(&json, "table")?,
-                observations: req_u64(&json, "observations")?,
-                entities: req_u64(&json, "entities")?,
-            }),
-            "append_stream" => Ok(Response::Appended {
-                table: req_str(&json, "table")?,
-                observations: req_u64(&json, "observations")?,
-                entities: req_u64(&json, "entities")?,
-                refrozen: req_u64(&json, "refrozen")?,
-                incremental: json
-                    .get("incremental")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| missing("incremental"))?,
-            }),
-            "warm" => Ok(Response::Warmed {
-                sql: req_str(&json, "sql")?,
-                universes: req_u64(&json, "universes")?,
-                already_cached: opt_bool(&json, "already_cached", false)?,
-            }),
-            "session_open" => Ok(Response::SessionOpened {
-                name: req_str(&json, "name")?,
-                estimators: req_str_arr(&json, "estimators")?,
-            }),
-            "session_close" => Ok(Response::SessionClosed {
-                name: req_str(&json, "name")?,
-                prepared_dropped: req_u64(&json, "prepared_dropped")?,
-            }),
-            "prepare" => Ok(Response::Prepared {
-                session: req_str(&json, "session")?,
-                name: req_str(&json, "name")?,
-                sql: req_str(&json, "sql")?,
-                universes: req_u64(&json, "universes")?,
-                already_cached: opt_bool(&json, "already_cached", false)?,
-            }),
-            "deallocate" => Ok(Response::Deallocated {
-                session: req_str(&json, "session")?,
-                name: req_str(&json, "name")?,
-            }),
-            "server_info" => {
-                let data_dir = match json.get("data_dir") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| missing("data_dir"))?,
-                    ),
-                };
-                Ok(Response::Info(ServerInfoReply {
-                    version: req_str(&json, "version")?,
-                    protocol: req_u64(&json, "protocol")?,
-                    uptime_ms: req_u64(&json, "uptime_ms")?,
-                    active_sessions: req_u64(&json, "active_sessions")?,
-                    fronts: req_str_arr(&json, "fronts")?,
-                    workers: req_u64(&json, "workers")?,
-                    data_dir,
-                    durability: req_str(&json, "durability")?,
-                    last_checkpoint_age_ms: opt_f64(&json, "last_checkpoint_age_ms")?,
-                }))
-            }
-            "stats" => {
-                let cache = json.get("cache").ok_or_else(|| missing("cache"))?;
-                let projection = json
-                    .get("projection")
-                    .ok_or_else(|| missing("projection"))?;
-                let exec = json.get("exec").ok_or_else(|| missing("exec"))?;
-                let conn = json.get("conn").ok_or_else(|| missing("conn"))?;
-                let incremental = json
-                    .get("incremental")
-                    .ok_or_else(|| missing("incremental"))?;
-                let storage = json.get("storage").ok_or_else(|| missing("storage"))?;
-                let sessions = json
-                    .get("sessions")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| missing("sessions"))?
-                    .iter()
-                    .map(|sess| {
-                        Ok(WireSessionStats {
-                            name: req_str(sess, "name")?,
-                            estimators: req_str_arr(sess, "estimators")?,
-                            prepared: req_u64(sess, "prepared")?,
-                            executes: req_u64(sess, "executes")?,
-                            frozen_hits: req_u64(sess, "frozen_hits")?,
-                            age_ms: req_u64(sess, "age_ms")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, ProtoError>>()?;
-                Ok(Response::Stats(Box::new(StatsReply {
-                    protocol: req_u64(&json, "protocol")?,
-                    tables: req_str_arr(&json, "tables")?,
-                    workers: req_u64(&json, "workers")?,
-                    connections: req_u64(&json, "connections")?,
-                    requests: req_u64(&json, "requests")?,
-                    errors: req_u64(&json, "errors")?,
-                    uptime_ms: req_u64(&json, "uptime_ms")?,
-                    sessions,
-                    cache: WireCacheStats {
-                        hits: req_u64(cache, "hits")?,
-                        misses: req_u64(cache, "misses")?,
-                        insertions: req_u64(cache, "insertions")?,
-                        evictions: req_u64(cache, "evictions")?,
-                        invalidations: req_u64(cache, "invalidations")?,
-                        expirations: req_u64(cache, "expirations")?,
-                        len: req_u64(cache, "len")?,
-                        bytes: req_u64(cache, "bytes")?,
-                        capacity: req_u64(cache, "capacity")?,
-                        byte_budget: opt_f64(cache, "byte_budget")?,
-                        ttl_ms: opt_f64(cache, "ttl_ms")?,
-                    },
-                    projection: WireProjectionStats {
-                        builds: req_u64(projection, "builds")?,
-                        reuses: req_u64(projection, "reuses")?,
-                        bytes: req_u64(projection, "bytes")?,
-                    },
-                    exec: WireExecStats {
-                        threads: req_u64(exec, "threads")?,
-                        regions: req_u64(exec, "regions")?,
-                        parallel_regions: req_u64(exec, "parallel_regions")?,
-                        tasks: req_u64(exec, "tasks")?,
-                        steals: req_u64(exec, "steals")?,
-                        peak_workers: req_u64(exec, "peak_workers")?,
-                    },
-                    conn: WireConnStats {
-                        open: req_u64(conn, "open")?,
-                        peak_open: req_u64(conn, "peak_open")?,
-                        frames_in: req_u64(conn, "frames_in")?,
-                        frames_out: req_u64(conn, "frames_out")?,
-                        bytes_in: req_u64(conn, "bytes_in")?,
-                        bytes_out: req_u64(conn, "bytes_out")?,
-                        idle_reaped: req_u64(conn, "idle_reaped")?,
-                        backpressure: req_u64(conn, "backpressure")?,
-                        queue_depth_peak: req_u64(conn, "queue_depth_peak")?,
-                        queue_wait_us_total: req_u64(conn, "queue_wait_us_total")?,
-                        queue_wait_us_max: req_u64(conn, "queue_wait_us_max")?,
-                        backend: req_str(conn, "backend")?,
-                    },
-                    incremental: WireIncrementalStats {
-                        delta_batches: req_u64(incremental, "delta_batches")?,
-                        rows_appended: req_u64(incremental, "rows_appended")?,
-                        permutation_merges: req_u64(incremental, "permutation_merges")?,
-                        snapshots_refrozen: req_u64(incremental, "snapshots_refrozen")?,
-                        fallback_rebuilds: req_u64(incremental, "fallback_rebuilds")?,
-                    },
-                    storage: WireStorageStats {
-                        wal_records: req_u64(storage, "wal_records")?,
-                        wal_bytes: req_u64(storage, "wal_bytes")?,
-                        fsyncs: req_u64(storage, "fsyncs")?,
-                        checkpoints: req_u64(storage, "checkpoints")?,
-                        recovered_tables: req_u64(storage, "recovered_tables")?,
-                        replayed_records: req_u64(storage, "replayed_records")?,
-                        truncated_tail_bytes: req_u64(storage, "truncated_tail_bytes")?,
-                    },
-                })))
-            }
-            "metrics" => {
-                let entries = json
-                    .get("entries")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| missing("entries"))?
-                    .iter()
-                    .map(WireStageMetrics::from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Response::Metrics(MetricsReply { entries }))
-            }
-            "ping" => Ok(Response::Pong),
-            "checkpoint" => Ok(Response::Checkpointed {
-                tables: req_u64(&json, "tables")?,
-                bytes: req_u64(&json, "bytes")?,
-            }),
-            "shutdown" => Ok(Response::Bye),
-            other => Err(ProtoError(format!("unknown response op {other:?}"))),
+        if field(&json, "ok")? {
+            let op = json.get("op").and_then(Json::as_str);
+            Response::read_payload(Some(op.ok_or_else(|| missing("op"))?), &json)
+        } else {
+            let error = json.get("error").ok_or_else(|| missing("error"))?;
+            Response::read_payload(None, error)
         }
     }
 }

@@ -37,9 +37,9 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use crate::json::Json;
 use crate::protocol::{
     ErrorCode, GroupReply, LoadCsvRequest, MetricsReply, QueryReply, QueryRequest, Request,
-    Response, ServerInfoReply, StatsReply, WireCacheStats, WireConnStats, WireError, WireEstimate,
-    WireExecStats, WireIncrementalStats, WireProjectionStats, WireResult, WireSessionStats,
-    WireSpan, WireStageMetrics, WireStorageStats, WireValue, PROTOCOL_VERSION,
+    Response, ServerInfoReply, StatsReply, Wire, WireCacheStats, WireConnStats, WireError,
+    WireEstimate, WireExecStats, WireProjectionStats, WireResult, WireSessionStats, WireSpan,
+    WireStageMetrics, WireValue, PROTOCOL_VERSION,
 };
 use uu_core::engine::{EstimationSession, EstimatorKind};
 use uu_core::obs;
@@ -487,10 +487,7 @@ impl Service {
             ("elapsed_us", Json::Int(reply.elapsed_us as i64)),
             ("cache_hit", Json::Bool(reply.cache_hit)),
             ("grouped", Json::Bool(reply.grouped)),
-            (
-                "trace",
-                Json::Arr(spans.iter().map(WireSpan::to_json).collect()),
-            ),
+            ("trace", spans.to_json()),
         ]);
         let _ = writeln!(log.sink, "{}", record.render());
         let _ = log.sink.flush();
@@ -1096,7 +1093,6 @@ impl Service {
         let cache = catalog.cache();
         let cache_metrics = cache.metrics();
         let (projection_builds, projection_reuses, projection_bytes) = catalog.projection_stats();
-        let incremental = catalog.incremental_stats();
         let exec_metrics = uu_core::exec::global().metrics();
         let sessions = self
             .sessions
@@ -1165,28 +1161,8 @@ impl Service {
                 queue_wait_us_max: self.conn.queue_wait_us_max.load(Ordering::Relaxed),
                 backend: self.conn.backend.lock().expect("backend lock").clone(),
             },
-            incremental: WireIncrementalStats {
-                delta_batches: incremental.delta_batches,
-                rows_appended: incremental.rows_appended,
-                permutation_merges: incremental.permutation_merges,
-                snapshots_refrozen: incremental.snapshots_refrozen,
-                fallback_rebuilds: incremental.fallback_rebuilds,
-            },
-            storage: match self.store() {
-                Some(store) => {
-                    let s = store.stats();
-                    WireStorageStats {
-                        wal_records: s.wal_records,
-                        wal_bytes: s.wal_bytes,
-                        fsyncs: s.fsyncs,
-                        checkpoints: s.checkpoints,
-                        recovered_tables: s.recovered_tables,
-                        replayed_records: s.replayed_records,
-                        truncated_tail_bytes: s.truncated_tail_bytes,
-                    }
-                }
-                None => WireStorageStats::default(),
-            },
+            incremental: catalog.incremental_stats(),
+            storage: self.store().map(|store| store.stats()).unwrap_or_default(),
         }
     }
 

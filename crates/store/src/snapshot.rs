@@ -347,8 +347,11 @@ mod tests {
     use super::*;
     use uu_query::predicate::CmpOp;
 
-    fn scratch() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("uu-snap-test-{}", std::process::id()));
+    /// A fresh directory per test: the tests run on parallel threads and
+    /// all write the same `companies` snapshot file.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("uu-snap-test-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -390,7 +393,7 @@ mod tests {
 
     #[test]
     fn snapshots_round_trip_through_disk() {
-        let dir = scratch();
+        let dir = scratch("round-trip");
         let snapshot = sample();
         let (bytes, _) = write_snapshot(&dir, &snapshot, FsyncPolicy::Off).unwrap();
         assert!(bytes > 0);
@@ -414,7 +417,7 @@ mod tests {
 
     #[test]
     fn rewrite_replaces_atomically_and_corruption_is_detected() {
-        let dir = scratch();
+        let dir = scratch("rewrite");
         let mut snapshot = sample();
         write_snapshot(&dir, &snapshot, FsyncPolicy::Off).unwrap();
         snapshot.version = 12;

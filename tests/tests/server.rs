@@ -560,6 +560,24 @@ fn malformed_and_invalid_requests_answer_with_codes_not_disconnects() {
     handle.shutdown();
 }
 
+/// A megabyte of `[` inside one request line must cost that request a
+/// `malformed_request` reply, not overflow a worker's stack and abort the
+/// whole server process.
+#[test]
+fn deeply_nested_request_is_malformed_and_the_server_stays_up() {
+    let handle = spawn(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let deep = format!(r#"{{"op":"query","sql":{}"#, "[".repeat(1_000_000));
+    match client.send_raw(&deep) {
+        Ok(Response::Error(e)) => assert_eq!(e.code, ErrorCode::MalformedRequest, "{}", e.message),
+        other => panic!("expected malformed_request, got {other:?}"),
+    }
+    // The same connection and a fresh one both still get answers.
+    client.ping().unwrap();
+    Client::connect(handle.addr()).unwrap().ping().unwrap();
+    handle.shutdown();
+}
+
 #[test]
 fn byte_budget_config_bounds_the_cache_and_is_reported() {
     let config = ServerConfig {
