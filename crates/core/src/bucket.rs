@@ -88,7 +88,9 @@ fn report_for(items: &[&ObservedItem], estimate: DeltaEstimate) -> BucketReport 
     let c = items.len() as u64;
     let n: u64 = items.iter().map(|i| i.multiplicity).sum();
     let f1 = items.iter().filter(|i| i.multiplicity == 1).count() as u64;
-    let observed_sum: f64 = items.iter().map(|i| i.value).sum();
+    // Folded from +0.0, as `SampleView::from_observed_items` does
+    // (`Iterator::sum` starts at −0.0, which differs for all-−0.0 input).
+    let observed_sum = items.iter().fold(0.0, |acc, i| acc + i.value);
     BucketReport {
         lo: items.first().map(|i| i.value).unwrap_or(f64::NAN),
         hi: items.last().map(|i| i.value).unwrap_or(f64::NAN),
@@ -190,15 +192,22 @@ impl DynamicBucketEstimator {
     /// candidate sub-range is materialised as a [`SampleView`] and handed to
     /// the inner estimator. Kept as the parity oracle for the dense path (and
     /// as the only path for custom inner estimators, whose statistics aren't
-    /// expressible as prefix counts).
+    /// expressible as prefix counts). Range estimates are memoized, so the
+    /// inner estimator runs at most once per distinct range however often
+    /// the candidate loop revisits it.
     pub fn bucketize_sorted_rows(&self, sorted: &[&ObservedItem]) -> Vec<BucketReport> {
         if sorted.is_empty() {
             return Vec::new();
         }
+        let mut memo: HashMap<(usize, usize), DeltaEstimate> = HashMap::new();
         let ranges = split_ranges_with(
             sorted.len(),
             |k| sorted[k - 1].value == sorted[k].value,
-            |lo, hi| self.inner.estimate_delta(&subview(&sorted[lo..hi])),
+            |lo, hi| {
+                *memo
+                    .entry((lo, hi))
+                    .or_insert_with(|| self.inner.estimate_delta(&subview(&sorted[lo..hi])))
+            },
         );
         ranges
             .into_iter()
@@ -209,11 +218,12 @@ impl DynamicBucketEstimator {
 
 /// Algorithm 1 over index ranges of a sorted item list of length `len`:
 /// `same_value(k)` reports whether positions `k-1` and `k` hold the same
-/// value (items sharing a value stay together), `compute(lo, hi)` produces
+/// value (items sharing a value stay together), `delta_of(lo, hi)` produces
 /// the Δ estimate of the half-open range. Returns the final `(lo, hi, Δ)`
-/// ranges sorted by `lo`. Range estimates are memoized, so `compute` runs at
-/// most once per distinct range regardless of how often the candidate loop
-/// revisits it.
+/// ranges sorted by `lo`. A bucket of m items calls `delta_of` O(m) times
+/// per level, and may call it again for a range it has already seen:
+/// memoizing is the caller's choice (the dense path's `delta_of` is O(1) and
+/// cheaper than a hash probe; the row path memoizes its costly estimates).
 ///
 /// Shared by the row reference path and the dense columnar path — both
 /// traverse identical split sequences by construction, so any divergence can
@@ -221,13 +231,9 @@ impl DynamicBucketEstimator {
 fn split_ranges_with(
     len: usize,
     same_value: impl Fn(usize) -> bool,
-    mut compute: impl FnMut(usize, usize) -> DeltaEstimate,
+    mut delta_of: impl FnMut(usize, usize) -> DeltaEstimate,
 ) -> Vec<(usize, usize, DeltaEstimate)> {
     let full = (0usize, len);
-    let mut memo: HashMap<(usize, usize), DeltaEstimate> = HashMap::new();
-    let mut delta_of = |lo: usize, hi: usize| -> DeltaEstimate {
-        *memo.entry((lo, hi)).or_insert_with(|| compute(lo, hi))
-    };
 
     // δ_min tracks the total Σ|Δ| over the current bucketing.
     let mut delta_min = delta_of(full.0, full.1).abs_or_infinite();
@@ -273,13 +279,15 @@ fn split_ranges_with(
 }
 
 /// The presorted columnar layout the dense splitter runs over: the value
-/// column plus exclusive prefix arrays of the three integer statistics the
-/// naïve/Chao92 pipeline consumes. Every statistic of a candidate range
-/// `[lo, hi)` is two array reads and a subtraction — exact, because `n`,
-/// `f1` and `Σ m(m−1)` are order-independent integer sums — while the one
-/// order-sensitive float statistic (`φ_K`) is re-accumulated sequentially
-/// over `values[lo..hi]`, in exactly the item order
-/// [`SampleView::from_observed_items`] uses, to keep parity bit-for-bit.
+/// column plus exclusive prefix arrays of the statistics the naïve/Chao92
+/// pipeline consumes. Every statistic of a candidate range `[lo, hi)` is
+/// two array reads and a subtraction. That is exact for `n`, `f1` and
+/// `Σ m(m−1)`, which are integer sums. The one float statistic, the range
+/// sum `φ_K`, goes through [`DenseSorted::range_sum`], which returns the
+/// bits of the sequential fold over `values[lo..hi]` that
+/// [`SampleView::from_observed_items`] computes: a prefix difference when
+/// [`exact_prefix_sums`] proves every partial sum exact, the fold itself
+/// otherwise.
 struct DenseSorted {
     values: Vec<f64>,
     /// `prefix_n[i]` = Σ multiplicity over items `[0, i)`.
@@ -289,6 +297,9 @@ struct DenseSorted {
     /// `prefix_sii[i]` = Σ m(m−1) over items `[0, i)` — identical to the
     /// ladder sum `Σ_i i(i−1)f_i` of the range, exactly, in u64.
     prefix_sii: Vec<u64>,
+    /// `prefix_sum[i]` = Σ value over items `[0, i)`, present only when every
+    /// range sum read from it is exact (see [`exact_prefix_sums`]).
+    prefix_sum: Option<Vec<f64>>,
 }
 
 impl DenseSorted {
@@ -311,11 +322,24 @@ impl DenseSorted {
             prefix_f1.push(f1);
             prefix_sii.push(sii);
         }
+        let prefix_sum = exact_prefix_sums(&values);
         DenseSorted {
             values,
             prefix_n,
             prefix_f1,
             prefix_sii,
+            prefix_sum,
+        }
+    }
+
+    /// Σ `values[lo..hi]`, bit-for-bit the sequential fold from +0.0 that
+    /// [`SampleView::from_observed_items`] computes over the same items. O(1)
+    /// from the prefix array when it exists; O(hi − lo) otherwise — the
+    /// only bit-exact option for values off any short binary grid.
+    fn range_sum(&self, lo: usize, hi: usize) -> f64 {
+        match &self.prefix_sum {
+            Some(prefix) => prefix[hi] - prefix[lo],
+            None => self.values[lo..hi].iter().fold(0.0, |acc, v| acc + v),
         }
     }
 
@@ -328,16 +352,12 @@ impl DenseSorted {
         let f1 = self.prefix_f1[hi] - self.prefix_f1[lo];
         let sii = self.prefix_sii[hi] - self.prefix_sii[lo];
         match chao92_from_counts(n, c, f1, sii).value() {
-            Some(n_hat) => {
-                let observed_sum: f64 = self.values[lo..hi].iter().sum();
-                NaiveEstimator::delta_from_stats(c, observed_sum, n_hat)
-            }
+            Some(n_hat) => NaiveEstimator::delta_from_stats(c, self.range_sum(lo, hi), n_hat),
             None => DeltaEstimate::UNDEFINED,
         }
     }
 
     fn report(&self, lo: usize, hi: usize, estimate: DeltaEstimate) -> BucketReport {
-        let observed_sum: f64 = self.values[lo..hi].iter().sum();
         BucketReport {
             lo: self.values.get(lo).copied().unwrap_or(f64::NAN),
             hi: if hi > lo {
@@ -348,15 +368,85 @@ impl DenseSorted {
             c: (hi - lo) as u64,
             n: self.prefix_n[hi] - self.prefix_n[lo],
             f1: self.prefix_f1[hi] - self.prefix_f1[lo],
-            observed_sum,
+            observed_sum: self.range_sum(lo, hi),
             estimate,
         }
     }
 }
 
+/// Exclusive prefix sums of `values` (folded from +0.0), or `None` unless
+/// every sum of every sub-range is exact in `f64`.
+///
+/// The test: every value and `Σ|v|` are finite, and `Σ|v| ≤ 2^52·2^q`,
+/// where `q` is the smallest exponent of any value's lowest set bit (an
+/// all-zero column passes trivially). Every value is then an integer
+/// multiple of `2^q`, and so is every partial sum of every sub-range, with
+/// magnitude at most `Σ|v|` — representable, so each addition and each
+/// prefix difference is exact, and `prefix[hi] − prefix[lo]` equals the
+/// sequential fold over `values[lo..hi]` bit for bit. (The computed `Σ|v|`
+/// is itself exact under the bound: rounding is monotone, so a partial sum
+/// past `2^53·2^q` would have rounded to at least that.) Zeros agree in sign
+/// too: both sides start from +0.0, and an exact zero from `x + y` or
+/// `x − x` is +0.0 unless both operands are −0.0.
+///
+/// Integer columns, Table 2, and grids such as multiples of 0.5 or 7.5 pass;
+/// arbitrary decimals like 0.1 do not.
+fn exact_prefix_sums(values: &[f64]) -> Option<Vec<f64>> {
+    let mut q = i32::MAX;
+    let mut abs_sum = 0.0f64;
+    for &v in values {
+        if !v.is_finite() {
+            return None;
+        }
+        if v != 0.0 {
+            q = q.min(lowest_set_bit_exp(v));
+        }
+        abs_sum += v.abs();
+    }
+    // `pow2` is +∞ for the largest `q`, where finiteness alone bounds Σ|v|.
+    let limit = if q == i32::MAX { 0.0 } else { pow2(52 + q) };
+    if !(abs_sum.is_finite() && abs_sum <= limit) {
+        return None;
+    }
+    let mut prefix = Vec::with_capacity(values.len() + 1);
+    let mut acc = 0.0;
+    prefix.push(acc);
+    for &v in values {
+        acc += v;
+        prefix.push(acc);
+    }
+    Some(prefix)
+}
+
+/// The exponent `e` of the lowest set bit of finite, non-zero `v`: `v` is an
+/// odd integer times `2^e`.
+fn lowest_set_bit_exp(v: f64) -> i32 {
+    let bits = v.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1u64 << 52) - 1);
+    let (significand, exp) = if biased == 0 {
+        (fraction, -1074) // subnormal
+    } else {
+        (fraction | (1u64 << 52), biased - 1075)
+    };
+    exp + significand.trailing_zeros() as i32
+}
+
+/// `2^e` for `e ≥ −1022` (a normal power of two); +∞ past the `f64` range.
+fn pow2(e: i32) -> f64 {
+    debug_assert!(e >= -1022);
+    if e > 1023 {
+        f64::INFINITY
+    } else {
+        f64::from_bits(((e + 1023) as u64) << 52)
+    }
+}
+
 /// The dense columnar splitter: one pass to build [`DenseSorted`], then
-/// Algorithm 1 with O(1)-statistics candidate evaluation. No intermediate
-/// `SampleView`/`ObservedItem` allocation anywhere on the path.
+/// Algorithm 1 with O(1) candidate evaluation — so a level of the split
+/// costs O(m) for a bucket of m items — whenever the range sums come from
+/// the prefix array. No intermediate `SampleView`/`ObservedItem`
+/// allocation anywhere on the path.
 fn bucketize_sorted_dense(sorted: &[&ObservedItem]) -> Vec<BucketReport> {
     let dense = DenseSorted::new(sorted);
     let ranges = split_ranges_with(
@@ -684,6 +774,136 @@ mod tests {
         StaticBucketEstimator::new(StaticStrategy::EquiWidth, 0);
     }
 
+    /// Every field of every report, floats as their bit patterns:
+    /// `PartialEq` on `f64` treats +0.0 and −0.0 as equal, so comparing
+    /// reports directly cannot pin "same bits".
+    type ReportBits = (u64, u64, u64, u64, u64, u64, Option<u64>, Option<u64>);
+
+    fn report_bits(reports: &[BucketReport]) -> Vec<ReportBits> {
+        reports
+            .iter()
+            .map(|r| {
+                (
+                    r.lo.to_bits(),
+                    r.hi.to_bits(),
+                    r.c,
+                    r.n,
+                    r.f1,
+                    r.observed_sum.to_bits(),
+                    r.estimate.delta.map(f64::to_bits),
+                    r.estimate.n_hat.map(f64::to_bits),
+                )
+            })
+            .collect()
+    }
+
+    /// Dense and row splitters over the same sorted items, as bits.
+    fn both_paths(s: &SampleView) -> (Vec<ReportBits>, Vec<ReportBits>) {
+        let sorted = s.items_sorted_by_value();
+        let est = DynamicBucketEstimator::default();
+        (
+            report_bits(&est.bucketize_sorted(&sorted)),
+            report_bits(&est.bucketize_sorted_rows(&sorted)),
+        )
+    }
+
+    /// Maps a generated `(raw, sign)` pair onto one value shape: signed
+    /// zeros (mostly −0.0, beside ±1 so sums cross zero and ±0.1 so some
+    /// columns take the fallback), multiples of 0.5 and of 7.5, integers of
+    /// 2^46..2^51 whose Σ|v| straddles the 2^52 exactness guard, coarse
+    /// multiples of 2^40, and off-grid floats (decimals and wide-exponent
+    /// bit patterns) that take the sequential fallback.
+    fn shaped_value(shape: u32, raw: u64, negative: bool) -> f64 {
+        let v = match shape {
+            0 => [-0.0, -0.0, 1.0, 0.1][(raw % 4) as usize],
+            1 => (raw % 2_000) as f64 * 0.5,
+            2 => (raw % 1_000) as f64 * 7.5,
+            3 => ((1u64 << (46 + raw % 6)) + (raw >> 8) % (1 << 20)) as f64,
+            4 => (raw % (1 << 20)) as f64 * 2f64.powi(40),
+            5 => (raw % 100_000) as f64 * 0.1,
+            _ => {
+                // Finite, normal, exponents spread over ±2^40.
+                let exp = 1023 - 40 + raw % 81;
+                f64::from_bits((exp << 52) | (raw.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 12))
+            }
+        };
+        if negative {
+            -v
+        } else {
+            v
+        }
+    }
+
+    #[test]
+    fn exactness_guard_accepts_grids_and_rejects_the_rest() {
+        assert!(exact_prefix_sums(&[]).is_some());
+        assert!(exact_prefix_sums(&[0.0, -0.0, 0.0]).is_some());
+        assert!(exact_prefix_sums(&[300.0, 1000.0, 2000.0, 10_000.0]).is_some());
+        let grid: Vec<f64> = (1..=1_000).map(|i| f64::from(i) * 7.5).collect();
+        assert!(exact_prefix_sums(&grid).is_some());
+        assert!(exact_prefix_sums(&[0.5, -1.5, 2.0]).is_some());
+        assert!(exact_prefix_sums(&[f64::MIN_POSITIVE / 4.0, 1e-310]).is_some());
+        assert!(exact_prefix_sums(&[2f64.powi(1000), -2f64.powi(1020)]).is_some());
+        // Σ|v| = 2^52 exactly passes; one more unit does not.
+        assert!(exact_prefix_sums(&[2f64.powi(51), 2f64.powi(51) - 1.0, 1.0]).is_some());
+        assert!(exact_prefix_sums(&[2f64.powi(51), 2f64.powi(51), 1.0]).is_none());
+        // Magnitude, not the signed total, is what is bounded.
+        assert!(exact_prefix_sums(&[2f64.powi(52), -2f64.powi(52), 1.0]).is_none());
+        assert!(exact_prefix_sums(&[0.1, 0.2]).is_none());
+        assert!(exact_prefix_sums(&[1.0, f64::INFINITY]).is_none());
+        assert!(exact_prefix_sums(&[1.0, f64::NAN]).is_none());
+        assert!(exact_prefix_sums(&[f64::MAX, f64::MAX]).is_none());
+    }
+
+    #[test]
+    fn range_sum_is_the_sequential_fold_bit_for_bit() {
+        let columns: [&[f64]; 5] = [
+            &[-0.0, -0.0, 0.0, 1.0, -1.0, 7.5, 15.0],
+            &[-0.0, -0.0, 0.1, 0.2, -0.3, 0.1],
+            &[-1.5, -0.0, 0.5, 2.0, 2.0],
+            &[1.0, 2f64.powi(52), -2f64.powi(52), 3.0, 2f64.powi(53)],
+            &[2f64.powi(51), 2f64.powi(51), 1.0, -1.0, 1.0],
+        ];
+        for (i, values) in columns.iter().enumerate() {
+            let items: Vec<ObservedItem> = values
+                .iter()
+                .map(|&value| ObservedItem {
+                    value,
+                    multiplicity: 2,
+                    source_counts: Vec::new(),
+                })
+                .collect();
+            let refs: Vec<&ObservedItem> = items.iter().collect();
+            let dense = DenseSorted::new(&refs);
+            // The first three columns sit on a short grid; the rest overflow
+            // the guard (or are off-grid) and use the fallback.
+            assert_eq!(dense.prefix_sum.is_some(), i != 1 && i < 3, "column {i}");
+            for lo in 0..=values.len() {
+                for hi in lo..=values.len() {
+                    let fold = values[lo..hi].iter().fold(0.0, |acc, v| acc + v);
+                    assert_eq!(
+                        dense.range_sum(lo, hi).to_bits(),
+                        fold.to_bits(),
+                        "column {i} range {lo}..{hi}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_sums_start_from_positive_zero() {
+        // Every value −0.0: `Iterator::sum` would give −0.0 and a −0.0 Δ;
+        // `SampleView` folds from +0.0, and so must both splitters.
+        let s = SampleView::from_value_multiplicities([(-0.0, 1), (-0.0, 1), (-0.0, 3)]);
+        let (dense, rows) = both_paths(&s);
+        assert_eq!(dense, rows);
+        assert_eq!(dense.len(), 1);
+        assert_eq!(dense[0].5, s.observed_sum().to_bits());
+        assert_eq!(dense[0].5, 0.0f64.to_bits());
+        assert_eq!(dense[0].6, Some(0.0f64.to_bits()));
+    }
+
     #[test]
     fn dense_path_taken_only_for_default_inner() {
         // `with_inner` must stay on the row reference path even when handed
@@ -694,12 +914,12 @@ mod tests {
         let custom = DynamicBucketEstimator::with_inner(NaiveEstimator::default());
         let stock = DynamicBucketEstimator::default();
         assert_eq!(
-            custom.bucketize_sorted(&sorted),
-            stock.bucketize_sorted(&sorted)
+            report_bits(&custom.bucketize_sorted(&sorted)),
+            report_bits(&stock.bucketize_sorted(&sorted))
         );
         assert_eq!(
-            stock.bucketize_sorted(&sorted),
-            stock.bucketize_sorted_rows(&sorted)
+            report_bits(&stock.bucketize_sorted(&sorted)),
+            report_bits(&stock.bucketize_sorted_rows(&sorted))
         );
     }
 
@@ -712,9 +932,8 @@ mod tests {
             pairs in proptest::collection::vec((0.0f64..10_000.0, 1u64..8), 0..60)
         ) {
             let s = SampleView::from_value_multiplicities(pairs.iter().copied());
-            let sorted = s.items_sorted_by_value();
-            let est = DynamicBucketEstimator::default();
-            prop_assert_eq!(est.bucketize_sorted(&sorted), est.bucketize_sorted_rows(&sorted));
+            let (dense, rows) = both_paths(&s);
+            prop_assert_eq!(dense, rows);
         }
 
         /// Same property over quantized values, so duplicate-value runs (the
@@ -725,9 +944,25 @@ mod tests {
         ) {
             let s = SampleView::from_value_multiplicities(
                 pairs.iter().map(|&(v, m)| (f64::from(v) * 10.0, m)));
-            let sorted = s.items_sorted_by_value();
-            let est = DynamicBucketEstimator::default();
-            prop_assert_eq!(est.bucketize_sorted(&sorted), est.bucketize_sorted_rows(&sorted));
+            let (dense, rows) = both_paths(&s);
+            prop_assert_eq!(dense, rows);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Same property over the value shapes of [`shaped_value`], which
+        /// land on both sides of the prefix-sum exactness guard.
+        #[test]
+        fn dense_splitter_matches_row_reference_on_shaped_values(
+            shape in 0u32..7,
+            pairs in proptest::collection::vec((0u64..u64::MAX, 0u8..4, 1u64..6), 0..64)
+        ) {
+            let s = SampleView::from_value_multiplicities(
+                pairs.iter().map(|&(raw, sign, m)| (shaped_value(shape, raw, sign == 0), m)));
+            let (dense, rows) = both_paths(&s);
+            prop_assert_eq!(dense, rows);
         }
     }
 }

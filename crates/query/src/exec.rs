@@ -454,28 +454,28 @@ pub fn selection(
     if let Some(hit) = cache.get(&key) {
         return Ok((hit, true));
     }
-    let universes = match query.group_by.as_deref() {
-        Some(group_column) => table.grouped_sample_views_with_sorted(
-            query.column.as_deref(),
-            &query.predicate,
-            group_column,
-        )?,
+    // Ungrouped selections remember their row membership (the bitmap their
+    // view was built from) so a later append can extend it instead of
+    // rescanning; grouped selections re-derive delta membership per group
+    // at refreeze time.
+    let (universes, mask) = match query.group_by.as_deref() {
+        Some(group_column) => (
+            table.grouped_sample_views_with_sorted(
+                query.column.as_deref(),
+                &query.predicate,
+                group_column,
+            )?,
+            Vec::new(),
+        ),
         None => {
-            let (view, sorted) =
-                table.sample_view_with_sorted(query.column.as_deref(), &query.predicate)?;
-            vec![(crate::value::Value::Null, view, sorted)]
+            let (view, sorted, mask) = table
+                .sample_view_with_sorted_and_mask(query.column.as_deref(), &query.predicate)?;
+            (vec![(crate::value::Value::Null, view, sorted)], mask)
         }
     };
     let snapshots = uu_core::exec::global().map_indexed(universes, |_, (group, view, sorted)| {
         (group, ProfileSnapshot::capture_presorted(view, sorted))
     });
-    // Ungrouped selections remember their row membership so a later append
-    // can extend it instead of rescanning; grouped selections re-derive
-    // delta membership per group at refreeze time.
-    let mask = match query.group_by {
-        None => table.selection_mask_bits(query.column.as_deref(), &query.predicate)?,
-        Some(_) => Vec::new(),
-    };
     let selection = Arc::new(CachedSelection {
         column: query.column.clone(),
         predicate: query.predicate.clone(),

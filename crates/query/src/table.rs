@@ -557,34 +557,44 @@ impl IntegratedTable {
         attr_column: Option<&str>,
         predicate: &Predicate,
     ) -> Result<(SampleView, Vec<u32>), TableError> {
-        let (view, sorted) = self.columnar_view(attr_column, predicate, true)?;
-        Ok((view, sorted.expect("sorted permutation requested")))
+        let (view, sorted, _) = self.columnar_view(attr_column, predicate, true)?;
+        Ok((view, sorted))
     }
 
+    /// [`IntegratedTable::sample_view_with_sorted`] plus the selection bitmap
+    /// the items were drawn from (see
+    /// [`IntegratedTable::selection_mask_bits`]) — everything a cached
+    /// selection freezes, from one pass of the selection kernel.
+    pub fn sample_view_with_sorted_and_mask(
+        &self,
+        attr_column: Option<&str>,
+        predicate: &Predicate,
+    ) -> Result<(SampleView, Vec<u32>, Vec<u64>), TableError> {
+        self.columnar_view(attr_column, predicate, true)
+    }
+
+    /// The view, its value-sort permutation (empty unless `want_sorted`),
+    /// and the selection bitmap it was built from (empty for an empty
+    /// table).
     fn columnar_view(
         &self,
         attr_column: Option<&str>,
         predicate: &Predicate,
         want_sorted: bool,
-    ) -> Result<(SampleView, Option<Vec<u32>>), TableError> {
+    ) -> Result<(SampleView, Vec<u32>, Vec<u64>), TableError> {
         let attr_idx = self.checked_attr(attr_column)?;
         // An empty table evaluates the predicate on no record, so even an
         // unknown predicate column is not an error there — skip compilation
         // to match.
         if self.entities.is_empty() {
-            let sorted = want_sorted.then(Vec::new);
-            return Ok((SampleView::from_observed_items(Vec::new()), sorted));
+            return Ok((
+                SampleView::from_observed_items(Vec::new()),
+                Vec::new(),
+                Vec::new(),
+            ));
         }
         let proj = self.projection();
-        let selected = {
-            let _span = uu_core::obs::span(uu_core::obs::Stage::SelectionKernel);
-            let mut selected = proj.selection_mask(&self.schema, predicate)?;
-            if let Some(idx) = attr_idx {
-                // NULL attributes are excluded from AGG.
-                columnar::and_in_place(&mut selected, proj.valid_bits(idx));
-            }
-            selected
-        };
+        let selected = self.selected_bits(&proj, attr_idx, predicate)?;
         let count = columnar::count_ones(&selected);
         let mut items = Vec::with_capacity(count);
         columnar::for_each_set(&selected, |row| {
@@ -595,11 +605,29 @@ impl IntegratedTable {
                 source_counts: self.entities[row].source_counts.clone(),
             });
         });
-        let sorted = want_sorted.then(|| {
+        let sorted = if want_sorted {
             let _span = uu_core::obs::span(uu_core::obs::Stage::PresortedFilter);
             columnar::sorted_idx_filtered(&proj, attr_idx, &selected, count)
-        });
-        Ok((SampleView::from_observed_items(items), sorted))
+        } else {
+            Vec::new()
+        };
+        Ok((SampleView::from_observed_items(items), sorted, selected))
+    }
+
+    /// The selection kernel: predicate truth over `proj`, ANDed with the
+    /// aggregate column's validity (NULL attributes are excluded from AGG).
+    fn selected_bits(
+        &self,
+        proj: &Projection,
+        attr_idx: Option<usize>,
+        predicate: &Predicate,
+    ) -> Result<Vec<u64>, TableError> {
+        let _span = uu_core::obs::span(uu_core::obs::Stage::SelectionKernel);
+        let mut selected = proj.selection_mask(&self.schema, predicate)?;
+        if let Some(idx) = attr_idx {
+            columnar::and_in_place(&mut selected, proj.valid_bits(idx));
+        }
+        Ok(selected)
     }
 
     /// The combined selection bitmap a [`IntegratedTable::sample_view`] call
@@ -616,13 +644,7 @@ impl IntegratedTable {
         if self.entities.is_empty() {
             return Ok(Vec::new());
         }
-        let proj = self.projection();
-        let _span = uu_core::obs::span(uu_core::obs::Stage::SelectionKernel);
-        let mut selected = proj.selection_mask(&self.schema, predicate)?;
-        if let Some(idx) = attr_idx {
-            columnar::and_in_place(&mut selected, proj.valid_bits(idx));
-        }
-        Ok(selected)
+        self.selected_bits(&self.projection(), attr_idx, predicate)
     }
 
     /// Per-record reference implementation of [`IntegratedTable::sample_view`]
@@ -719,14 +741,7 @@ impl IntegratedTable {
                 })
                 .collect());
         }
-        let selected = {
-            let _span = uu_core::obs::span(uu_core::obs::Stage::SelectionKernel);
-            let mut selected = proj.selection_mask(&self.schema, predicate)?;
-            if let Some(idx) = attr_idx {
-                columnar::and_in_place(&mut selected, proj.valid_bits(idx));
-            }
-            selected
-        };
+        let selected = self.selected_bits(&proj, attr_idx, predicate)?;
         // One pass over the selected rows assigns groups; each row remembers
         // its group and its item index within it, so the memoized column
         // sort can be scattered into per-group permutations in a second
@@ -1270,6 +1285,25 @@ mod tests {
             .selection_mask_bits(None, &Predicate::True)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn view_mask_is_the_selection_mask() {
+        let t = tech_table();
+        let empty = IntegratedTable::new("e", Schema::new([("k", ColumnType::Str)]), "k").unwrap();
+        let ca = Predicate::cmp("state", CmpOp::Eq, Value::from("CA"));
+        for (table, attr, pred) in [
+            (&t, Some("employees"), &ca),
+            (&t, Some("employees"), &Predicate::True),
+            (&t, None, &ca),
+            (&empty, None, &Predicate::True),
+        ] {
+            let (view, sorted, mask) = table.sample_view_with_sorted_and_mask(attr, pred).unwrap();
+            let (ref_view, ref_sorted) = table.sample_view_with_sorted(attr, pred).unwrap();
+            assert_eq!(view, ref_view);
+            assert_eq!(sorted, ref_sorted);
+            assert_eq!(mask, table.selection_mask_bits(attr, pred).unwrap());
+        }
     }
 
     #[test]

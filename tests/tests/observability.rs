@@ -403,6 +403,26 @@ fn slow_query_log_emits_one_json_line_with_a_span_tree() {
     );
 }
 
+/// A cold ungrouped miss runs the selection kernel once: the cached
+/// selection keeps the bitmap its view was built from instead of scanning
+/// again for it.
+#[test]
+fn traced_cold_miss_runs_one_selection_kernel() {
+    let service = service_with_toy_table();
+    let mut ctx = SessionCtx::new();
+    let reply = match service.dispatch(&mut ctx, query_request(true)) {
+        Response::Query(reply) => reply,
+        other => panic!("unexpected reply {}", other.encode()),
+    };
+    assert!(!reply.cache_hit, "first query must be cold");
+    let spans = reply.trace.as_deref().expect("traced reply carries spans");
+    let kernels = stages(spans)
+        .into_iter()
+        .filter(|&stage| stage == "selection_kernel")
+        .count();
+    assert_eq!(kernels, 1, "{:?}", stages(spans));
+}
+
 /// The reactor exports queue counters through `stats`: the work-queue
 /// high-water mark moves (every request enqueues), and the queue-wait
 /// counters stay internally consistent.
