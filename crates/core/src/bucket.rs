@@ -199,15 +199,10 @@ impl DynamicBucketEstimator {
         if sorted.is_empty() {
             return Vec::new();
         }
-        let mut memo: HashMap<(usize, usize), DeltaEstimate> = HashMap::new();
         let ranges = split_ranges_with(
             sorted.len(),
             |k| sorted[k - 1].value == sorted[k].value,
-            |lo, hi| {
-                *memo
-                    .entry((lo, hi))
-                    .or_insert_with(|| self.inner.estimate_delta(&subview(&sorted[lo..hi])))
-            },
+            memoized(|lo, hi| self.inner.estimate_delta(&subview(&sorted[lo..hi]))),
         );
         ranges
             .into_iter()
@@ -216,14 +211,25 @@ impl DynamicBucketEstimator {
     }
 }
 
+/// `delta_of` run at most once per distinct range. Worth its hash probe only
+/// when `delta_of` is not O(1): a bucket's candidates re-evaluate every
+/// prefix (left child) or suffix (right child) range its parent's
+/// candidate loop already saw.
+fn memoized(
+    mut delta_of: impl FnMut(usize, usize) -> DeltaEstimate,
+) -> impl FnMut(usize, usize) -> DeltaEstimate {
+    let mut memo: HashMap<(usize, usize), DeltaEstimate> = HashMap::new();
+    move |lo, hi| *memo.entry((lo, hi)).or_insert_with(|| delta_of(lo, hi))
+}
+
 /// Algorithm 1 over index ranges of a sorted item list of length `len`:
 /// `same_value(k)` reports whether positions `k-1` and `k` hold the same
 /// value (items sharing a value stay together), `delta_of(lo, hi)` produces
 /// the Δ estimate of the half-open range. Returns the final `(lo, hi, Δ)`
 /// ranges sorted by `lo`. A bucket of m items calls `delta_of` O(m) times
 /// per level, and may call it again for a range it has already seen:
-/// memoizing is the caller's choice (the dense path's `delta_of` is O(1) and
-/// cheaper than a hash probe; the row path memoizes its costly estimates).
+/// memoizing is the caller's choice (see [`memoized`]: the dense fast
+/// path's O(1) `delta_of` is cheaper than a hash probe).
 ///
 /// Shared by the row reference path and the dense columnar path — both
 /// traverse identical split sequences by construction, so any divergence can
@@ -445,15 +451,18 @@ fn pow2(e: i32) -> f64 {
 /// The dense columnar splitter: one pass to build [`DenseSorted`], then
 /// Algorithm 1 with O(1) candidate evaluation — so a level of the split
 /// costs O(m) for a bucket of m items — whenever the range sums come from
-/// the prefix array. No intermediate `SampleView`/`ObservedItem`
-/// allocation anywhere on the path.
+/// the prefix array. Off that grid each candidate folds its range in
+/// O(m), so the Δ estimates are [`memoized`]. No intermediate
+/// `SampleView`/`ObservedItem` allocation anywhere on the path.
 fn bucketize_sorted_dense(sorted: &[&ObservedItem]) -> Vec<BucketReport> {
     let dense = DenseSorted::new(sorted);
-    let ranges = split_ranges_with(
-        sorted.len(),
-        |k| dense.values[k - 1] == dense.values[k],
-        |lo, hi| dense.delta_of(lo, hi),
-    );
+    let same_value = |k: usize| dense.values[k - 1] == dense.values[k];
+    let delta_of = |lo, hi| dense.delta_of(lo, hi);
+    let ranges = if dense.prefix_sum.is_some() {
+        split_ranges_with(sorted.len(), same_value, delta_of)
+    } else {
+        split_ranges_with(sorted.len(), same_value, memoized(delta_of))
+    };
     ranges
         .into_iter()
         .map(|(lo, hi, est)| dense.report(lo, hi, est))
