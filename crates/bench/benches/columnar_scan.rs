@@ -4,7 +4,7 @@
 //! measures the three primitives every cold query pays, on both paths:
 //!
 //! * **select** — predicate evaluation + view assembly:
-//!   `sample_view_rows` (per-record `Predicate::eval` over boxed values)
+//!   `oracle::sample_view_rows` (per-record `Predicate::eval` over boxed values)
 //!   vs `sample_view` (bitmap kernels over the cached projection).
 //! * **sort** — the value sort behind the frequency ladder / buckets:
 //!   a from-scratch stable sort of the selected items vs
@@ -21,6 +21,7 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use uu_bench::oracle;
 use uu_query::predicate::{CmpOp, Predicate};
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::table::IntegratedTable;
@@ -87,7 +88,7 @@ fn bench_columnar_scan(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("select_rows", |b| {
         b.iter(|| {
-            let view = table.sample_view_rows(Some("v"), &pred).unwrap();
+            let view = oracle::sample_view_rows(&table, Some("v"), &pred).unwrap();
             black_box(view.items().len())
         })
     });
@@ -99,7 +100,7 @@ fn bench_columnar_scan(c: &mut Criterion) {
     });
     group.bench_function("sort_rows", |b| {
         b.iter(|| {
-            let view = table.sample_view_rows(Some("v"), &pred).unwrap();
+            let view = oracle::sample_view_rows(&table, Some("v"), &pred).unwrap();
             black_box(view.items_sorted_by_value().len())
         })
     });
@@ -131,8 +132,7 @@ fn bench_columnar_scan(c: &mut Criterion) {
         "select_rows",
         Box::new(|| {
             black_box(
-                table
-                    .sample_view_rows(Some("v"), &pred)
+                oracle::sample_view_rows(&table, Some("v"), &pred)
                     .unwrap()
                     .items()
                     .len(),
@@ -148,7 +148,7 @@ fn bench_columnar_scan(c: &mut Criterion) {
     record(
         "sort_rows",
         Box::new(|| {
-            let view = table.sample_view_rows(Some("v"), &pred).unwrap();
+            let view = oracle::sample_view_rows(&table, Some("v"), &pred).unwrap();
             black_box(view.items_sorted_by_value().len());
         }),
     );

@@ -332,15 +332,13 @@ fn bench_server(c: &mut Criterion) {
         for _ in 0..samples {
             let start_row = appended.get();
             appended.set(start_row + 100);
-            let outcome = client
+            client
                 .append_stream("t_app", "worker", &append_csv(start_row, 100))
                 .unwrap();
             let start = Instant::now();
             let reply = client.query(APPEND_SQL, ESTIMATORS, true).unwrap();
             let ns = start.elapsed().as_secs_f64() * 1e9;
-            if outcome.incremental {
-                assert!(reply.cache_hit, "append must re-freeze, not evict");
-            }
+            assert!(reply.cache_hit, "append must re-freeze, not evict");
             black_box(reply.elapsed_us);
             best = best.min(ns);
             total += ns;

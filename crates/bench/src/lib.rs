@@ -6,6 +6,8 @@
 //! of estimators and [`print_series`] renders it as the aligned text table
 //! the harness prints in place of the paper's plots.
 
+pub mod oracle;
+
 use uu_core::engine::{BoxedEstimator, EstimatorKind};
 use uu_core::estimate::SumEstimator;
 use uu_core::montecarlo::MonteCarloConfig;

@@ -6,8 +6,9 @@ use std::sync::Arc;
 
 use crate::exec::{
     execute_cached, execute_grouped, execute_grouped_cached, execute_sql as exec_one,
-    refreeze_selection, selection, selection_bytes, selection_key, CachedSelection,
-    CorrectionMethod, ExecError, GroupResult, QueryProfileCache, QueryResult, SelectionSnapshots,
+    freeze_selection, refreeze_selection, selection, selection_bytes, selection_key,
+    CachedSelection, CorrectionMethod, ExecError, GroupResult, QueryProfileCache, QueryResult,
+    SelectionSnapshots,
 };
 use crate::sql::parse;
 use crate::table::{AppendDelta, IntegratedTable};
@@ -55,8 +56,9 @@ pub struct IncrementalStats {
     pub permutation_merges: u64,
     /// Per-universe profile snapshots re-frozen from delta rows alone.
     pub snapshots_refrozen: u64,
-    /// Cached selections dropped to a rebuild instead (incremental mode
-    /// off, stale version, or a grouped selection with a touched row).
+    /// Cached selections dropped to a rebuild instead (stale version, a
+    /// predicate that no longer evaluates, or a grouped selection with a
+    /// touched row).
     pub fallback_rebuilds: u64,
 }
 
@@ -365,6 +367,19 @@ impl Catalog {
         selection(table, query, &self.cache)
     }
 
+    /// [`Catalog::selection_query`] without the cache: the selection is
+    /// frozen from the table exactly as a miss would freeze it, but the
+    /// cache is neither read nor filled.
+    pub fn freeze_query(
+        &self,
+        query: &crate::query::AggregateQuery,
+    ) -> Result<SelectionSnapshots, ExecError> {
+        let table = self
+            .get(&query.table)
+            .ok_or_else(|| ExecError::UnknownTable(query.table.clone()))?;
+        freeze_selection(table, query)
+    }
+
     /// Pre-warms the embedded cache for `sql` without computing an
     /// aggregate: the table's columnar projection and the aggregate column's
     /// sort permutation are built first, then the selection's per-universe
@@ -576,7 +591,6 @@ mod tests {
                 ],
             )
             .unwrap();
-        assert!(delta.incremental);
         assert_eq!(delta.touched, vec![0]);
         // The ungrouped selection re-froze; the grouped one fell back
         // because the touched row sits inside it.
@@ -611,25 +625,29 @@ mod tests {
     }
 
     #[test]
-    fn append_observations_with_incremental_off_counts_fallbacks() {
+    fn append_observations_counts_a_fallback_for_an_unevaluable_predicate() {
+        let schema = Schema::new([("k", ColumnType::Str), ("v", ColumnType::Float)]);
         let mut catalog = Catalog::new();
-        catalog.register(table("t")).unwrap();
-        catalog.get_mut("t").unwrap().set_incremental(false);
-        let sql = "SELECT SUM(v) FROM t";
+        catalog
+            .register(IntegratedTable::new("t", schema, "k").unwrap())
+            .unwrap();
+        // On an empty table the unknown predicate column is never
+        // evaluated, so the selection freezes (empty) and is cached.
+        let sql = "SELECT SUM(v) FROM t WHERE missing = 1";
         let _ = catalog
             .execute_sql_cached(sql, CorrectionMethod::None)
             .unwrap();
-        let (delta, refrozen) = catalog
+        let (_, refrozen) = catalog
             .append_observations("t", vec![(7, vec![Value::from("e9"), Value::from(9.0)])])
             .unwrap();
-        assert!(!delta.incremental);
         assert_eq!(refrozen, 0);
         assert_eq!(catalog.incremental_stats().fallback_rebuilds, 1);
-        // Correctness is unaffected: the next query rebuilds.
-        let r = catalog
-            .execute_sql_cached(sql, CorrectionMethod::None)
-            .unwrap();
-        assert_eq!(r.observed, 15.0);
+        // The next query rebuilds and surfaces the error a from-scratch
+        // execution reports.
+        let cached = catalog.execute_sql_cached(sql, CorrectionMethod::None);
+        let rebuilt = catalog.execute_sql(sql, CorrectionMethod::None);
+        assert!(cached.is_err());
+        assert_eq!(cached.unwrap_err(), rebuilt.unwrap_err());
     }
 
     #[test]

@@ -198,7 +198,7 @@ struct ColumnProjection {
     /// A FLOAT column held an INT cell whose magnitude exceeds 2^53, i.e.
     /// the widened `f64` may not round-trip. Comparisons and aggregation
     /// widen in the row path too, so only entity-key *grouping* (which keys
-    /// on the exact decimal string) must fall back to rows.
+    /// on the exact decimal string) must key such a column on strings.
     lossy_ints: bool,
 }
 
@@ -543,7 +543,7 @@ impl Projection {
         &self.columns[col].valid
     }
 
-    /// Whether grouping by `col` must fall back to the row path (see
+    /// Whether grouping by `col` must key on exact entity-key strings (see
     /// [`ColumnProjection::lossy_ints`]).
     pub(crate) fn lossy_ints(&self, col: usize) -> bool {
         self.columns[col].lossy_ints

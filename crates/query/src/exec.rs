@@ -432,10 +432,9 @@ pub fn selection_bytes(selection: &SelectionSnapshots) -> usize {
 }
 
 /// The query's estimation universes as cached snapshots, plus whether they
-/// were served from `cache` (`true` = hit). On a miss the universes are
-/// built from the table, frozen (one fully-warmed [`ProfileSnapshot`] per
-/// universe, captured on the shared executor) and inserted with their byte
-/// weight ([`selection_bytes`]).
+/// were served from `cache` (`true` = hit). On a miss the selection is
+/// frozen by [`freeze_selection`] and inserted with its byte weight
+/// ([`selection_bytes`]).
 ///
 /// This is the public fetch-once surface for server frontends: fetch the
 /// selection, derive the corrected aggregate *and* any per-estimator session
@@ -454,6 +453,19 @@ pub fn selection(
     if let Some(hit) = cache.get(&key) {
         return Ok((hit, true));
     }
+    let selection = freeze_selection(table, query)?;
+    cache.insert_weighted(key, Arc::clone(&selection), selection_bytes(&selection));
+    Ok((selection, false))
+}
+
+/// Builds the query's estimation universes from the table and freezes them
+/// (one fully-warmed [`ProfileSnapshot`] per universe, captured on the
+/// shared executor) without consulting any cache — the miss body of
+/// [`selection`], and the whole of an uncached server query.
+pub fn freeze_selection(
+    table: &IntegratedTable,
+    query: &AggregateQuery,
+) -> Result<SelectionSnapshots, ExecError> {
     // Ungrouped selections remember their row membership (the bitmap their
     // view was built from) so a later append can extend it instead of
     // rescanning; grouped selections re-derive delta membership per group
@@ -476,15 +488,13 @@ pub fn selection(
     let snapshots = uu_core::exec::global().map_indexed(universes, |_, (group, view, sorted)| {
         (group, ProfileSnapshot::capture_presorted(view, sorted))
     });
-    let selection = Arc::new(CachedSelection {
+    Ok(Arc::new(CachedSelection {
         column: query.column.clone(),
         predicate: query.predicate.clone(),
         group_by: query.group_by.clone(),
         mask,
         snapshots,
-    });
-    cache.insert_weighted(key, Arc::clone(&selection), selection_bytes(&selection));
-    Ok((selection, false))
+    }))
 }
 
 /// Re-freezes a cached selection after an append, from the delta rows
@@ -493,19 +503,15 @@ pub fn selection(
 /// their universe, where a rebuild would put them), and every affected
 /// snapshot's statistics re-freeze through
 /// [`ProfileSnapshot::refreeze`]. Returns `None` when the selection cannot
-/// be maintained incrementally — the append ran in fallback mode, the
-/// predicate no longer evaluates, or a grouped selection had a touched row
-/// inside it — in which case the caller drops the entry and the next query
-/// rebuilds. A `Some` result is bit-for-bit what a from-scratch freeze at
-/// the new version would produce.
+/// be maintained incrementally — the predicate no longer evaluates, or a
+/// grouped selection had a touched row inside it — in which case the caller
+/// drops the entry and the next query rebuilds. A `Some` result is
+/// bit-for-bit what a from-scratch freeze at the new version would produce.
 pub fn refreeze_selection(
     table: &IntegratedTable,
     selection: &CachedSelection,
     delta: &AppendDelta,
 ) -> Option<CachedSelection> {
-    if !delta.incremental {
-        return None;
-    }
     let schema = table.schema();
     let attr_idx = match &selection.column {
         Some(name) => Some(schema.index_of(name)?),
@@ -637,7 +643,7 @@ fn refreeze_grouped(
         }
     }
     // Route each selected delta row to its group by entity key — the exact
-    // identity both the columnar and the row grouping paths key on.
+    // identity the grouped build keys on.
     let mut by_key: HashMap<String, (bool, usize)> = HashMap::new();
     for (i, (value, _)) in selection.snapshots.iter().enumerate() {
         by_key.insert(value.entity_key(), (false, i));

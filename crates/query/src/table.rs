@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::columnar::{self, GroupKey, Projection};
 use crate::predicate::{Predicate, PredicateError};
@@ -92,7 +92,9 @@ impl Entity {
 /// What an accepted append batch changed, in terms every delta-maintained
 /// cache layer needs: the version window, the row window, and which
 /// pre-existing rows had their lineage (hence multiplicity) bumped by
-/// duplicate keys in the batch.
+/// duplicate keys in the batch. Every append is delta-maintained; a layer
+/// that cannot absorb a delta drops its own state instead (see
+/// `exec::refreeze_selection`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppendDelta {
     /// Table version before the batch was applied.
@@ -109,17 +111,6 @@ pub struct AppendDelta {
     pub touched: Vec<u32>,
     /// Sort permutations absorbed by merge instead of a re-sort.
     pub perm_merges: u64,
-    /// The append ran in incremental mode (per-table flag AND the
-    /// `UU_INCREMENTAL` environment knob): warm state was maintained in
-    /// place rather than dropped.
-    pub incremental: bool,
-}
-
-/// Process-wide `UU_INCREMENTAL` knob, read once: any value other than `0`
-/// (including unset) leaves incremental maintenance on.
-fn incremental_env() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var("UU_INCREMENTAL").map_or(true, |v| v != "0"))
 }
 
 /// Process-unique table-instance ids, so profile-cache keys can tell two
@@ -160,10 +151,6 @@ pub struct IntegratedTable {
     projection_builds: AtomicU64,
     /// Reads served by the cached projection.
     projection_reuses: AtomicU64,
-    /// Per-table incremental-maintenance flag (ANDed with the
-    /// `UU_INCREMENTAL` environment knob). Off = appends take the
-    /// drop-and-rebuild path, which serves as the parity oracle.
-    incremental: bool,
 }
 
 impl Clone for IntegratedTable {
@@ -183,7 +170,6 @@ impl Clone for IntegratedTable {
             projection: Mutex::new(None),
             projection_builds: AtomicU64::new(0),
             projection_reuses: AtomicU64::new(0),
-            incremental: self.incremental,
         }
     }
 }
@@ -210,7 +196,6 @@ impl IntegratedTable {
             projection: Mutex::new(None),
             projection_builds: AtomicU64::new(0),
             projection_reuses: AtomicU64::new(0),
-            incremental: true,
         })
     }
 
@@ -328,9 +313,7 @@ impl IntegratedTable {
     /// downstream caches (profile snapshots, selection masks) what changed.
     ///
     /// The batch is validated in full before anything is applied: on error
-    /// the table is unchanged. With incremental maintenance off (per-table
-    /// flag or `UU_INCREMENTAL=0`) the projection is dropped instead, the
-    /// pre-existing overwrite behavior.
+    /// the table is unchanged.
     pub fn append_batch(
         &mut self,
         batch: Vec<(u32, Vec<Value>)>,
@@ -378,32 +361,30 @@ impl IntegratedTable {
         touched.sort_unstable();
         touched.dedup();
         self.version += observations;
-        let incremental = self.incremental && incremental_env();
         let mut perm_merges = 0u64;
         let guard = self.projection.get_mut().expect("projection lock");
-        let grown = incremental
-            && match guard.as_mut() {
-                Some(arc) if arc.version() == version_before => {
-                    // During an append the table is held exclusively, so the
-                    // cache's Arc is normally the only one left; a surviving
-                    // outside reference forces a rebuild-on-next-read.
-                    match Arc::get_mut(arc) {
-                        Some(proj) => {
-                            perm_merges = proj.extend_for_append(
-                                &self.schema,
-                                &self.entities,
-                                &touched,
-                                self.version,
-                            ) as u64;
-                            true
-                        }
-                        None => false,
+        let grown = match guard.as_mut() {
+            Some(arc) if arc.version() == version_before => {
+                // During an append the table is held exclusively, so the
+                // cache's Arc is normally the only one left; a surviving
+                // outside reference forces a rebuild-on-next-read.
+                match Arc::get_mut(arc) {
+                    Some(proj) => {
+                        perm_merges = proj.extend_for_append(
+                            &self.schema,
+                            &self.entities,
+                            &touched,
+                            self.version,
+                        ) as u64;
+                        true
                     }
+                    None => false,
                 }
-                Some(_) => false,
-                // Nothing cached: nothing to grow, nothing stale to drop.
-                None => true,
-            };
+            }
+            Some(_) => false,
+            // Nothing cached: nothing to grow, nothing stale to drop.
+            None => true,
+        };
         if !grown {
             *guard = None;
         }
@@ -414,20 +395,7 @@ impl IntegratedTable {
             rows_after: self.entities.len(),
             touched,
             perm_merges,
-            incremental,
         })
-    }
-
-    /// Whether appends to this table maintain warm state in place: the
-    /// per-table flag ANDed with the process-wide `UU_INCREMENTAL` knob.
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental && incremental_env()
-    }
-
-    /// Turns incremental append maintenance on or off for this table. Off,
-    /// appends drop warm state like any other mutation — the parity oracle.
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
     }
 
     /// The entity at row index `row` (table order).
@@ -539,7 +507,7 @@ impl IntegratedTable {
     /// aggregate semantics).
     ///
     /// Runs over the columnar projection; results are bit-for-bit those of
-    /// the per-record reference path [`IntegratedTable::sample_view_rows`].
+    /// per-record predicate evaluation (the `uu_bench::oracle` reference).
     pub fn sample_view(
         &self,
         attr_column: Option<&str>,
@@ -647,35 +615,6 @@ impl IntegratedTable {
         self.selected_bits(&self.projection(), attr_idx, predicate)
     }
 
-    /// Per-record reference implementation of [`IntegratedTable::sample_view`]
-    /// (the pre-columnar code path, kept for parity tests).
-    pub fn sample_view_rows(
-        &self,
-        attr_column: Option<&str>,
-        predicate: &Predicate,
-    ) -> Result<SampleView, TableError> {
-        let attr_idx = self.checked_attr(attr_column)?;
-        let mut items = Vec::new();
-        for entity in &self.entities {
-            if !predicate.eval(&self.schema, &entity.record)? {
-                continue;
-            }
-            let value = match attr_idx {
-                Some(idx) => match entity.record.value(idx).as_f64() {
-                    Some(v) => v,
-                    None => continue, // NULL attribute: excluded from AGG
-                },
-                None => 0.0,
-            };
-            items.push(ObservedItem {
-                value,
-                multiplicity: entity.multiplicity(),
-                source_counts: entity.source_counts.clone(),
-            });
-        }
-        Ok(SampleView::from_observed_items(items))
-    }
-
     /// Like [`IntegratedTable::sample_view`], but partitioned by the distinct
     /// values of `group_column`. Returns `(group value, view)` pairs sorted
     /// by the group key's entity representation.
@@ -723,42 +662,34 @@ impl IntegratedTable {
             return Ok(Vec::new());
         }
         let proj = self.projection();
-        if proj.lossy_ints(group_idx) {
-            // The group column holds an INT beyond 2^53: entity-key grouping
-            // keys on the exact decimal string, which the widened floats
-            // cannot reproduce — group via the row path and argsort each
-            // group's items (the same stable sort `capture` performs).
-            let groups = self.grouped_sample_views_rows(attr_column, predicate, group_column)?;
-            return Ok(groups
-                .into_iter()
-                .map(|(value, view)| {
-                    let sorted = if want_sorted {
-                        argsort_items(&view)
-                    } else {
-                        Vec::new()
-                    };
-                    (value, view, sorted)
-                })
-                .collect());
-        }
         let selected = self.selected_bits(&proj, attr_idx, predicate)?;
         // One pass over the selected rows assigns groups; each row remembers
         // its group and its item index within it, so the memoized column
         // sort can be scattered into per-group permutations in a second
-        // single pass.
+        // single pass. A group column holding an INT beyond 2^53 keys on the
+        // exact entity-key string, which the widened floats cannot reproduce.
+        let exact_keys = proj.lossy_ints(group_idx);
         let rows = self.entities.len();
         let mut row_group = vec![u32::MAX; rows];
         let mut row_slot = vec![0u32; rows];
         let mut by_key: HashMap<GroupKey, u32> = HashMap::new();
+        let mut by_exact_key: HashMap<String, u32> = HashMap::new();
         let mut reps: Vec<Value> = Vec::new();
         let mut buckets: Vec<Vec<ObservedItem>> = Vec::new();
         columnar::for_each_set(&selected, |row| {
-            let key = proj.group_key(group_idx, row);
-            let g = *by_key.entry(key).or_insert_with(|| {
-                reps.push(self.entities[row].record.value(group_idx).clone());
+            let cell = || self.entities[row].record.value(group_idx);
+            let fresh = reps.len() as u32;
+            let g = if exact_keys {
+                *by_exact_key.entry(cell().entity_key()).or_insert(fresh)
+            } else {
+                *by_key
+                    .entry(proj.group_key(group_idx, row))
+                    .or_insert(fresh)
+            };
+            if g == fresh {
+                reps.push(cell().clone());
                 buckets.push(Vec::new());
-                (reps.len() - 1) as u32
-            });
+            }
             let bucket = &mut buckets[g as usize];
             row_group[row] = g;
             row_slot[row] = bucket.len() as u32;
@@ -803,60 +734,6 @@ impl IntegratedTable {
         out.sort_by_key(|(value, _, _)| value.entity_key());
         Ok(out)
     }
-
-    /// Per-record reference implementation of
-    /// [`IntegratedTable::grouped_sample_views`] (kept for parity tests and
-    /// as the exact-grouping fallback).
-    pub fn grouped_sample_views_rows(
-        &self,
-        attr_column: Option<&str>,
-        predicate: &Predicate,
-        group_column: &str,
-    ) -> Result<Vec<(Value, SampleView)>, TableError> {
-        let group_idx = self
-            .schema
-            .index_of(group_column)
-            .ok_or_else(|| TableError::UnknownColumn(group_column.to_string()))?;
-        let attr_idx = self.checked_attr(attr_column)?;
-        // Group key (canonical string) → (representative value, items).
-        let mut groups: HashMap<String, (Value, Vec<ObservedItem>)> = HashMap::new();
-        for entity in &self.entities {
-            if !predicate.eval(&self.schema, &entity.record)? {
-                continue;
-            }
-            let value = match attr_idx {
-                Some(idx) => match entity.record.value(idx).as_f64() {
-                    Some(v) => v,
-                    None => continue,
-                },
-                None => 0.0,
-            };
-            let group_value = entity.record.value(group_idx);
-            let entry = groups
-                .entry(group_value.entity_key())
-                .or_insert_with(|| (group_value.clone(), Vec::new()));
-            entry.1.push(ObservedItem {
-                value,
-                multiplicity: entity.multiplicity(),
-                source_counts: entity.source_counts.clone(),
-            });
-        }
-        let mut out: Vec<(Value, SampleView)> = groups
-            .into_iter()
-            .map(|(_, (value, items))| (value, SampleView::from_observed_items(items)))
-            .collect();
-        out.sort_by_key(|(value, _)| value.entity_key());
-        Ok(out)
-    }
-}
-
-/// Stable ascending argsort of a view's items by value — the permutation
-/// `items_sorted_by_value` realises.
-fn argsort_items(view: &SampleView) -> Vec<u32> {
-    let items = view.items();
-    let mut idx: Vec<u32> = (0..items.len() as u32).collect();
-    idx.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
-    idx
 }
 
 #[cfg(test)]
@@ -1067,7 +944,20 @@ mod tests {
         )
         .not());
         let columnar = t.sample_view(Some("employees"), &pred).unwrap();
-        let rows = t.sample_view_rows(Some("employees"), &pred).unwrap();
+        // Per record: A (CA, 1000, seen once) and B (CA, 2000, seen twice)
+        // pass; D (WA, 10 000) fails both disjuncts.
+        let rows = SampleView::from_observed_items(vec![
+            ObservedItem {
+                value: 1000.0,
+                multiplicity: 1,
+                source_counts: vec![(0, 1)],
+            },
+            ObservedItem {
+                value: 2000.0,
+                multiplicity: 2,
+                source_counts: vec![(0, 1), (1, 1)],
+            },
+        ]);
         assert_eq!(columnar, rows);
         // One build on the first read, reuses afterwards.
         let _ = t.sample_view(None, &Predicate::True).unwrap();
@@ -1117,13 +1007,27 @@ mod tests {
         let grouped = t
             .grouped_sample_views_with_sorted(Some("employees"), &Predicate::True, "state")
             .unwrap();
-        let reference = t
-            .grouped_sample_views_rows(Some("employees"), &Predicate::True, "state")
-            .unwrap();
+        // Per record: CA holds A and B, WA holds D.
+        let reference = [
+            (
+                "CA",
+                t.sample_view(
+                    Some("employees"),
+                    &Predicate::cmp("state", CmpOp::Eq, Value::from("CA")),
+                ),
+            ),
+            (
+                "WA",
+                t.sample_view(
+                    Some("employees"),
+                    &Predicate::cmp("state", CmpOp::Eq, Value::from("WA")),
+                ),
+            ),
+        ];
         assert_eq!(grouped.len(), reference.len());
-        for ((value, view, sorted), (rvalue, rview)) in grouped.iter().zip(&reference) {
-            assert_eq!(value, rvalue);
-            assert_eq!(view, rview);
+        for ((value, view, sorted), (rvalue, rview)) in grouped.iter().zip(reference) {
+            assert_eq!(value, &Value::from(rvalue));
+            assert_eq!(view, &rview.unwrap());
             let via_perm: Vec<f64> = sorted
                 .iter()
                 .map(|&i| view.items()[i as usize].value)
@@ -1142,10 +1046,9 @@ mod tests {
         let schema = Schema::new([("k", ColumnType::Str), ("x", ColumnType::Float)]);
         let t = IntegratedTable::new("t", schema, "k").unwrap();
         let pred = Predicate::cmp("missing", CmpOp::Eq, Value::Int(1));
-        // The row path never evaluates the predicate on an empty table, so
-        // the columnar path must not error either.
+        // Per-record evaluation never runs the predicate on an empty table,
+        // so the columnar path must not error either.
         assert!(t.sample_view(Some("x"), &pred).unwrap().is_empty());
-        assert!(t.sample_view_rows(Some("x"), &pred).unwrap().is_empty());
     }
 
     #[test]
@@ -1160,11 +1063,9 @@ mod tests {
         t.insert_observation(0, vec![Value::from("b"), Value::Int(b)])
             .unwrap();
         let grouped = t.grouped_sample_views(None, &Predicate::True, "g").unwrap();
-        let reference = t
-            .grouped_sample_views_rows(None, &Predicate::True, "g")
-            .unwrap();
-        assert_eq!(grouped, reference);
-        assert_eq!(grouped.len(), 2);
+        let keys: Vec<Value> = grouped.iter().map(|(k, _)| k.clone()).collect();
+        assert_eq!(keys, vec![Value::Int(b), Value::Int(a)]);
+        assert!(grouped.iter().all(|(_, view)| view.c() == 1));
     }
 
     #[test]
@@ -1211,7 +1112,6 @@ mod tests {
         assert_eq!(delta.version_after, 10);
         assert_eq!((delta.rows_before, delta.rows_after), (3, 5));
         assert_eq!(delta.touched, vec![2]); // "D" is row 2
-        assert!(delta.incremental);
         assert_eq!(delta.perm_merges, 1);
         // The projection was grown, not rebuilt.
         assert_eq!(incremental.projection_metrics().0, 1);
@@ -1253,18 +1153,19 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_with_incremental_off_drops_warm_state() {
+    fn append_batch_with_a_shared_projection_drops_warm_state() {
         let mut t = tech_table();
-        t.set_incremental(false);
-        assert!(!t.incremental_enabled());
         t.warm_projection(Some("employees")).unwrap();
+        // An outside reference to the projection forbids growing it in
+        // place, so the append drops it instead.
+        let shared = t.projection();
         let delta = t
             .append_batch(vec![(
                 4,
                 vec![Value::from("E"), Value::from(50.0), Value::from("NY")],
             )])
             .unwrap();
-        assert!(!delta.incremental);
+        drop(shared);
         assert_eq!(delta.perm_merges, 0);
         assert_eq!(t.projection_bytes(), 0);
         // Parity holds regardless: the next read rebuilds from scratch.

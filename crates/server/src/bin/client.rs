@@ -284,8 +284,8 @@ fn run() -> Result<(), String> {
                 .append_stream(args.required("table")?, args.required("source")?, &csv)
                 .map_err(fail)?;
             println!(
-                "appended observations={} entities={} refrozen={} incremental={}",
-                outcome.observations, outcome.entities, outcome.refrozen, outcome.incremental,
+                "appended observations={} entities={} refrozen={}",
+                outcome.observations, outcome.entities, outcome.refrozen,
             );
         }
         "checkpoint" => {
@@ -586,16 +586,14 @@ fn demo(args: &Args) -> Result<(), String> {
         after.single().is_some_and(|r| r.observed == 13_800.0),
         "post-append SUM includes the delta (13800)",
     )?;
-    if outcome.incremental {
-        check(
-            outcome.refrozen >= 1,
-            "append re-froze at least one cached selection",
-        )?;
-        check(
-            after.cache_hit,
-            "post-append query hits the re-frozen cache entry",
-        )?;
-    }
+    check(
+        outcome.refrozen >= 1,
+        "append re-froze at least one cached selection",
+    )?;
+    check(
+        after.cache_hit,
+        "post-append query hits the re-frozen cache entry",
+    )?;
     let grouped_after = client
         .query(DEMO_GROUPED_SQL, &["bucket"], true)
         .map_err(|e| e.to_string())?;

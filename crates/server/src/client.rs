@@ -62,8 +62,6 @@ pub struct AppendOutcome {
     pub entities: u64,
     /// Cached selections re-frozen in place by this append.
     pub refrozen: u64,
-    /// Whether the delta path ran (false means drop-and-rebuild fallback).
-    pub incremental: bool,
 }
 
 /// One protocol connection.
@@ -171,13 +169,11 @@ impl Client {
                 observations,
                 entities,
                 refrozen,
-                incremental,
                 ..
             } => Ok(AppendOutcome {
                 observations,
                 entities,
                 refrozen,
-                incremental,
             }),
             Response::Error(e) => Err(ClientError::Server(e)),
             other => Err(ClientError::Unexpected(other.encode())),

@@ -383,8 +383,9 @@ wire_record! {
         /// contributes a per-estimator Δ in the response. Empty (or absent)
         /// means "no correction" (closed-world answer only).
         pub estimators: Vec<String> [default: Vec::new()],
-        /// Route through the catalog's profile cache (default). `false` forces
-        /// the uncached execution path (statistics rebuilt from the table).
+        /// Route through the catalog's profile cache (default). `false`
+        /// freezes the selection from the table exactly as a cache miss would,
+        /// but neither reads nor fills the cache; the answer is the same.
         pub cached: bool [default: true],
         /// Capture a per-stage span tree for this request and return it in the
         /// reply's `trace` field (protocol v6; default off).
@@ -1148,9 +1149,8 @@ wire_record! {
             entities: u64,
             /// Cached selections re-frozen in place by this append.
             refrozen: u64,
-            /// Whether the delta path ran (false means drop-and-rebuild
-            /// fallback: incremental maintenance disabled for the table or via
-            /// `UU_INCREMENTAL=0`).
+            /// Always `true`: appends always take the delta path. Kept so
+            /// protocol v7 frames stay byte-identical.
             incremental: bool,
         } = "append_stream",
         /// Answer to [`Request::Warm`].

@@ -51,7 +51,6 @@ use uu_query::query::AggregateQuery;
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::sql::parse;
 use uu_query::table::IntegratedTable;
-use uu_query::value::Value;
 use uu_store::Store;
 
 /// Default bound on one inbound frame (a JSON request line or a pgwire
@@ -774,22 +773,8 @@ impl Service {
             .copied()
             .map(correction_for)
             .unwrap_or(CorrectionMethod::None);
-        let rows = uu_query::exec::results_from_selection(&stmt.query, &snapshots, method);
-        let estimates = snapshots
-            .iter()
-            .map(|(_, snapshot)| {
-                if session.kinds.is_empty() {
-                    Vec::new()
-                } else {
-                    session
-                        .session
-                        .run_profiled(&snapshot.profile())
-                        .iter()
-                        .map(WireEstimate::from_named)
-                        .collect()
-                }
-            })
-            .collect();
+        let fan_out = (!session.kinds.is_empty()).then_some(&session.session);
+        let (rows, estimates) = answer(&stmt.query, &snapshots, method, fan_out);
         let mut out = {
             let _span = obs::span(Stage::Serialize);
             reply(
@@ -843,79 +828,22 @@ impl Service {
         }
         let session = (!kinds.is_empty()).then(|| &ctx.adhoc.as_ref().expect("built above").1);
 
+        // Fetch-once: one selection per request feeds both the corrected
+        // aggregate (the same computation step `execute_sql_grouped_cached`
+        // runs) and the session fan-out. A cached query makes exactly one
+        // cache lookup, so the counters record one miss per cold query and
+        // one hit per repeat; an uncached one freezes the selection as a miss
+        // would and leaves the cache untouched.
         let catalog = self.catalog.read().expect("catalog lock");
-        let (rows, estimates, cache_hit): (Vec<GroupResult>, Vec<Vec<WireEstimate>>, bool) =
-            if request.cached {
-                // Fetch-once: exactly one cache lookup per request. The
-                // selection's snapshots feed both the corrected aggregate
-                // (the same computation step `execute_sql_grouped_cached`
-                // runs) and the session fan-out, so cache counters honestly
-                // record one miss per cold query and one hit per repeat.
-                let (snapshots, hit) = catalog
-                    .selection_query(&query)
-                    .map_err(|e| WireError::from_exec(&e))?;
-                let rows = uu_query::exec::results_from_selection(&query, &snapshots, method);
-                let estimates = snapshots
-                    .iter()
-                    .map(|(_, snapshot)| match session {
-                        Some(session) => session
-                            .run_profiled(&snapshot.profile())
-                            .iter()
-                            .map(WireEstimate::from_named)
-                            .collect(),
-                        None => Vec::new(),
-                    })
-                    .collect();
-                (rows, estimates, hit)
-            } else {
-                let rows = catalog
-                    .execute_sql_grouped(&request.sql, method)
-                    .map_err(|e| WireError::from_exec(&e))?;
-                let table = catalog
-                    .get(&query.table)
-                    .ok_or_else(|| WireError::new(ErrorCode::UnknownTable, &query.table))?;
-                let universes: Vec<(Value, uu_core::sample::SampleView)> =
-                    match query.group_by.as_deref() {
-                        Some(group_column) => table
-                            .grouped_sample_views(
-                                query.column.as_deref(),
-                                &query.predicate,
-                                group_column,
-                            )
-                            .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?,
-                        None => vec![(
-                            Value::Null,
-                            table
-                                .sample_view(query.column.as_deref(), &query.predicate)
-                                .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?,
-                        )],
-                    };
-                // Pair estimates with result rows **by group key**, not by
-                // position: both derive from the same deterministic grouping
-                // today, but the reply must not silently mis-attribute Δs if
-                // that ever changes. Keys compare with `same_key`, not
-                // derived PartialEq — a Float(NaN) group key must match its
-                // own universe.
-                let estimates = rows
-                    .iter()
-                    .map(|row| {
-                        let view = universes
-                            .iter()
-                            .find(|(key, _)| same_key(key, &row.key))
-                            .map(|(_, view)| view)
-                            .expect("every result row has a matching universe");
-                        match session {
-                            Some(session) => session
-                                .run(view)
-                                .iter()
-                                .map(WireEstimate::from_named)
-                                .collect(),
-                            None => Vec::new(),
-                        }
-                    })
-                    .collect();
-                (rows, estimates, false)
-            };
+        let (snapshots, cache_hit) = if request.cached {
+            catalog.selection_query(&query)
+        } else {
+            catalog
+                .freeze_query(&query)
+                .map(|snapshots| (snapshots, false))
+        }
+        .map_err(|e| WireError::from_exec(&e))?;
+        let (rows, estimates) = answer(&query, &snapshots, method, session);
         let mut out = {
             let _span = obs::span(Stage::Serialize);
             reply(request.sql.clone(), cache_hit, 0, grouped, rows, estimates)
@@ -1061,7 +989,7 @@ impl Service {
             observations: delta.version_after - delta.version_before,
             entities: delta.rows_after as u64,
             refrozen,
-            incremental: delta.incremental,
+            incremental: true,
         })
     }
 
@@ -1218,6 +1146,31 @@ fn wire_trace(trace: &obs::Trace) -> Vec<WireSpan> {
         .collect()
 }
 
+/// The rows-and-estimates step every query verb shares: the corrected
+/// aggregate of each universe (the computation step behind
+/// [`Catalog::execute_sql_cached`]) and, given a session, its
+/// per-estimator fan-out over the same snapshots.
+fn answer(
+    query: &AggregateQuery,
+    snapshots: &SelectionSnapshots,
+    method: CorrectionMethod,
+    session: Option<&EstimationSession>,
+) -> (Vec<GroupResult>, Vec<Vec<WireEstimate>>) {
+    let rows = uu_query::exec::results_from_selection(query, snapshots, method);
+    let estimates = snapshots
+        .iter()
+        .map(|(_, snapshot)| match session {
+            Some(session) => session
+                .run_profiled(&snapshot.profile())
+                .iter()
+                .map(WireEstimate::from_named)
+                .collect(),
+            None => Vec::new(),
+        })
+        .collect();
+    (rows, estimates)
+}
+
 fn reply(
     sql: String,
     cache_hit: bool,
@@ -1242,17 +1195,6 @@ fn reply(
         grouped,
         groups,
         trace: None,
-    }
-}
-
-/// Group-key equality for pairing result rows with their universes: derived
-/// `PartialEq` would make a `Float(NaN)` key match nothing (NaN != NaN),
-/// panicking the pairing even though both sides came from the identical
-/// grouping. Total float comparison treats NaN as equal to itself.
-fn same_key(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.total_cmp(y) == std::cmp::Ordering::Equal,
-        _ => a == b,
     }
 }
 

@@ -2,11 +2,11 @@
 # Guards the cold query path, the connection layer, the incremental append
 # path and the observability overhead: compares a fresh
 # BENCH_server_roundtrip.json against the committed baseline and fails if
-# the uncached round-trip mean regressed by more than the allowed factor
-# (default 2x — CI boxes are noisy, but a genuine fall off the columnar
-# path costs ~10x and will trip this), if the cache-hit round-trip under 1k
-# parked idle connections strays beyond the factor of the plain cache-hit
-# baseline (idle sockets must cost the active client nothing), if
+# the uncached round-trip mean regressed by more than 2x (CI boxes are
+# noisy, but a genuine fall off the columnar path costs ~10x and will trip
+# this), if the cache-hit round-trip under 1k parked idle connections
+# strays beyond 2x of the plain cache-hit baseline (idle sockets must cost
+# the active client nothing), if
 # append-then-query costs more than 0.25x of the fresh cold columnar build
 # (the delta path must stay far cheaper than dropping and rebuilding the
 # projection), if the cache-hit mean — histograms recording, tracing off
@@ -15,7 +15,10 @@
 # WAL-armed append stream costs more than 1.5x the WAL-off stream
 # (durability must be a thin log, not a second ingest).
 #
-# Usage: check_bench_regression.sh <fresh.json> [baseline.json] [max-factor]
+# Usage: check_bench_regression.sh <fresh.json>
+#
+# The baseline is the committed bench-baselines/BENCH_server_roundtrip.json
+# and the limits are fixed.
 #
 # Every check runs even after an earlier one fails, so a single run reports
 # the full set of regressions; the exit status is non-zero if any check
@@ -25,12 +28,12 @@
 # jq/python so the script runs anywhere the benches do.
 set -euo pipefail
 
-fresh="${1:?usage: check_bench_regression.sh <fresh.json> [baseline.json] [max-factor]}"
-baseline="${2:-$(dirname "$0")/../bench-baselines/BENCH_server_roundtrip.json}"
-factor="${3:-2}"
+fresh="${1:?usage: check_bench_regression.sh <fresh.json>}"
+readonly baseline="$(dirname "$0")/../bench-baselines/BENCH_server_roundtrip.json"
+readonly factor=2
 # The tracing-overhead gate is intentionally tighter than the generic
-# factor; override for a known-noisy box.
-obs_factor="${UU_OBS_FACTOR:-1.10}"
+# factor.
+readonly obs_factor=1.10
 
 failures=0
 

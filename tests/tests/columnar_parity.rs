@@ -4,8 +4,8 @@
 //! [`IntegratedTable::sample_view`] / [`IntegratedTable::grouped_sample_views`]
 //! must return **bit-for-bit** the same selections, the same groups and the
 //! same value-sort permutations as the per-record reference path
-//! (`sample_view_rows` / `grouped_sample_views_rows`), and predicate errors
-//! must surface identically.
+//! (`uu_bench::oracle`), and predicate errors must surface identically.
+//! Group keys include INTs beyond 2^53, which grouping must keep exact.
 //!
 //! Values are compared by `f64::to_bits`, not `==`, so `-0.0` vs `0.0`
 //! drift would be caught; NaN-bearing *attribute* columns are exercised
@@ -13,6 +13,7 @@
 //! items themselves require finite values.
 
 use proptest::prelude::*;
+use uu_bench::oracle;
 use uu_core::sample::SampleView;
 use uu_query::predicate::{CmpOp, Predicate};
 use uu_query::schema::{ColumnType, Schema};
@@ -41,11 +42,16 @@ fn float_from(selector: u64, mantissa: i32) -> f64 {
 
 /// A cell for the predicate column (`Float` typed, so it may also hold
 /// `Int` cells, which the kernels must widen exactly like the row path).
+/// Group keys beyond 2^53: `Int`s that collide once widened to `f64`, and
+/// `Float(2^60)` beside the `Int` whose entity key equals it.
 fn pred_cell(selector: u64, mantissa: i32) -> Value {
-    match selector % 11 {
+    match selector % 14 {
         8 => Value::Null,
         9 => Value::Int(mantissa as i64),
         10 => Value::Int((mantissa as i64) << 40), // widening beyond f32 range
+        11 => Value::Int((1 << 53) + (mantissa % 3) as i64),
+        12 => Value::Float((1u64 << 60) as f64),
+        13 => Value::Int(1_152_921_504_606_847_000),
         _ => Value::Float(float_from(selector, mantissa)),
     }
 }
@@ -192,7 +198,7 @@ proptest! {
         let table = table_from(&rows);
         let predicate = predicate_from(&[psel[0], psel[1], psel[2], psel[3], psel[4], psel[5]], mantissa);
         for attr in [Some("attr"), None] {
-            let reference = table.sample_view_rows(attr, &predicate).unwrap();
+            let reference = oracle::sample_view_rows(&table, attr, &predicate).unwrap();
             let (view, sorted) = table.sample_view_with_sorted(attr, &predicate).unwrap();
             assert_views_equal(&view, &reference, &format!("attr={attr:?}"))?;
             prop_assert_eq!(
@@ -222,9 +228,9 @@ proptest! {
         let table = table_from(&rows);
         let predicate = predicate_from(&[psel[0], psel[1], psel[2], psel[3], psel[4], psel[5]], mantissa);
         for group_column in ["pred", "state"] {
-            let reference = table
-                .grouped_sample_views_rows(Some("attr"), &predicate, group_column)
-                .unwrap();
+            let reference =
+                oracle::grouped_sample_views_rows(&table, Some("attr"), &predicate, group_column)
+                    .unwrap();
             let grouped = table
                 .grouped_sample_views_with_sorted(Some("attr"), &predicate, group_column)
                 .unwrap();
@@ -253,11 +259,11 @@ fn unknown_predicate_columns_error_identically() {
     let table = table_from(&[((0, 0, 0, 1), (0, 1, 0))]);
     let bad = Predicate::cmp("nope", CmpOp::Eq, Value::from(1.0));
     let columnar = table.sample_view(Some("attr"), &bad).unwrap_err();
-    let rows = table.sample_view_rows(Some("attr"), &bad).unwrap_err();
+    let rows = oracle::sample_view_rows(&table, Some("attr"), &bad).unwrap_err();
     assert_eq!(columnar.to_string(), rows.to_string());
 
     // An empty table never evaluates the predicate, on either path.
     let empty = table_from(&[]);
     assert!(empty.sample_view(Some("attr"), &bad).is_ok());
-    assert!(empty.sample_view_rows(Some("attr"), &bad).is_ok());
+    assert!(oracle::sample_view_rows(&empty, Some("attr"), &bad).is_ok());
 }

@@ -6,15 +6,17 @@
 //! one, and a catalog's cached answers after an append must equal a cold
 //! execution over the rebuilt table.
 //!
-//! Corners exercised: NaN/±inf/-0.0 in predicate and group columns, NULL
-//! cells, duplicate entity keys across the base/delta boundary (touched
-//! multiplicities), dictionary-growing strings arriving only in the delta,
-//! interleaved append → query → append sequences, the per-table
-//! `set_incremental(false)` drop-and-rebuild oracle, and both server fronts
+//! Corners exercised: NaN/±inf/-0.0 in predicate and group columns, group
+//! keys beyond 2^53, NULL cells, duplicate entity keys across the
+//! base/delta boundary (touched multiplicities), dictionary-growing strings
+//! arriving only in the delta, interleaved append → query → append
+//! sequences, the appends that cannot be absorbed in place (a projection
+//! still shared at append time, a re-observed member of a cached grouped
+//! selection, a predicate that stops evaluating), and both server fronts
 //! (line-JSON and pgwire) answering identically after an `append_stream`.
 //!
-//! The whole suite must pass with `UU_INCREMENTAL=0` as well — parity is
-//! the invariant, the knob only changes which path provides it.
+//! The oracle is always a table rebuilt from scratch ([`rebuilt`]) from the
+//! same observations.
 
 use proptest::prelude::*;
 use uu_core::sample::SampleView;
@@ -50,12 +52,16 @@ fn float_from(selector: u64, mantissa: i32) -> f64 {
 }
 
 /// A cell for the predicate column (`Float` typed, also holding `Int` cells
-/// and NULLs).
+/// and NULLs). Group keys beyond 2^53: `Int`s that collide once widened to
+/// `f64`, and `Float(2^60)` beside the `Int` whose entity key equals it.
 fn pred_cell(selector: u64, mantissa: i32) -> Value {
-    match selector % 11 {
+    match selector % 14 {
         8 => Value::Null,
         9 => Value::Int(mantissa as i64),
         10 => Value::Int((mantissa as i64) << 40),
+        11 => Value::Int((1 << 53) + (mantissa % 3) as i64),
+        12 => Value::Float((1u64 << 60) as f64),
+        13 => Value::Int(1_152_921_504_606_847_000),
         _ => Value::Float(float_from(selector, mantissa)),
     }
 }
@@ -307,14 +313,14 @@ proptest! {
         append_in_chunks(&mut grown, &delta, chunks);
         assert_tables_equal(&grown, &oracle, &predicate)?;
 
-        // Drop-and-rebuild oracle path: the per-table flag forces the
-        // fallback, which must answer identically.
-        let mut fallback = rebuilt(&base, &[]);
-        fallback.set_incremental(false);
-        fallback.sample_view_with_sorted(Some("attr"), &predicate).unwrap();
-        append_in_chunks(&mut fallback, &delta, chunks);
-        prop_assert!(!fallback.incremental_enabled());
-        assert_tables_equal(&fallback, &oracle, &predicate)?;
+        // A projection still shared at append time cannot grow in place:
+        // the append drops it and the next read rebuilds, identically.
+        let mut dropped = rebuilt(&base, &[]);
+        dropped.sample_view_with_sorted(Some("attr"), &predicate).unwrap();
+        let shared = dropped.projection();
+        append_in_chunks(&mut dropped, &delta, chunks);
+        drop(shared);
+        assert_tables_equal(&dropped, &oracle, &predicate)?;
     }
 
     /// Tentpole invariant at the catalog layer: interleaved
@@ -360,12 +366,10 @@ proptest! {
     }
 }
 
-/// Appending through a catalog with `UU_INCREMENTAL` honored off at the
-/// table level counts fallbacks, never refreezes — and still answers
-/// exactly.
-#[test]
-fn per_table_flag_forces_the_fallback_path_with_identical_answers() {
-    let base: Vec<RowSel> = (0..12)
+/// Twelve base rows and eight delta rows; the delta re-observes base
+/// entities (`e0`, `e3`, `e6`, `e9`) and adds new ones.
+fn fixed_rows() -> (Vec<RowSel>, Vec<RowSel>) {
+    let base = (0..12)
         .map(|i| {
             (
                 (i, i as u32, i * 37, i as i32 - 6),
@@ -373,7 +377,7 @@ fn per_table_flag_forces_the_fallback_path_with_identical_answers() {
             )
         })
         .collect();
-    let delta: Vec<RowSel> = (0..8)
+    let delta = (0..8)
         .map(|i| {
             (
                 (i * 3, i as u32, i * 91, i as i32),
@@ -381,24 +385,63 @@ fn per_table_flag_forces_the_fallback_path_with_identical_answers() {
             )
         })
         .collect();
-    let query = AggregateQuery::sum("attr").from("t");
+    (base, delta)
+}
 
+/// A re-observed member of a cached grouped selection cannot be placed
+/// without per-group membership: the append drops that selection (a counted
+/// fallback) and the next query rebuilds it, answering exactly what a cold
+/// catalog over the rebuilt table answers.
+#[test]
+fn reobserved_member_of_a_cached_grouped_selection_falls_back_with_identical_answers() {
+    let (base, delta) = fixed_rows();
+    let query = AggregateQuery::sum("attr").group_by("state").from("t");
     let mut catalog = Catalog::new();
-    let mut table = rebuilt(&base, &[]);
-    table.set_incremental(false);
-    catalog.register(table).unwrap();
+    catalog.register(rebuilt(&base, &[])).unwrap();
     let _ = cached_rows(&catalog, &query);
     let batch = delta.iter().map(|row| record(row, true)).collect();
     let (applied, refrozen) = catalog.append_observations("t", batch).unwrap();
-    assert!(!applied.incremental, "flag must force the fallback");
-    assert_eq!(refrozen, 0, "fallback path never refreezes");
+    assert!(
+        !applied.touched.is_empty(),
+        "the delta re-observes base rows"
+    );
+    assert_eq!(
+        refrozen, 0,
+        "the grouped selection is dropped, not re-frozen"
+    );
     let stats = catalog.incremental_stats();
     assert_eq!(stats.snapshots_refrozen, 0);
-    assert!(stats.fallback_rebuilds >= 1, "fallback was counted");
+    assert_eq!(stats.fallback_rebuilds, 1);
 
     let mut fresh = Catalog::new();
     fresh.register(rebuilt(&base, &delta)).unwrap();
     assert_eq!(cached_rows(&catalog, &query), cached_rows(&fresh, &query));
+}
+
+/// A selection frozen on an empty table never evaluated its predicate, so
+/// an unknown predicate column froze fine. Once rows arrive the predicate
+/// stops evaluating: the append drops the selection (a counted fallback)
+/// and the next query reports the error a cold catalog reports.
+#[test]
+fn unknown_predicate_column_frozen_on_an_empty_table_falls_back_with_identical_answers() {
+    let (_, delta) = fixed_rows();
+    let query = AggregateQuery::sum("attr")
+        .filter(Predicate::cmp("missing", CmpOp::Eq, Value::Int(1)))
+        .from("t");
+    let mut catalog = Catalog::new();
+    catalog.register(rebuilt(&[], &[])).unwrap();
+    let _ = cached_rows(&catalog, &query);
+    let batch = delta.iter().map(|row| record(row, true)).collect();
+    let (_, refrozen) = catalog.append_observations("t", batch).unwrap();
+    assert_eq!(refrozen, 0);
+    let stats = catalog.incremental_stats();
+    assert_eq!(stats.snapshots_refrozen, 0);
+    assert_eq!(stats.fallback_rebuilds, 1);
+
+    let mut fresh = Catalog::new();
+    fresh.register(rebuilt(&[], &delta)).unwrap();
+    let served = catalog.selection_query(&query).unwrap_err();
+    assert_eq!(served, fresh.selection_query(&query).unwrap_err());
 }
 
 // ---------------------------------------------------------------------------
@@ -470,7 +513,7 @@ const FRONT_SQLS: [&str; 3] = [
 /// Interleaved query → append → query against a live server must answer —
 /// on **both** fronts — exactly what a server loaded with the combined
 /// document from scratch answers, and the post-append queries must be
-/// served from re-frozen cache entries when incremental mode is on.
+/// served from re-frozen cache entries.
 #[test]
 fn both_fronts_answer_identically_after_append_stream() {
     let config = ServerConfig {
@@ -494,12 +537,10 @@ fn both_fronts_answer_identically_after_append_stream() {
         .unwrap();
     assert_eq!(outcome.observations, 4);
     assert_eq!(outcome.entities, 5, "A/B/D/E plus the new F");
-    if outcome.incremental {
-        assert!(
-            outcome.refrozen >= 1,
-            "warm selections must re-freeze, not evict"
-        );
-    }
+    assert!(
+        outcome.refrozen >= 1,
+        "warm selections must re-freeze, not evict"
+    );
 
     // The from-scratch oracle: a second server loaded with base + delta in
     // one document.
@@ -528,7 +569,7 @@ fn both_fronts_answer_identically_after_append_stream() {
         // grouped one saw its CA/WA members re-observed, which by design
         // falls back to a rebuild — so only the ungrouped queries are
         // guaranteed a warm hit.
-        if outcome.incremental && !sql.contains("GROUP BY") {
+        if !sql.contains("GROUP BY") {
             assert!(
                 served.cache_hit,
                 "re-frozen entry must serve the hit: {sql}"
@@ -548,11 +589,11 @@ fn both_fronts_answer_identically_after_append_stream() {
     let stats = json.stats().unwrap();
     assert_eq!(stats.incremental.delta_batches, 1);
     assert_eq!(stats.incremental.rows_appended, 4);
-    if outcome.incremental {
-        assert_eq!(stats.incremental.snapshots_refrozen, outcome.refrozen);
-    } else {
-        assert!(stats.incremental.fallback_rebuilds >= 1);
-    }
+    assert_eq!(stats.incremental.snapshots_refrozen, outcome.refrozen);
+    assert_eq!(
+        stats.incremental.fallback_rebuilds, 1,
+        "the grouped selection"
+    );
     let fresh_stats = fresh_json.stats().unwrap();
     assert_eq!(fresh_stats.incremental.delta_batches, 0);
 
@@ -585,11 +626,10 @@ fn appending_load_csv_routes_through_the_delta_path() {
         .unwrap();
     let observed = after.single().expect("ungrouped").observed;
     assert_eq!(observed, 13_800.0, "13300 + the new entity F (500)");
-    if stats.incremental.snapshots_refrozen >= 1 {
-        assert!(
-            after.cache_hit,
-            "re-frozen entry serves the post-append query"
-        );
-    }
+    assert_eq!(stats.incremental.snapshots_refrozen, 1);
+    assert!(
+        after.cache_hit,
+        "re-frozen entry serves the post-append query"
+    );
     handle.shutdown();
 }

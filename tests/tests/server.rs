@@ -176,6 +176,82 @@ fn server_answers_match_direct_catalog_calls_bit_for_bit() {
     handle.join();
 }
 
+/// `cached: false` freezes the selection exactly as a cache miss would but
+/// leaves the cache alone: no lookup, no insertion. Grouping by a Float
+/// column holding NaN and ±0.0 (one group: both zeros share an entity key)
+/// must still answer bit for bit what the cached path answers, per-group
+/// estimates included, and errors must carry the same code and message.
+#[test]
+fn uncached_queries_leave_the_cache_untouched_and_answer_like_cached_ones() {
+    let handle = spawn(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let response = client
+        .request(&Request::LoadCsv(LoadCsvRequest {
+            table: "t".into(),
+            columns: vec![
+                ("k".into(), "str".into()),
+                ("v".into(), "float".into()),
+                ("f".into(), "float".into()),
+            ],
+            entity_column: "k".into(),
+            source_column: "worker".into(),
+            csv: "worker,k,v,f\n0,a,1,NaN\n1,a,1,NaN\n0,b,2,0.0\n1,b,2,0.0\n\
+                  2,c,3,-0.0\n0,d,4,5\n1,d,4,5\n2,e,6,NaN\n"
+                .into(),
+            append: false,
+        }))
+        .unwrap();
+    assert!(
+        matches!(response, Response::Loaded { .. }),
+        "{}",
+        response.encode()
+    );
+    let sql = "SELECT SUM(v) FROM t GROUP BY f";
+    let estimators = ["bucket", "naive", "freq"];
+    let cache_state = |client: &mut Client| {
+        let c = client.stats().unwrap().cache;
+        (c.hits, c.misses, c.insertions, c.len)
+    };
+    let render = |reply: &uu_server::protocol::QueryReply| -> Vec<(String, String)> {
+        reply
+            .groups
+            .iter()
+            .map(|g| (format!("{:?}", g.key), g.result.canonical()))
+            .collect()
+    };
+
+    let before = cache_state(&mut client);
+    let cold_uncached = client.query(sql, &estimators, false).unwrap();
+    assert!(!cold_uncached.cache_hit);
+    assert_eq!(cache_state(&mut client), before, "uncached cold query");
+    assert_eq!(cold_uncached.groups.len(), 3, "NaN, 0 and 5");
+
+    let cached = client.query(sql, &estimators, true).unwrap();
+    assert!(!cached.cache_hit);
+    let warm = cache_state(&mut client);
+    let uncached = client.query(sql, &estimators, false).unwrap();
+    assert!(!uncached.cache_hit);
+    assert_eq!(cache_state(&mut client), warm, "uncached warm query");
+    assert!(cached.groups.iter().all(|g| g.result.estimates.len() == 3));
+    assert_eq!(render(&uncached), render(&cached));
+    assert_eq!(render(&cold_uncached), render(&cached));
+
+    for bad in [
+        "SELECT SUM(v) FROM nope",
+        "SELECT SUM(nope) FROM t",
+        "SELECT SUM(v) FROM t WHERE nope = 1",
+        "SELECT SUM(v) FROM t GROUP BY nope",
+    ] {
+        let error = |client: &mut Client, cached| match client.query(bad, &estimators, cached) {
+            Err(ClientError::Server(e)) => e,
+            other => panic!("{bad} (cached={cached}): expected an error, got {other:?}"),
+        };
+        let uncached = error(&mut client, false);
+        assert_eq!(uncached, error(&mut client, true), "{bad}");
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn repeated_query_hits_the_cache_and_latency_is_recorded() {
     let handle = spawn(ServerConfig::default()).unwrap();

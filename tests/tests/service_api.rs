@@ -415,9 +415,9 @@ fn session_error_paths_answer_structured_codes() {
     ));
 }
 
-/// Regression: a `Float(NaN)` group key must pair with its own universe in
-/// the uncached path — derived `PartialEq` (NaN != NaN) used to panic the
-/// pairing.
+/// Regression: a `Float(NaN)` group key must reach its own universe's
+/// estimates on both paths — the uncached path once paired rows with
+/// universes by derived `PartialEq` (NaN != NaN) and panicked.
 #[test]
 fn nan_group_keys_do_not_panic_the_uncached_path() {
     let schema = Schema::new([
