@@ -25,8 +25,10 @@ use uu_core::montecarlo::MonteCarloConfig;
 use uu_core::profile::ViewProfile;
 use uu_core::sample::{SampleView, StreamAccumulator};
 use uu_query::exec::{
-    execute_grouped_cached, execute_sql_grouped, CorrectionMethod, QueryProfileCache,
+    execute_sql, results_from_selection, selection, CorrectionMethod, GroupResult,
+    QueryProfileCache,
 };
+use uu_query::query::AggregateQuery;
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::sql::parse;
 use uu_query::table::IntegratedTable;
@@ -51,6 +53,17 @@ fn group_views(groups: usize, per: usize, seed: u64) -> Vec<SampleView> {
             acc.view()
         })
         .collect()
+}
+
+/// `query` answered through `cache`: one lookup, then the answer step over
+/// the thawed snapshots.
+fn cached_rows(
+    table: &IntegratedTable,
+    query: &AggregateQuery,
+    cache: &QueryProfileCache,
+) -> Vec<GroupResult> {
+    let (snapshots, _) = selection(table, query, cache).unwrap();
+    results_from_selection(query, &snapshots, CorrectionMethod::Bucket)
 }
 
 /// The same workload as an integrated SQL table with a group column.
@@ -130,8 +143,7 @@ fn bench_grouped(c: &mut Criterion) {
     ] {
         group.bench_function(id, |b| {
             b.iter(|| {
-                let rows =
-                    execute_sql_grouped(&table, "SELECT SUM(v) FROM t GROUP BY g", method).unwrap();
+                let rows = execute_sql(&table, "SELECT SUM(v) FROM t GROUP BY g", method).unwrap();
                 black_box(rows.len())
             })
         });
@@ -140,13 +152,10 @@ fn bench_grouped(c: &mut Criterion) {
     // repeated queries thaw them instead of rebuilding views + statistics.
     let cache = QueryProfileCache::new(8);
     let grouped_query = parse("SELECT SUM(v) FROM t GROUP BY g").unwrap();
-    let _ = execute_grouped_cached(&table, &grouped_query, CorrectionMethod::Bucket, &cache)
-        .expect("warm the cache");
+    let _ = cached_rows(&table, &grouped_query, &cache);
     group.bench_function("bucket_cached", |b| {
         b.iter(|| {
-            let rows =
-                execute_grouped_cached(&table, &grouped_query, CorrectionMethod::Bucket, &cache)
-                    .unwrap();
+            let rows = cached_rows(&table, &grouped_query, &cache);
             black_box(rows.len())
         })
     });
@@ -233,7 +242,7 @@ fn bench_grouped(c: &mut Criterion) {
     record(
         "sql_group_by_bucket",
         Box::new(|| {
-            let rows = execute_sql_grouped(
+            let rows = execute_sql(
                 &table,
                 "SELECT SUM(v) FROM t GROUP BY g",
                 CorrectionMethod::Bucket,
@@ -245,7 +254,7 @@ fn bench_grouped(c: &mut Criterion) {
     record(
         "sql_group_by_auto",
         Box::new(|| {
-            let rows = execute_sql_grouped(
+            let rows = execute_sql(
                 &table,
                 "SELECT SUM(v) FROM t GROUP BY g",
                 CorrectionMethod::Auto,
@@ -257,9 +266,7 @@ fn bench_grouped(c: &mut Criterion) {
     record(
         "sql_group_by_bucket_cached",
         Box::new(|| {
-            let rows =
-                execute_grouped_cached(&table, &grouped_query, CorrectionMethod::Bucket, &cache)
-                    .unwrap();
+            let rows = cached_rows(&table, &grouped_query, &cache);
             black_box(rows.len());
         }),
     );

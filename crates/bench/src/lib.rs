@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn mean_series_is_deterministic_across_runs() {
-        // Under the `parallel` feature repetitions run on scoped threads;
+        // Repetitions run on the shared executor's workers;
         // per-repetition seeds and the in-order fold must make scheduling
         // irrelevant, so two runs agree bit-for-bit.
         let estimators = standard_estimators(MonteCarloConfig::fast());

@@ -16,7 +16,7 @@
 //! * [`EstimationSession`] — builds a set of kinds once and runs sample
 //!   views through all of them, returning named [`DeltaEstimate`]s. Each run
 //!   builds one [`ViewProfile`] and fans every estimator out over its shared
-//!   statistics (in parallel under the `parallel` feature), so a session of
+//!   statistics (in parallel on the shared executor), so a session of
 //!   `K` estimators costs one statistics pass per view instead of `K`.
 //!
 //! ```
@@ -264,8 +264,8 @@ impl EstimationSession {
 
     /// [`Self::run`] over a caller-supplied profile, so repeated sessions (or
     /// other consumers, e.g. the query executor) can share one statistics
-    /// pass per view. Under the `parallel` feature the estimators are fanned
-    /// out on the shared executor; results are in session order either way.
+    /// pass per view. The estimators are fanned out on the shared executor;
+    /// results are in session order however they are scheduled.
     pub fn run_profiled(&self, profile: &ViewProfile<'_>) -> Vec<NamedEstimate> {
         let observed = profile.view().observed_sum();
         self.entries

@@ -11,10 +11,9 @@
 //! minimised to pick `N̂_MC`; the final Δ uses mean substitution with that
 //! count (§3.4.2: "we use our naïve estimation technique with N̂_MC").
 //!
-//! The grid search is embarrassingly parallel; with the `parallel` feature
-//! (default) cells are scored on the shared work-stealing executor
-//! ([`crate::exec`]), with per-cell seeds derived deterministically so
-//! results are identical to the serial path.
+//! The grid search is embarrassingly parallel: cells are scored on the
+//! shared work-stealing executor ([`crate::exec`]), with per-cell seeds
+//! derived deterministically so results are identical to the serial path.
 
 use crate::estimate::{DeltaEstimate, SumEstimator};
 use crate::naive::NaiveEstimator;
@@ -47,10 +46,9 @@ pub struct MonteCarloConfig {
     pub surface_resolution: usize,
     /// Seed for the simulation streams (the estimator is deterministic).
     pub seed: u64,
-    /// Score grid cells on the shared executor (a no-op unless the crate's
-    /// `parallel` feature is enabled and a pool worker is free). Results are
-    /// identical either way — per-cell seeds are derived from the cell
-    /// coordinates.
+    /// Score grid cells on the shared executor (a no-op unless a pool worker
+    /// is free). Results are identical either way — per-cell seeds are
+    /// derived from the cell coordinates.
     pub parallel: bool,
 }
 

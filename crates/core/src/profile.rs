@@ -13,8 +13,8 @@
 //! statistics, computed **at most once per [`SampleView`]** and shared by
 //! every estimator through [`crate::estimate::SumEstimator`]'s `*_profiled`
 //! methods. [`crate::engine::EstimationSession::run`] builds one profile per
-//! view and fans all estimator kinds out over it (in parallel under the
-//! `parallel` feature); the query executor builds one profile per estimation
+//! view and fans all estimator kinds out over it (in parallel on the shared
+//! executor); the query executor builds one profile per estimation
 //! universe (per group in a `GROUP BY`).
 //!
 //! Profiled and direct paths are **bit-for-bit identical** — the profile only

@@ -9,6 +9,7 @@ use std::time::Instant;
 
 use uu_query::catalog::Catalog;
 use uu_query::schema::{ColumnType, Schema};
+use uu_query::sql::parse;
 use uu_query::table::IntegratedTable;
 use uu_query::value::Value;
 
@@ -55,10 +56,10 @@ fn batch(start: usize) -> Vec<(u32, Vec<Value>)> {
 fn main() {
     let mut catalog = Catalog::new();
     catalog.register(build_table("t")).unwrap();
-    let sql = "SELECT SUM(v) FROM t";
+    let query = parse("SELECT SUM(v) FROM t").unwrap();
 
     let start = Instant::now();
-    let _ = catalog.selection_sql(sql).unwrap();
+    let _ = catalog.selection_query(&query).unwrap();
     println!("cold selection build: {:?}", start.elapsed());
 
     // Bare table appends, no cached selections: projection growth only.
@@ -83,9 +84,9 @@ fn main() {
         let append = start.elapsed();
         assert_eq!(refrozen, 1);
         let start = Instant::now();
-        let (_, hit) = catalog.selection_sql(sql).unwrap();
-        let query = start.elapsed();
+        let (_, hit) = catalog.selection_query(&query).unwrap();
+        let fetch = start.elapsed();
         assert!(hit);
-        println!("round {round}: append 100 rows {append:?}, cached query {query:?}");
+        println!("round {round}: append 100 rows {append:?}, cached query {fetch:?}");
     }
 }

@@ -5,9 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::exec::{
-    execute_cached, execute_grouped, execute_grouped_cached, execute_sql as exec_one,
-    freeze_selection, refreeze_selection, selection, selection_bytes, selection_key,
-    CachedSelection, CorrectionMethod, ExecError, GroupResult, QueryProfileCache, QueryResult,
+    freeze_selection, refreeze_selection, results_from_selection, selection, selection_bytes,
+    selection_key, CachedSelection, CorrectionMethod, ExecError, GroupResult, QueryProfileCache,
     SelectionSnapshots,
 };
 use crate::sql::parse;
@@ -80,13 +79,15 @@ pub struct IncrementalStats {
 ///
 /// let mut catalog = Catalog::new();
 /// catalog.register(t).unwrap();
-/// let r = catalog.execute_sql("SELECT SUM(v) FROM sales", CorrectionMethod::None).unwrap();
-/// assert_eq!(r.observed, 10.0);
+/// let rows = catalog.execute_sql("SELECT SUM(v) FROM sales", CorrectionMethod::None).unwrap();
+/// assert_eq!(rows.len(), 1);
+/// assert_eq!(rows[0].result.observed, 10.0);
 /// ```
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: HashMap<String, IntegratedTable>,
-    /// Cross-query profile cache behind the `*_cached` execution methods.
+    /// Cross-query profile cache behind [`Catalog::execute_sql`] and
+    /// [`Catalog::selection_query`].
     /// Keys carry the table version, and [`Catalog::get_mut`] invalidates a
     /// table's entries eagerly, so the cache can never serve a stale state.
     /// [`Catalog::append_observations`] instead *re-freezes* a table's
@@ -213,8 +214,8 @@ impl Catalog {
         }
     }
 
-    /// The embedded cross-query profile cache (for instrumentation; the
-    /// `*_cached` methods consult it automatically).
+    /// The embedded cross-query profile cache (for instrumentation; queries
+    /// consult it automatically).
     pub fn cache(&self) -> &QueryProfileCache {
         &self.cache
     }
@@ -284,79 +285,30 @@ impl Catalog {
         names
     }
 
-    /// Parses and executes a SQL string against the referenced table.
+    /// Parses `sql` and answers it against the referenced table through the
+    /// embedded profile cache: a repeated query against an unchanged table
+    /// reuses the selection's frozen statistics instead of re-deriving them.
+    /// One [`GroupResult`] per group in group order; an ungrouped query gets
+    /// a single `Null`-keyed row. Bit-for-bit identical to the uncached
+    /// [`crate::exec::execute_sql`].
     pub fn execute_sql(
         &self,
         sql: &str,
         method: CorrectionMethod,
-    ) -> Result<QueryResult, ExecError> {
-        let query = parse(sql)?;
-        let table = self
-            .get(&query.table)
-            .ok_or_else(|| ExecError::UnknownTable(query.table.clone()))?;
-        exec_one(table, sql, method)
-    }
-
-    /// Parses and executes a `GROUP BY` SQL string against the referenced
-    /// table.
-    pub fn execute_sql_grouped(
-        &self,
-        sql: &str,
-        method: CorrectionMethod,
     ) -> Result<Vec<GroupResult>, ExecError> {
         let query = parse(sql)?;
-        let table = self
-            .get(&query.table)
-            .ok_or_else(|| ExecError::UnknownTable(query.table.clone()))?;
-        execute_grouped(table, &query, method)
-    }
-
-    /// [`Catalog::execute_sql`] through the embedded profile cache: repeated
-    /// identical queries (the server-frontend workload) reuse the selection's
-    /// frozen statistics instead of re-deriving them. Bit-for-bit identical
-    /// results.
-    pub fn execute_sql_cached(
-        &self,
-        sql: &str,
-        method: CorrectionMethod,
-    ) -> Result<QueryResult, ExecError> {
-        let query = parse(sql)?;
-        let table = self
-            .get(&query.table)
-            .ok_or_else(|| ExecError::UnknownTable(query.table.clone()))?;
-        execute_cached(table, &query, method, &self.cache)
-    }
-
-    /// [`Catalog::execute_sql_grouped`] through the embedded profile cache.
-    pub fn execute_sql_grouped_cached(
-        &self,
-        sql: &str,
-        method: CorrectionMethod,
-    ) -> Result<Vec<GroupResult>, ExecError> {
-        let query = parse(sql)?;
-        let table = self
-            .get(&query.table)
-            .ok_or_else(|| ExecError::UnknownTable(query.table.clone()))?;
-        execute_grouped_cached(table, &query, method, &self.cache)
+        let (snapshots, _) = self.selection_query(&query)?;
+        Ok(results_from_selection(&query, &snapshots, method))
     }
 
     /// The query's estimation universes as cached snapshots, plus whether
-    /// they were served from the embedded cache (`true` = hit). Fetching a
-    /// cold selection freezes and inserts it, so this doubles as the
-    /// pre-warming entry point ([`Catalog::warm_sql`]) and as the fetch-once
-    /// surface for frontends that fan an `EstimationSession` out over the
-    /// same snapshots the `*_cached` executions consume.
-    pub fn selection_sql(&self, sql: &str) -> Result<(SelectionSnapshots, bool), ExecError> {
-        let query = parse(sql)?;
-        self.selection_query(&query)
-    }
-
-    /// [`Catalog::selection_sql`] over an **already-parsed** query — the
-    /// fetch path for prepared statements, which freeze the parse result
-    /// once and re-fetch only the selection on later executions. A repeated
-    /// execute against an unchanged table therefore pays neither the parser
-    /// nor a statistics build: the cache thaws the frozen
-    /// [`uu_core::profile::ProfileSnapshot`]s directly.
+    /// they were served from the embedded cache (`true` = hit). A miss
+    /// freezes and inserts the selection, so this is also the pre-warming
+    /// step of [`Catalog::warm_sql`], the fetch-once surface for frontends
+    /// that fan an `EstimationSession` out over the snapshots
+    /// [`Catalog::execute_sql`] answers from, and the fetch path of prepared
+    /// statements: given an already-parsed query, a repeated execute against
+    /// an unchanged table pays neither the parser nor a statistics build.
     pub fn selection_query(
         &self,
         query: &crate::query::AggregateQuery,
@@ -446,7 +398,7 @@ mod tests {
         let r = catalog
             .execute_sql("SELECT COUNT(*) FROM Alpha", CorrectionMethod::Naive)
             .unwrap();
-        assert_eq!(r.observed, 4.0);
+        assert_eq!(r[0].result.observed, 4.0);
     }
 
     #[test]
@@ -473,7 +425,7 @@ mod tests {
         let mut catalog = Catalog::new();
         catalog.register(table("t")).unwrap();
         let groups = catalog
-            .execute_sql_grouped("SELECT SUM(v) FROM t GROUP BY k", CorrectionMethod::None)
+            .execute_sql("SELECT SUM(v) FROM t GROUP BY k", CorrectionMethod::None)
             .unwrap();
         assert_eq!(groups.len(), 4);
     }
@@ -490,9 +442,7 @@ mod tests {
         assert_eq!(again, 4);
         assert!(already, "second warm is a pure hit");
         let misses_before = catalog.cache().metrics().misses;
-        let rows = catalog
-            .execute_sql_grouped_cached(sql, CorrectionMethod::Bucket)
-            .unwrap();
+        let rows = catalog.execute_sql(sql, CorrectionMethod::Bucket).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(
             catalog.cache().metrics().misses,
@@ -502,16 +452,17 @@ mod tests {
     }
 
     #[test]
-    fn selection_sql_matches_cached_execution_identity() {
+    fn selection_query_matches_cached_execution_identity() {
         let mut catalog = Catalog::new();
         catalog.register(table("t")).unwrap();
         let sql = "SELECT SUM(v) FROM t";
-        let (snapshots, hit) = catalog.selection_sql(sql).unwrap();
+        let query = crate::sql::parse(sql).unwrap();
+        let (snapshots, hit) = catalog.selection_query(&query).unwrap();
         assert!(!hit);
         assert_eq!(snapshots.len(), 1);
         assert!(snapshots[0].0.is_null());
         // The cached execution path consumes the very snapshots we fetched.
-        let (snapshots_again, hit) = catalog.selection_sql(sql).unwrap();
+        let (snapshots_again, hit) = catalog.selection_query(&query).unwrap();
         assert!(hit);
         assert!(std::sync::Arc::ptr_eq(&snapshots, &snapshots_again));
         // Selections carry their byte weight into the cache accounting.
@@ -519,15 +470,23 @@ mod tests {
     }
 
     #[test]
-    fn selection_query_shares_the_cache_identity_with_selection_sql() {
+    fn selection_query_shares_the_cache_identity_with_execute_sql() {
         let mut catalog = Catalog::new();
         catalog.register(table("t")).unwrap();
         let sql = "SELECT SUM(v) FROM t WHERE v < 3";
         let parsed = crate::sql::parse(sql).unwrap();
         let (from_query, hit) = catalog.selection_query(&parsed).unwrap();
         assert!(!hit, "first fetch builds the selection");
-        let (from_sql, hit) = catalog.selection_sql(sql).unwrap();
-        assert!(hit, "the parse-free fetch populated the same cache entry");
+        let hits = catalog.cache().metrics().hits;
+        catalog.execute_sql(sql, CorrectionMethod::Bucket).unwrap();
+        assert_eq!(
+            catalog.cache().metrics().hits,
+            hits + 1,
+            "the parse-free fetch populated the entry the SQL route reads"
+        );
+        let reparsed = crate::sql::parse(sql).unwrap();
+        let (from_sql, hit) = catalog.selection_query(&reparsed).unwrap();
+        assert!(hit);
         assert!(std::sync::Arc::ptr_eq(&from_query, &from_sql));
         let missing = crate::sql::parse("SELECT SUM(v) FROM nope").unwrap();
         assert!(matches!(
@@ -545,9 +504,9 @@ mod tests {
         let plain = Catalog::new();
         assert_eq!(plain.cache().byte_budget(), None);
         let r = catalog
-            .execute_sql_cached("SELECT COUNT(*) FROM t", CorrectionMethod::Naive)
+            .execute_sql("SELECT COUNT(*) FROM t", CorrectionMethod::Naive)
             .unwrap();
-        assert_eq!(r.observed, 4.0);
+        assert_eq!(r[0].result.observed, 4.0);
     }
 
     #[test]
@@ -575,10 +534,12 @@ mod tests {
         let plain = "SELECT SUM(v) FROM t WHERE v < 3";
         let grouped = "SELECT SUM(v) FROM t GROUP BY k";
         let before_plain = catalog
-            .execute_sql_cached(plain, CorrectionMethod::Bucket)
-            .unwrap();
+            .execute_sql(plain, CorrectionMethod::Bucket)
+            .unwrap()
+            .remove(0)
+            .result;
         let _ = catalog
-            .execute_sql_grouped_cached(grouped, CorrectionMethod::Bucket)
+            .execute_sql(grouped, CorrectionMethod::Bucket)
             .unwrap();
         // Append two new entities and re-observe an existing one.
         let (delta, refrozen) = catalog
@@ -603,13 +564,17 @@ mod tests {
         // The refrozen entry serves the new version as a pure hit…
         let hits_before = catalog.cache().metrics().hits;
         let after_plain = catalog
-            .execute_sql_cached(plain, CorrectionMethod::Bucket)
-            .unwrap();
+            .execute_sql(plain, CorrectionMethod::Bucket)
+            .unwrap()
+            .remove(0)
+            .result;
         assert_eq!(catalog.cache().metrics().hits, hits_before + 1);
         // …bit-for-bit equal to a from-scratch execution.
-        let rebuilt = catalog
-            .execute_sql(plain, CorrectionMethod::Bucket)
-            .unwrap();
+        let rebuilt =
+            crate::exec::execute_sql(catalog.get("t").unwrap(), plain, CorrectionMethod::Bucket)
+                .unwrap()
+                .remove(0)
+                .result;
         assert_eq!(after_plain.observed.to_bits(), rebuilt.observed.to_bits());
         assert_eq!(
             after_plain.corrected.map(f64::to_bits),
@@ -619,7 +584,7 @@ mod tests {
         // entered the selection) but flowed into the frequency ladder.
         assert_eq!(after_plain.observed, before_plain.observed);
         let grouped_after = catalog
-            .execute_sql_grouped_cached(grouped, CorrectionMethod::Bucket)
+            .execute_sql(grouped, CorrectionMethod::Bucket)
             .unwrap();
         assert_eq!(grouped_after.len(), 6);
     }
@@ -634,9 +599,7 @@ mod tests {
         // On an empty table the unknown predicate column is never
         // evaluated, so the selection freezes (empty) and is cached.
         let sql = "SELECT SUM(v) FROM t WHERE missing = 1";
-        let _ = catalog
-            .execute_sql_cached(sql, CorrectionMethod::None)
-            .unwrap();
+        let _ = catalog.execute_sql(sql, CorrectionMethod::None).unwrap();
         let (_, refrozen) = catalog
             .append_observations("t", vec![(7, vec![Value::from("e9"), Value::from(9.0)])])
             .unwrap();
@@ -644,8 +607,9 @@ mod tests {
         assert_eq!(catalog.incremental_stats().fallback_rebuilds, 1);
         // The next query rebuilds and surfaces the error a from-scratch
         // execution reports.
-        let cached = catalog.execute_sql_cached(sql, CorrectionMethod::None);
-        let rebuilt = catalog.execute_sql(sql, CorrectionMethod::None);
+        let cached = catalog.execute_sql(sql, CorrectionMethod::None);
+        let rebuilt =
+            crate::exec::execute_sql(catalog.get("t").unwrap(), sql, CorrectionMethod::None);
         assert!(cached.is_err());
         assert_eq!(cached.unwrap_err(), rebuilt.unwrap_err());
     }
@@ -671,6 +635,6 @@ mod tests {
         let r = catalog
             .execute_sql("SELECT COUNT(*) FROM t", CorrectionMethod::None)
             .unwrap();
-        assert_eq!(r.observed, 5.0);
+        assert_eq!(r[0].result.observed, 5.0);
     }
 }

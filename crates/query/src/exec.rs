@@ -1,30 +1,30 @@
 //! Open-world query execution.
 //!
-//! [`execute`] evaluates an aggregate query twice: once under the closed
-//! world assumption (the answer a classical RDBMS would give over the
-//! integrated table), and once corrected for unknown unknowns with the
-//! estimator selected by [`CorrectionMethod`]. SUM queries additionally carry
-//! the §4 upper bound, MIN/MAX queries carry the §5 trust report, and every
-//! result carries the §6.5 diagnostics and recommendation.
+//! Every query takes one route: its estimation universes (the whole
+//! selection, or one per group of a `GROUP BY`) are frozen into a
+//! [`CachedSelection`] of fully-warmed [`ProfileSnapshot`]s, and
+//! [`results_from_selection`] answers the query from those snapshots. Each
+//! answer is dual: the closed-world value a classical RDBMS would give over
+//! the integrated table, and the value corrected for unknown unknowns with
+//! the estimator selected by [`CorrectionMethod`]. SUM queries additionally
+//! carry the §4 upper bound, MIN/MAX queries carry the §5 trust report, and
+//! every result carries the §6.5 diagnostics and recommendation.
 //!
-//! Each estimation universe (the whole selection, or one group of a
-//! `GROUP BY`) gets exactly one [`ViewProfile`]: the diagnostics, the
-//! recommendation, the species estimates and the bucket partition behind the
-//! corrected answer are computed once and shared between the correction, the
-//! AVG/MIN/MAX strategies and the result metadata. Grouped queries evaluate
-//! their groups on the shared work-stealing executor (`uu_core::exec`) under
-//! the `parallel` feature (results are identical and in the same group order
-//! either way); nested parallel work inside a group — the session fan-out,
-//! the Monte-Carlo grid — runs inline on the group's worker, so a grouped
-//! Monte-Carlo workload never exceeds the executor's thread budget.
+//! The selection comes from one of two places:
 //!
-//! For repeated-query workloads, [`execute_cached`] /
-//! [`execute_grouped_cached`] consult a [`QueryProfileCache`] before building
-//! anything: on a hit the selection's [`ProfileSnapshot`]s (frozen, fully
-//! warmed per-universe statistics, keyed by table version + predicate
-//! fingerprint + group key) are thawed instead of re-deriving the views and
-//! their statistics from the table. Results are bit-for-bit identical to the
-//! uncached paths.
+//! * [`freeze_selection`] builds it from the table without any cache — the
+//!   route of [`execute_sql`] and of an uncached server query;
+//! * [`selection`] consults a [`QueryProfileCache`] first (keyed by table
+//!   version + predicate fingerprint + group key) and freezes only on a
+//!   miss — the route of `Catalog::execute_sql` and of cached and prepared
+//!   server queries.
+//!
+//! Universes are frozen and answered on the shared work-stealing executor
+//! (`uu_core::exec`); results come back in group order regardless of
+//! scheduling, and nested parallel work inside a universe — the session
+//! fan-out, the Monte-Carlo grid — runs inline on the universe's worker, so
+//! a grouped Monte-Carlo workload never exceeds the executor's thread
+//! budget.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -127,8 +127,8 @@ impl Deref for CachedSelection {
 /// stores.
 pub type SelectionSnapshots = Arc<CachedSelection>;
 
-/// The cross-query profile cache consulted by [`execute_cached`] and
-/// [`execute_grouped_cached`] (embedded in `Catalog`).
+/// The cross-query profile cache consulted by [`selection`] (embedded in
+/// `Catalog`).
 pub type QueryProfileCache = ProfileCache<SelectionSnapshots>;
 
 /// Which unknown-unknowns correction to apply.
@@ -164,8 +164,6 @@ pub enum ExecError {
     Table(TableError),
     /// SQL text failed to parse.
     Parse(ParseError),
-    /// The query has a GROUP BY clause; use [`execute_grouped`].
-    GroupedQuery,
     /// The referenced table is not registered (catalog dispatch).
     UnknownTable(String),
 }
@@ -178,12 +176,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::Table(e) => write!(f, "{e}"),
             ExecError::Parse(e) => write!(f, "{e}"),
-            ExecError::GroupedQuery => {
-                write!(
-                    f,
-                    "query has GROUP BY; use execute_grouped/execute_sql_grouped"
-                )
-            }
             ExecError::UnknownTable(name) => write!(f, "unknown table {name:?}"),
         }
     }
@@ -262,29 +254,6 @@ impl CorrectionMethod {
     }
 }
 
-/// Executes `query` against `table` with the chosen correction.
-///
-/// Queries with a `GROUP BY` clause must go through [`execute_grouped`].
-pub fn execute(
-    table: &IntegratedTable,
-    query: &AggregateQuery,
-    method: CorrectionMethod,
-) -> Result<QueryResult, ExecError> {
-    check_table(table, query)?;
-    if query.group_by.is_some() {
-        return Err(ExecError::GroupedQuery);
-    }
-    let (view, sorted) =
-        table.sample_view_with_sorted(query.column.as_deref(), &query.predicate)?;
-    Ok(compute(
-        query.to_string(),
-        query.agg,
-        &view,
-        &sorted,
-        method,
-    ))
-}
-
 fn check_table(table: &IntegratedTable, query: &AggregateQuery) -> Result<(), ExecError> {
     if !query.table.eq_ignore_ascii_case(table.name()) {
         return Err(ExecError::TableNameMismatch {
@@ -295,7 +264,8 @@ fn check_table(table: &IntegratedTable, query: &AggregateQuery) -> Result<(), Ex
     Ok(())
 }
 
-/// One result row of a grouped query.
+/// One result row of a query: one per group of a `GROUP BY`, or a single
+/// `Null`-keyed row for an ungrouped query.
 #[derive(Debug, Clone)]
 pub struct GroupResult {
     /// The group's key value.
@@ -303,58 +273,6 @@ pub struct GroupResult {
     /// The corrected aggregate over this group's estimation universe
     /// (entities satisfying the predicate with this group value).
     pub result: QueryResult,
-}
-
-/// Executes a `GROUP BY` query: one open-world-corrected aggregate per
-/// distinct group value, each group treated as its own estimation universe.
-///
-/// Also accepts queries without `GROUP BY` (returns a single group keyed by
-/// NULL).
-pub fn execute_grouped(
-    table: &IntegratedTable,
-    query: &AggregateQuery,
-    method: CorrectionMethod,
-) -> Result<Vec<GroupResult>, ExecError> {
-    check_table(table, query)?;
-    let Some(group_column) = query.group_by.as_deref() else {
-        let result = execute(table, query, method)?;
-        return Ok(vec![GroupResult {
-            key: crate::value::Value::Null,
-            result,
-        }]);
-    };
-    let groups = table.grouped_sample_views_with_sorted(
-        query.column.as_deref(),
-        &query.predicate,
-        group_column,
-    )?;
-    Ok(compute_groups(query, group_column, groups, method))
-}
-
-/// Evaluates every group as its own estimation universe (one profile each)
-/// on the shared executor — work-stealing balances skewed group sizes, and
-/// results come back in group order regardless of scheduling.
-fn compute_groups(
-    query: &AggregateQuery,
-    group_column: &str,
-    groups: Vec<(crate::value::Value, SampleView, Vec<u32>)>,
-    method: CorrectionMethod,
-) -> Vec<GroupResult> {
-    uu_core::exec::global().map_indexed(groups, |_, (key, view, sorted)| {
-        let label = format!("{query} [{group_column} = {key}]");
-        let result = compute(label, query.agg, &view, &sorted, method);
-        GroupResult { key, result }
-    })
-}
-
-/// Parses and executes a `GROUP BY` SQL string.
-pub fn execute_sql_grouped(
-    table: &IntegratedTable,
-    sql: &str,
-    method: CorrectionMethod,
-) -> Result<Vec<GroupResult>, ExecError> {
-    let query = parse(sql)?;
-    execute_grouped(table, &query, method)
 }
 
 /// Canonical predicate fingerprint for cache keys: column names are
@@ -400,8 +318,8 @@ fn profile_key(table: &IntegratedTable, query: &AggregateQuery) -> ProfileKey {
 }
 
 /// The cache identity of an existing selection against `table`'s *current*
-/// state — [`profile_key`] rebuilt from the selection's own query shape
-/// instead of a parsed query. Recovery uses this to re-insert persisted
+/// state — the key a query of the same shape would get, rebuilt from the
+/// selection's own query shape instead of a parsed query. Recovery uses this to re-insert persisted
 /// selections under the restored table's fresh instance id.
 pub fn selection_key(table: &IntegratedTable, selection: &CachedSelection) -> ProfileKey {
     ProfileKey {
@@ -705,44 +623,12 @@ fn refreeze_grouped(
     })
 }
 
-/// [`selection`] without the hit flag — the internal shape the `*_cached`
-/// execution paths consume.
-fn cached_selection(
-    table: &IntegratedTable,
-    query: &AggregateQuery,
-    cache: &QueryProfileCache,
-) -> Result<SelectionSnapshots, ExecError> {
-    selection(table, query, cache).map(|(snapshots, _)| snapshots)
-}
-
-/// [`execute`] through a cross-query [`QueryProfileCache`]: a repeated query
-/// against an unchanged table skips the view extraction and every statistics
-/// build, thawing the cached [`ProfileSnapshot`] instead. Results are
-/// bit-for-bit identical to [`execute`].
-pub fn execute_cached(
-    table: &IntegratedTable,
-    query: &AggregateQuery,
-    method: CorrectionMethod,
-    cache: &QueryProfileCache,
-) -> Result<QueryResult, ExecError> {
-    check_table(table, query)?;
-    if query.group_by.is_some() {
-        return Err(ExecError::GroupedQuery);
-    }
-    let snapshots = cached_selection(table, query, cache)?;
-    Ok(results_from_selection(query, &snapshots, method)
-        .pop()
-        .expect("ungrouped selections hold exactly one universe")
-        .result)
-}
-
 /// Evaluates `query` over an already-fetched selection (see [`selection`]),
 /// one [`GroupResult`] per universe in selection order (a single
-/// `Null`-keyed row for ungrouped queries). This is the computation step of
-/// [`execute_cached`] / [`execute_grouped_cached`] — callers that fetched
-/// the selection themselves (e.g. a server that also fans an estimation
-/// session over the same snapshots) get identical results without a second
-/// cache lookup.
+/// `Null`-keyed row for ungrouped queries). This is the answer step of every
+/// query route — callers that fetched the selection themselves (e.g. a
+/// server that also fans an estimation session over the same snapshots)
+/// get identical results without a second cache lookup.
 pub fn results_from_selection(
     query: &AggregateQuery,
     snapshots: &SelectionSnapshots,
@@ -756,7 +642,7 @@ pub fn results_from_selection(
             Some(group_column) => format!("{query} [{group_column} = {key}]"),
             None => query.to_string(),
         };
-        let result = compute_profiled(label, query.agg, &snapshot.profile(), method);
+        let result = universe_result(label, query.agg, &snapshot.profile(), method);
         GroupResult {
             key: key.clone(),
             result,
@@ -764,43 +650,10 @@ pub fn results_from_selection(
     })
 }
 
-/// [`execute_grouped`] through a cross-query [`QueryProfileCache`]; groups
-/// are evaluated from their cached snapshots on the shared executor. Results
-/// are bit-for-bit identical to [`execute_grouped`].
-pub fn execute_grouped_cached(
-    table: &IntegratedTable,
-    query: &AggregateQuery,
-    method: CorrectionMethod,
-    cache: &QueryProfileCache,
-) -> Result<Vec<GroupResult>, ExecError> {
-    check_table(table, query)?;
-    let snapshots = cached_selection(table, query, cache)?;
-    Ok(results_from_selection(query, &snapshots, method))
-}
-
-/// Computes the dual answer for one estimation universe, sharing one
-/// [`ViewProfile`] between the correction, the §5 strategies and the result
-/// metadata. The profile starts with its value sort pre-filled from the
-/// table's memoized column permutation, so no estimation path re-sorts.
-fn compute(
-    query_display: String,
-    agg: AggregateFunction,
-    view: &SampleView,
-    sorted_idx: &[u32],
-    method: CorrectionMethod,
-) -> QueryResult {
-    compute_profiled(
-        query_display,
-        agg,
-        &ViewProfile::with_sorted_indices(view, sorted_idx),
-        method,
-    )
-}
-
-/// [`compute`] over a caller-supplied profile — the entry point for cached
-/// execution, where the profile is thawed from a [`ProfileSnapshot`] instead
-/// of built from a fresh view.
-fn compute_profiled(
+/// Computes the dual answer for one estimation universe from its thawed
+/// profile, sharing the profile's memoized statistics between the
+/// correction, the §5 strategies and the result metadata.
+fn universe_result(
     query_display: String,
     agg: AggregateFunction,
     profile: &ViewProfile<'_>,
@@ -889,14 +742,19 @@ fn compute_profiled(
     result
 }
 
-/// Parses and executes a SQL string against `table`.
+/// Parses `sql` and answers it against `table` without consulting any
+/// cache: the selection is frozen from the table ([`freeze_selection`]) and
+/// answered by [`results_from_selection`]. One [`GroupResult`] per group in
+/// group order; an ungrouped query gets a single `Null`-keyed row.
 pub fn execute_sql(
     table: &IntegratedTable,
     sql: &str,
     method: CorrectionMethod,
-) -> Result<QueryResult, ExecError> {
+) -> Result<Vec<GroupResult>, ExecError> {
     let query = parse(sql)?;
-    execute(table, &query, method)
+    check_table(table, &query)?;
+    let snapshots = freeze_selection(table, &query)?;
+    Ok(results_from_selection(&query, &snapshots, method))
 }
 
 #[cfg(test)]
@@ -904,6 +762,14 @@ mod tests {
     use super::*;
     use crate::schema::{ColumnType, Schema};
     use crate::value::Value;
+
+    /// Answers an ungrouped query and returns its single `Null`-keyed row.
+    fn one(t: &IntegratedTable, sql: &str, method: CorrectionMethod) -> QueryResult {
+        let mut rows = execute_sql(t, sql, method).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert!(rows[0].key.is_null());
+        rows.pop().unwrap().result
+    }
 
     /// The toy example table (Appendix F), after s5 = {A, E}.
     fn toy_table() -> IntegratedTable {
@@ -934,24 +800,23 @@ mod tests {
     fn sum_with_all_estimators_matches_table2() {
         let t = toy_table();
         let sql = "SELECT SUM(employees) FROM companies";
-        let naive = execute_sql(&t, sql, CorrectionMethod::Naive).unwrap();
+        let naive = one(&t, sql, CorrectionMethod::Naive);
         assert_eq!(naive.observed, 13_300.0);
         assert!((naive.corrected.unwrap() - 14_962.5).abs() < 1e-6);
-        let freq = execute_sql(&t, sql, CorrectionMethod::Frequency).unwrap();
+        let freq = one(&t, sql, CorrectionMethod::Frequency);
         assert!((freq.corrected.unwrap() - 13_450.0).abs() < 1e-6);
-        let bucket = execute_sql(&t, sql, CorrectionMethod::Bucket).unwrap();
+        let bucket = one(&t, sql, CorrectionMethod::Bucket);
         assert!((bucket.corrected.unwrap() - 13_950.0).abs() < 1e-6);
     }
 
     #[test]
     fn none_method_reports_observed_only() {
         let t = toy_table();
-        let r = execute_sql(
+        let r = one(
             &t,
             "SELECT SUM(employees) FROM companies",
             CorrectionMethod::None,
-        )
-        .unwrap();
+        );
         assert_eq!(r.observed, 13_300.0);
         assert_eq!(r.corrected, None);
         assert_eq!(r.method, "none");
@@ -961,7 +826,7 @@ mod tests {
     fn count_estimates() {
         let t = toy_table();
         let sql = "SELECT COUNT(*) FROM companies";
-        let r = execute_sql(&t, sql, CorrectionMethod::Naive).unwrap();
+        let r = one(&t, sql, CorrectionMethod::Naive);
         assert_eq!(r.observed, 4.0);
         assert!((r.corrected.unwrap() - 4.5).abs() < 1e-9); // Chao92
     }
@@ -969,12 +834,11 @@ mod tests {
     #[test]
     fn avg_is_corrected_downwards_here() {
         let t = toy_table();
-        let r = execute_sql(
+        let r = one(
             &t,
             "SELECT AVG(employees) FROM companies",
             CorrectionMethod::Bucket,
-        )
-        .unwrap();
+        );
         assert!((r.observed - 3325.0).abs() < 1e-9);
         assert!(r.corrected.unwrap() < r.observed);
     }
@@ -982,22 +846,20 @@ mod tests {
     #[test]
     fn max_trusted_min_not() {
         let t = toy_table();
-        let max = execute_sql(
+        let max = one(
             &t,
             "SELECT MAX(employees) FROM companies",
             CorrectionMethod::Bucket,
-        )
-        .unwrap();
+        );
         assert_eq!(max.observed, 10_000.0);
         assert_eq!(max.corrected, Some(10_000.0));
         assert!(max.extreme.unwrap().is_trusted());
 
-        let min = execute_sql(
+        let min = one(
             &t,
             "SELECT MIN(employees) FROM companies",
             CorrectionMethod::Bucket,
-        )
-        .unwrap();
+        );
         assert_eq!(min.observed, 300.0);
         assert_eq!(
             min.corrected, None,
@@ -1009,12 +871,11 @@ mod tests {
     #[test]
     fn predicates_narrow_the_estimation_universe() {
         let t = toy_table();
-        let r = execute_sql(
+        let r = one(
             &t,
             "SELECT SUM(employees) FROM companies WHERE employees < 5000",
             CorrectionMethod::Naive,
-        )
-        .unwrap();
+        );
         assert_eq!(r.observed, 3300.0);
         // c = 3 (A, B, E), n = 5, f1 = 1 (E).
         assert!(r.corrected.unwrap() > r.observed);
@@ -1064,7 +925,7 @@ mod tests {
                 .unwrap();
             }
         }
-        let r = execute_sql(&t, "SELECT SUM(v) FROM t", CorrectionMethod::Auto).unwrap();
+        let r = one(&t, "SELECT SUM(v) FROM t", CorrectionMethod::Auto);
         assert_eq!(r.recommendation, Recommendation::MonteCarlo);
         assert_eq!(r.method, "monte-carlo");
     }
@@ -1081,7 +942,7 @@ mod tests {
             )
             .unwrap();
         }
-        let r = execute_sql(&t, "SELECT SUM(v) FROM t", CorrectionMethod::Auto).unwrap();
+        let r = one(&t, "SELECT SUM(v) FROM t", CorrectionMethod::Auto);
         assert_eq!(r.corrected, None);
         assert_eq!(r.method, "withheld(coverage<40%)");
         assert_eq!(r.recommendation, Recommendation::CollectMoreData);
@@ -1100,7 +961,7 @@ mod tests {
                 .unwrap();
             }
         }
-        let r = execute_sql(&t, "SELECT SUM(v) FROM t", CorrectionMethod::Bucket).unwrap();
+        let r = one(&t, "SELECT SUM(v) FROM t", CorrectionMethod::Bucket);
         let bound = r.upper_bound.expect("bound defined for n=480");
         assert!(bound >= r.observed);
         assert!(bound >= r.corrected.unwrap());
@@ -1109,12 +970,11 @@ mod tests {
     #[test]
     fn empty_selection_yields_nan_for_avg() {
         let t = toy_table();
-        let r = execute_sql(
+        let r = one(
             &t,
             "SELECT AVG(employees) FROM companies WHERE employees > 99999",
             CorrectionMethod::Bucket,
-        )
-        .unwrap();
+        );
         assert!(r.observed.is_nan());
         assert_eq!(r.corrected, None);
     }
@@ -1146,7 +1006,7 @@ mod tests {
             )
             .unwrap();
         }
-        let groups = super::execute_sql_grouped(
+        let groups = execute_sql(
             &t,
             "SELECT SUM(employees) FROM companies GROUP BY state",
             CorrectionMethod::Naive,
@@ -1172,21 +1032,9 @@ mod tests {
     }
 
     #[test]
-    fn grouped_query_through_plain_execute_is_an_error() {
-        let t = toy_table();
-        let err = execute_sql(
-            &t,
-            "SELECT SUM(employees) FROM companies GROUP BY company",
-            CorrectionMethod::None,
-        )
-        .unwrap_err();
-        assert_eq!(err, ExecError::GroupedQuery);
-    }
-
-    #[test]
     fn ungrouped_query_through_grouped_exec_is_a_single_null_group() {
         let t = toy_table();
-        let groups = super::execute_sql_grouped(
+        let groups = execute_sql(
             &t,
             "SELECT SUM(employees) FROM companies",
             CorrectionMethod::Bucket,

@@ -19,8 +19,9 @@
 //! * [`query`] — aggregate query description + fluent builder.
 //! * [`sql`] — a hand-written parser for the paper's query form
 //!   `SELECT AGG(attr) FROM table [WHERE predicate]`.
-//! * [`exec`] — closed-world + open-world execution.
-//! * [`catalog`] — multiple named tables with SQL dispatch.
+//! * [`exec`] — closed-world + open-world execution: every query freezes its
+//!   selection's estimation universes and answers from them.
+//! * [`catalog`] — multiple named tables with cached SQL dispatch.
 //! * [`csv`] — minimal RFC-4180 CSV ingestion of observation logs.
 //!
 //! ```
@@ -38,11 +39,14 @@
 //! ] {
 //!     table.insert_observation(source, vec![Value::from(company), Value::from(employees)]).unwrap();
 //! }
-//! let result = execute_sql(
+//! let rows = execute_sql(
 //!     &table,
 //!     "SELECT SUM(employees) FROM us_tech_companies",
 //!     CorrectionMethod::Bucket,
 //! ).unwrap();
+//! // An ungrouped query answers with a single NULL-keyed row.
+//! assert!(rows[0].key.is_null());
+//! let result = &rows[0].result;
 //! assert_eq!(result.observed, 13_000.0);
 //! assert!((result.corrected.unwrap() - 14_500.0).abs() < 1e-6); // Table 2
 //! ```
@@ -64,9 +68,8 @@ pub mod value;
 
 pub use catalog::Catalog;
 pub use exec::{
-    execute, execute_cached, execute_grouped, execute_grouped_cached, execute_sql,
-    execute_sql_grouped, results_from_selection, selection, selection_bytes, CorrectionMethod,
-    GroupResult, QueryProfileCache, QueryResult, SelectionSnapshots,
+    execute_sql, freeze_selection, results_from_selection, selection, selection_bytes,
+    CorrectionMethod, GroupResult, QueryProfileCache, QueryResult, SelectionSnapshots,
 };
 pub use predicate::{CmpOp, Predicate};
 pub use query::{AggregateFunction, AggregateQuery};

@@ -10,7 +10,7 @@ use crate::protocol::{
 };
 
 /// Client-side failure: transport, framing, or a structured server error
-/// surfaced through [`Client::expect_ok`]-style helpers.
+/// (an error reply, surfaced as [`ClientError::Server`]).
 #[derive(Debug)]
 pub enum ClientError {
     /// Socket-level failure.

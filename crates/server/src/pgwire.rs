@@ -21,10 +21,10 @@
 //! with Rust's shortest round-trip form).
 //!
 //! Connections are owned by the readiness-driven reactor
-//! ([`crate::reactor`]) like the JSON front's: [`PgCodec`] is the
+//! ([`crate::reactor`]) like the JSON front's: `PgCodec` is the
 //! **resumable** framing state machine — the reactor feeds it the
 //! per-connection read buffer as bytes arrive (no blocking `read_exact`),
-//! and each [`PgStep`] it yields is either protocol bytes to queue
+//! and each `PgStep` it yields is either protocol bytes to queue
 //! (handshake, declines, errors) or one complete simple query to hand to
 //! the worker pool. `peak_workers ≤ UU_THREADS` holds with both fronts live
 //! and any number of idle connections parked.

@@ -684,7 +684,7 @@ impl WireError {
             ExecError::Parse(_) => ErrorCode::Parse,
             ExecError::UnknownTable(_) => ErrorCode::UnknownTable,
             ExecError::Table(_) => ErrorCode::Table,
-            ExecError::GroupedQuery | ExecError::TableNameMismatch { .. } => ErrorCode::Internal,
+            ExecError::TableNameMismatch { .. } => ErrorCode::Internal,
         };
         WireError::new(code, e.to_string())
     }

@@ -1,21 +1,21 @@
 //! The readiness-driven connection layer.
 //!
 //! One reactor thread owns **every** socket of both fronts in non-blocking
-//! mode behind an [`Poller`] (epoll on Linux, a portable `poll(2)` fallback
+//! mode behind a `Poller` (epoll on Linux, a portable `poll(2)` fallback
 //! selectable with `UU_REACTOR=poll`). It performs buffered reads with
 //! incremental frame assembly — the line-JSON and pgwire framings are
 //! resumable state machines over per-connection read/write buffers, never
 //! blocking `read_line`/`read_exact` — and hands only *complete* requests to
 //! the executor-backed worker pool in [`crate::server`]. Responses come back
-//! as [`Completion`]s through a wakeup pipe and are flushed under
+//! as `Completion`s through a wakeup pipe and are flushed under
 //! `EPOLLOUT`-driven write backpressure.
 //!
 //! Scalability contract: 10,000+ mostly-idle connections cost one registered
 //! fd each and **zero** worker or executor activity (`peak_workers ≤
 //! UU_THREADS` keeps holding — pinned by `server_concurrency`). Per-request
 //! allocation churn is avoided by moving each connection's [`SessionCtx`]
-//! and scratch buffer *into* the [`Work`] item and back out of its
-//! [`Completion`] — buffers are reused across frames, never reallocated per
+//! and scratch buffer *into* the `Work` item and back out of its
+//! `Completion` — buffers are reused across frames, never reallocated per
 //! line.
 //!
 //! Backpressure rules:
@@ -23,13 +23,13 @@
 //!   (one in-flight request per connection — the natural limit of a
 //!   request/response protocol);
 //! * a connection whose unflushed write backlog exceeds
-//!   [`WRITE_HIGH_WATER`] also has read interest disabled (and the trip is
+//!   `WRITE_HIGH_WATER` also has read interest disabled (and the trip is
 //!   counted in `stats.conn.backpressure`) until the peer drains it;
 //! * the frame bound applies to the *accumulated* read buffer, not to
 //!   per-read chunks — a peer dribbling an unframed stream is cut off at
 //!   `max_frame_bytes` no matter how small its writes are.
 //!
-//! `--idle-timeout-ms` arms a [`DeadlineQueue`] entry per connection; a
+//! `--idle-timeout-ms` arms a `DeadlineQueue` entry per connection; a
 //! connection with no *complete* frame for the window is reaped silently
 //! (nothing written, socket closed).
 

@@ -16,7 +16,7 @@
 //! `exec::global().metrics().peak_workers`. Idle connections cost one
 //! registered fd and **zero** worker or executor activity.
 //!
-//! Responses travel back as [`Completion`]s: a worker pushes the encoded
+//! Responses travel back as `Completion`s: a worker pushes the encoded
 //! bytes plus the connection's reclaimed `SessionCtx`/scratch buffer and
 //! wakes the reactor through the wakeup pipe; the reactor queues the bytes
 //! on the connection under `EPOLLOUT`-driven write backpressure. The

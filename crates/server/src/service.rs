@@ -24,9 +24,9 @@
 //! the table has moved, the statement re-fetches through the catalog's
 //! profile cache ([`Catalog::selection_query`]) and re-freezes. Either way
 //! the computation step is [`uu_query::exec::results_from_selection`] — the
-//! exact step behind [`Catalog::execute_sql_cached`] — so a prepared
-//! execute, an ad-hoc `query`, and a direct catalog call answer bit-for-bit
-//! identically.
+//! answer step of [`Catalog::execute_sql`] and of every other query route —
+//! so a prepared execute, an ad-hoc `query`, and a direct catalog call
+//! answer bit-for-bit identically.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -829,8 +829,8 @@ impl Service {
         let session = (!kinds.is_empty()).then(|| &ctx.adhoc.as_ref().expect("built above").1);
 
         // Fetch-once: one selection per request feeds both the corrected
-        // aggregate (the same computation step `execute_sql_grouped_cached`
-        // runs) and the session fan-out. A cached query makes exactly one
+        // aggregate (the same answer step `Catalog::execute_sql` runs) and
+        // the session fan-out. A cached query makes exactly one
         // cache lookup, so the counters record one miss per cold query and
         // one hit per repeat; an uncached one freezes the selection as a miss
         // would and leaves the cache untouched.
@@ -1147,8 +1147,8 @@ fn wire_trace(trace: &obs::Trace) -> Vec<WireSpan> {
 }
 
 /// The rows-and-estimates step every query verb shares: the corrected
-/// aggregate of each universe (the computation step behind
-/// [`Catalog::execute_sql_cached`]) and, given a session, its
+/// aggregate of each universe (the answer step behind
+/// [`Catalog::execute_sql`]) and, given a session, its
 /// per-estimator fan-out over the same snapshots.
 fn answer(
     query: &AggregateQuery,

@@ -310,7 +310,7 @@ impl<'a> SpeciesCache<'a> {
 
     /// Eagerly evaluates the whole ladder — every [`SpeciesEstimator`] — on
     /// the shared executor (inline when already inside an executor worker or
-    /// when the `parallel` feature is off). Afterwards every
+    /// when the executor has one thread). Afterwards every
     /// [`SpeciesCache::estimate`] call is a cache hit.
     pub fn warm(&self) {
         let _span = crate::obs::span(crate::obs::Stage::SpeciesLadder);

@@ -510,9 +510,15 @@ mod tests {
         format!(
             "{:?}",
             catalog
-                .execute_sql_cached(SQL, uu_query::exec::CorrectionMethod::Bucket)
+                .execute_sql(SQL, uu_query::exec::CorrectionMethod::Bucket)
                 .unwrap()
         )
+    }
+
+    /// Whether `sql`'s selection is served from the catalog's cache.
+    fn cached(catalog: &Catalog, sql: &str) -> bool {
+        let query = uu_query::sql::parse(sql).unwrap();
+        catalog.selection_query(&query).expect("query plans").1
     }
 
     #[test]
@@ -559,7 +565,7 @@ mod tests {
         assert_eq!(report.replayed_records, 1);
         // The snapshot selection was re-keyed and re-frozen through the
         // replayed append: the first query is a cache hit.
-        let (_, hit) = recovered.selection_sql(SQL).expect("recovered query plans");
+        let hit = cached(&recovered, SQL);
         assert!(hit, "first post-recovery query must hit the warmed cache");
         assert_eq!(results(&recovered), want);
         // Clean-shutdown shape: checkpoint again, restart replays nothing.
@@ -613,7 +619,7 @@ mod tests {
         let want = format!(
             "{:?}",
             catalog
-                .execute_sql_grouped_cached(grouped_sql, uu_query::exec::CorrectionMethod::Bucket)
+                .execute_sql(grouped_sql, uu_query::exec::CorrectionMethod::Bucket)
                 .unwrap()
         );
         store.checkpoint(&catalog).unwrap();
@@ -621,19 +627,17 @@ mod tests {
         let reopened = Store::open(&dir, FsyncPolicy::Off, u64::MAX, u64::MAX).unwrap();
         let mut recovered = Catalog::new();
         reopened.recover(&mut recovered).unwrap();
-        let (_, hit) = recovered.selection_sql(grouped_sql).unwrap();
-        assert!(hit);
+        assert!(cached(&recovered, grouped_sql));
         let got = format!(
             "{:?}",
             recovered
-                .execute_sql_grouped_cached(grouped_sql, uu_query::exec::CorrectionMethod::Bucket)
+                .execute_sql(grouped_sql, uu_query::exec::CorrectionMethod::Bucket)
                 .unwrap()
         );
         assert_eq!(got, want);
         // The ungrouped full-table selection was never cached pre-restart,
         // so it misses — recovery must not invent cache entries.
-        let (_, hit) = recovered.selection_sql(SQL).unwrap();
-        assert!(!hit);
+        assert!(!cached(&recovered, SQL));
         let _ = Predicate::True; // keep the import honest under cfg(test)
     }
 

@@ -6,10 +6,16 @@
 //!
 //! Run with: `cargo run -p uu-examples --bin quickstart`
 
-use uu_query::exec::{execute_sql, CorrectionMethod};
+use uu_query::exec::{execute_sql, CorrectionMethod, QueryResult};
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::table::IntegratedTable;
 use uu_query::value::Value;
+
+/// Answers an ungrouped query: the single row `execute_sql` returns for it.
+fn answer(table: &IntegratedTable, sql: &str, method: CorrectionMethod) -> QueryResult {
+    let mut rows = execute_sql(table, sql, method).expect("query runs");
+    rows.remove(0).result
+}
 
 fn main() {
     // One integrated table, entity-keyed by company name. Each observation
@@ -56,7 +62,7 @@ fn main() {
         ("frequency", CorrectionMethod::Frequency),
         ("bucket", CorrectionMethod::Bucket),
     ] {
-        let r = execute_sql(&table, sql, method.1).expect("query runs");
+        let r = answer(&table, sql, method.1);
         match r.corrected {
             Some(corrected) => println!(
                 "  {:<13} observed = {:>8.1}   corrected = {:>8.1}   (error vs truth: {:>+6.1})",
@@ -75,30 +81,27 @@ fn main() {
     }
 
     println!();
-    let count = execute_sql(
+    let count = answer(
         &table,
         "SELECT COUNT(*) FROM us_tech_companies",
         CorrectionMethod::Naive,
-    )
-    .expect("query runs");
+    );
     println!(
         "COUNT(*): observed = {} unique companies, Chao92 estimates {:.2} exist",
         count.observed,
         count.corrected.unwrap()
     );
 
-    let max = execute_sql(
+    let max = answer(
         &table,
         "SELECT MAX(employees) FROM us_tech_companies",
         CorrectionMethod::Bucket,
-    )
-    .expect("query runs");
-    let min = execute_sql(
+    );
+    let min = answer(
         &table,
         "SELECT MIN(employees) FROM us_tech_companies",
         CorrectionMethod::Bucket,
-    )
-    .expect("query runs");
+    );
     println!();
     println!(
         "MAX(employees) = {} -> {}",

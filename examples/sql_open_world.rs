@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release -p uu-examples --bin sql_open_world`
 
 use uu_datagen::realworld::{us_gdp, US_STATE_GDP_2015_MUSD};
-use uu_query::exec::{execute_sql, execute_sql_grouped, CorrectionMethod};
+use uu_query::exec::{execute_sql, CorrectionMethod};
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::table::IntegratedTable;
 use uu_query::value::Value;
@@ -56,7 +56,11 @@ fn main() {
         "SELECT SUM(gdp) FROM us_states WHERE gdp > 500000",
     ];
     for sql in queries {
-        let r = execute_sql(&table, sql, CorrectionMethod::Auto).expect("query runs");
+        // An ungrouped query answers with a single row.
+        let r = execute_sql(&table, sql, CorrectionMethod::Auto)
+            .expect("query runs")
+            .remove(0)
+            .result;
         println!("{sql}");
         print!("  observed = {:.1}", r.observed);
         match r.corrected {
@@ -90,7 +94,7 @@ fn main() {
     // its own estimation universe (how many *large* states are we missing?).
     let sql = "SELECT SUM(gdp) FROM us_states GROUP BY size_class";
     println!("{sql}");
-    for group in execute_sql_grouped(&table, sql, CorrectionMethod::Naive).expect("query runs") {
+    for group in execute_sql(&table, sql, CorrectionMethod::Naive).expect("query runs") {
         println!(
             "  {} -> observed = {:.1}, corrected = {}",
             group.key,

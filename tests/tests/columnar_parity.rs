@@ -11,12 +11,21 @@
 //! drift would be caught; NaN-bearing *attribute* columns are exercised
 //! through `COUNT(*)`-shaped selections (attribute `None`), since observed
 //! items themselves require finite values.
+//!
+//! The same tables also pin the one query route end to end: every row of
+//! `exec::execute_sql` must equal what the core estimators compute directly
+//! on the oracle's view of that universe.
 
 use proptest::prelude::*;
 use uu_bench::oracle;
+use uu_core::bound::{sum_upper_bound, UpperBoundConfig};
+use uu_core::engine::EstimatorKind;
+use uu_core::montecarlo::MonteCarloConfig;
 use uu_core::sample::SampleView;
+use uu_query::exec::{execute_sql, CorrectionMethod, ExecError, QueryResult};
 use uu_query::predicate::{CmpOp, Predicate};
 use uu_query::schema::{ColumnType, Schema};
+use uu_query::sql::parse;
 use uu_query::table::IntegratedTable;
 use uu_query::value::Value;
 
@@ -179,6 +188,83 @@ fn reference_argsort(view: &SampleView) -> Vec<u32> {
     idx
 }
 
+/// Every correction method the one-route property runs, beside the engine
+/// kind the oracle calls the core estimators with (`None` = no correction).
+fn correction_methods() -> [(CorrectionMethod, Option<EstimatorKind>); 5] {
+    let mc = MonteCarloConfig::fast();
+    [
+        (CorrectionMethod::None, None),
+        (CorrectionMethod::Naive, Some(EstimatorKind::Naive)),
+        (CorrectionMethod::Frequency, Some(EstimatorKind::Frequency)),
+        (CorrectionMethod::Bucket, Some(EstimatorKind::Bucket)),
+        (
+            CorrectionMethod::MonteCarlo(mc),
+            Some(EstimatorKind::MonteCarlo(mc)),
+        ),
+    ]
+}
+
+/// Bit-for-bit equality of one `execute_sql` row with the core estimators
+/// run directly on the oracle view of its universe: SUM reads
+/// `observed_sum`, `estimate_sum`, `estimate_delta(..).n_hat` and the §4
+/// bound; COUNT reads `c` and `estimate_count`.
+fn assert_matches_estimators(
+    got: &QueryResult,
+    sum: bool,
+    view: &SampleView,
+    kind: Option<EstimatorKind>,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    let bits = |x: Option<f64>| x.map(f64::to_bits);
+    let (observed, corrected, n_hat, upper_bound, method) = if sum {
+        let bound = sum_upper_bound(view, UpperBoundConfig::default()).map(|b| b.phi_d_bound);
+        match kind {
+            Some(kind) => {
+                let est = kind.build();
+                let n_hat = est.estimate_delta(view).n_hat;
+                let corrected = est.estimate_sum(view);
+                (view.observed_sum(), corrected, n_hat, bound, est.name())
+            }
+            None => (view.observed_sum(), None, None, bound, "none"),
+        }
+    } else {
+        match kind {
+            Some(kind) => {
+                let n_hat = kind.estimate_count(view);
+                (
+                    view.c() as f64,
+                    n_hat,
+                    n_hat,
+                    None,
+                    kind.count_method_name(),
+                )
+            }
+            None => (view.c() as f64, None, None, None, "none"),
+        }
+    };
+    prop_assert_eq!(
+        got.observed.to_bits(),
+        observed.to_bits(),
+        "observed: {}",
+        context
+    );
+    prop_assert_eq!(
+        bits(got.corrected),
+        bits(corrected),
+        "corrected: {}",
+        context
+    );
+    prop_assert_eq!(bits(got.n_hat), bits(n_hat), "n_hat: {}", context);
+    prop_assert_eq!(
+        bits(got.upper_bound),
+        bits(upper_bound),
+        "upper bound: {}",
+        context
+    );
+    prop_assert_eq!(got.method, method, "method: {}", context);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -249,6 +335,62 @@ proptest! {
                     "group sort permutation: {}",
                     group_column
                 );
+            }
+        }
+    }
+
+    /// The one query route against an independent oracle: SUM and
+    /// `COUNT(*)`, ungrouped and grouped by the specials-bearing `pred`
+    /// column, under `None`, naive, frequency, bucket and Monte-Carlo —
+    /// every row `exec::execute_sql` returns equals, bit for bit, the core
+    /// estimators run directly on the per-record oracle view of that
+    /// universe. Predicates travel as SQL text; a literal with no SQL
+    /// spelling (NaN, ±inf) must come back as a parse error.
+    #[test]
+    fn execute_sql_matches_the_estimators_on_the_row_views(
+        rows in proptest::collection::vec(
+            ((0u64..1000, 0u32..5, 0u64..1_000_000, -40i32..40),
+             (0u64..1_000_000, -40i32..40, 0u64..1_000_000)),
+            0..60,
+        ),
+        psel in proptest::collection::vec(0u64..1_000_000, 6),
+        mantissa in -40i32..40,
+    ) {
+        let table = table_from(&rows);
+        let predicate = predicate_from(&[psel[0], psel[1], psel[2], psel[3], psel[4], psel[5]], mantissa);
+        for (aggregate, attr) in [("SUM(attr)", Some("attr")), ("COUNT(*)", None)] {
+            for group_by in [None, Some("pred")] {
+                let mut sql = format!("SELECT {aggregate} FROM t WHERE {predicate}");
+                if let Some(group_column) = group_by {
+                    sql.push_str(&format!(" GROUP BY {group_column}"));
+                }
+                let Ok(query) = parse(&sql) else {
+                    let err = execute_sql(&table, &sql, CorrectionMethod::None).unwrap_err();
+                    prop_assert!(matches!(err, ExecError::Parse(_)), "{}: {:?}", sql, err);
+                    continue;
+                };
+                let universes = match group_by {
+                    None => vec![(
+                        Value::Null,
+                        oracle::sample_view_rows(&table, attr, &query.predicate).unwrap(),
+                    )],
+                    Some(group_column) => oracle::grouped_sample_views_rows(
+                        &table,
+                        attr,
+                        &query.predicate,
+                        group_column,
+                    )
+                    .unwrap(),
+                };
+                for (method, kind) in correction_methods() {
+                    let got = execute_sql(&table, &sql, method).unwrap();
+                    prop_assert_eq!(got.len(), universes.len(), "universes: {}", sql);
+                    for (row, (key, view)) in got.iter().zip(&universes) {
+                        let context = format!("{sql} [{key}] under {method:?}");
+                        prop_assert_eq!(row.key.entity_key(), key.entity_key(), "key: {}", context);
+                        assert_matches_estimators(&row.result, attr.is_some(), view, kind, &context)?;
+                    }
+                }
             }
         }
     }

@@ -67,9 +67,7 @@ fn batch(i: u32) -> Vec<(u32, Vec<Value>)> {
 fn answer(catalog: &Catalog) -> String {
     format!(
         "{:?}",
-        catalog
-            .execute_sql_cached(SQL, CorrectionMethod::Bucket)
-            .unwrap()
+        catalog.execute_sql(SQL, CorrectionMethod::Bucket).unwrap()
     )
 }
 

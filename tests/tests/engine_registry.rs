@@ -215,7 +215,10 @@ fn auto_method_agrees_with_recommend() {
     };
 
     for table in [&healthy, &streaker, &sparse] {
-        let r = execute_sql(table, "SELECT SUM(v) FROM t", CorrectionMethod::Auto).unwrap();
+        let r = execute_sql(table, "SELECT SUM(v) FROM t", CorrectionMethod::Auto)
+            .unwrap()
+            .remove(0)
+            .result;
         match r.recommendation {
             Recommendation::Bucket => assert_eq!(r.method, "bucket"),
             Recommendation::MonteCarlo => assert_eq!(r.method, "monte-carlo"),
@@ -266,7 +269,10 @@ fn count_dispatch_parity_through_sql() {
             EstimatorKind::MonteCarlo(MonteCarloConfig::fast()),
         ),
     ] {
-        let r = execute_sql(&table, "SELECT COUNT(*) FROM t", method).unwrap();
+        let r = execute_sql(&table, "SELECT COUNT(*) FROM t", method)
+            .unwrap()
+            .remove(0)
+            .result;
         assert_eq!(r.corrected, kind.estimate_count(&view), "{kind:?}");
         assert_eq!(r.method, kind.count_method_name(), "{kind:?}");
     }

@@ -13,7 +13,7 @@
 
 use uu_core::exec;
 use uu_core::montecarlo::MonteCarloConfig;
-use uu_query::exec::{execute_sql, execute_sql_grouped, CorrectionMethod};
+use uu_query::exec::{execute_sql, CorrectionMethod};
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::table::IntegratedTable;
 use uu_query::value::Value;
@@ -57,7 +57,7 @@ fn nested_grouped_monte_carlo_is_bit_for_bit_serial() {
 
     // Parallel grouped run: groups fan out on the executor, each group's
     // Monte-Carlo grid nests inside a worker.
-    let grouped = execute_sql_grouped(&table, "SELECT SUM(v) FROM t GROUP BY g", parallel_mc)
+    let grouped = execute_sql(&table, "SELECT SUM(v) FROM t GROUP BY g", parallel_mc)
         .expect("grouped query runs");
     assert_eq!(grouped.len(), 6);
 
@@ -73,7 +73,9 @@ fn nested_grouped_monte_carlo_is_bit_for_bit_serial() {
             &format!("SELECT SUM(v) FROM t WHERE g = '{g}'"),
             serial_mc,
         )
-        .expect("reference query runs");
+        .expect("reference query runs")
+        .remove(0)
+        .result;
         assert_eq!(row.result.observed, reference.observed, "group {g}");
         assert_eq!(row.result.corrected, reference.corrected, "group {g}");
         assert_eq!(row.result.n_hat, reference.n_hat, "group {g}");
@@ -82,7 +84,7 @@ fn nested_grouped_monte_carlo_is_bit_for_bit_serial() {
 
     // Two identical parallel runs agree with each other too (scheduling is
     // never observable).
-    let again = execute_sql_grouped(&table, "SELECT SUM(v) FROM t GROUP BY g", parallel_mc)
+    let again = execute_sql(&table, "SELECT SUM(v) FROM t GROUP BY g", parallel_mc)
         .expect("grouped query runs");
     for (a, b) in grouped.iter().zip(&again) {
         assert_eq!(a.key, b.key);

@@ -174,7 +174,7 @@ fn negative_values_are_handled() {
 /// sums add up to the ungrouped corrected sum within estimator variance.
 #[test]
 fn grouped_sql_over_generated_data() {
-    use uu_query::exec::{execute_sql, execute_sql_grouped, CorrectionMethod};
+    use uu_query::exec::{execute_sql, CorrectionMethod};
     use uu_query::schema::{ColumnType, Schema};
     use uu_query::table::IntegratedTable;
     use uu_query::value::Value;
@@ -197,7 +197,7 @@ fn grouped_sql_over_generated_data() {
             )
             .unwrap();
     }
-    let groups = execute_sql_grouped(
+    let groups = execute_sql(
         &table,
         "SELECT SUM(gdp) FROM us_states GROUP BY region",
         CorrectionMethod::Naive,
@@ -210,7 +210,9 @@ fn grouped_sql_over_generated_data() {
         "SELECT SUM(gdp) FROM us_states",
         CorrectionMethod::Naive,
     )
-    .unwrap();
+    .unwrap()
+    .remove(0)
+    .result;
     assert!((grouped_observed - whole.observed).abs() < 1e-6);
     for g in &groups {
         if let Some(corrected) = g.result.corrected {

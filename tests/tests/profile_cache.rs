@@ -1,15 +1,17 @@
-//! Cross-query profile reuse: the `ProfileCache` consulted by the cached
-//! execution paths must (a) return bit-for-bit the uncached results, (b) hit
-//! on repeated identical queries — counter-asserted, including that a hit
-//! performs zero statistics builds, (c) evict least-recently-used entries at
-//! capacity, and (d) invalidate on table mutation so results always reflect
-//! the current table state.
+//! Cross-query profile reuse: the `ProfileCache` consulted by
+//! `exec::selection` (and through it by `Catalog::execute_sql`) must (a)
+//! return bit-for-bit the uncached results, (b) hit on repeated identical
+//! queries — counter-asserted, including that a hit performs zero
+//! statistics builds, (c) evict least-recently-used entries at capacity,
+//! and (d) invalidate on table mutation so results always reflect the
+//! current table state.
 
 use uu_query::catalog::Catalog;
 use uu_query::exec::{
-    execute_cached, execute_grouped_cached, execute_sql, execute_sql_grouped, CorrectionMethod,
-    QueryProfileCache,
+    execute_sql, results_from_selection, selection, CorrectionMethod, GroupResult,
+    QueryProfileCache, QueryResult,
 };
+use uu_query::query::AggregateQuery;
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::sql::parse;
 use uu_query::table::IntegratedTable;
@@ -43,9 +45,28 @@ fn tech_table() -> IntegratedTable {
     t
 }
 
+/// `query` answered through `cache`: the selection is fetched (frozen and
+/// inserted on a miss) and answered, one row per universe.
+fn cached_rows(
+    table: &IntegratedTable,
+    query: &AggregateQuery,
+    method: CorrectionMethod,
+    cache: &QueryProfileCache,
+) -> Vec<GroupResult> {
+    let (snapshots, _) = selection(table, query, cache).unwrap();
+    results_from_selection(query, &snapshots, method)
+}
+
+/// The single `Null`-keyed row of an ungrouped answer.
+fn single(mut rows: Vec<GroupResult>) -> QueryResult {
+    assert_eq!(rows.len(), 1);
+    assert!(rows[0].key.is_null());
+    rows.pop().unwrap().result
+}
+
 /// Exact-equality comparison of the fields a cached run could plausibly
 /// corrupt.
-fn assert_same(a: &uu_query::exec::QueryResult, b: &uu_query::exec::QueryResult) {
+fn assert_same(a: &QueryResult, b: &QueryResult) {
     assert_eq!(a.observed.to_bits(), b.observed.to_bits());
     assert_eq!(a.corrected, b.corrected);
     assert_eq!(a.n_hat, b.n_hat);
@@ -61,9 +82,19 @@ fn repeated_queries_hit_and_match_the_uncached_path() {
     let sql = "SELECT SUM(employees) FROM companies WHERE employees < 5000";
     let query = parse(sql).unwrap();
 
-    let uncached = execute_sql(&table, sql, CorrectionMethod::Bucket).unwrap();
-    let first = execute_cached(&table, &query, CorrectionMethod::Bucket, &cache).unwrap();
-    let second = execute_cached(&table, &query, CorrectionMethod::Bucket, &cache).unwrap();
+    let uncached = single(execute_sql(&table, sql, CorrectionMethod::Bucket).unwrap());
+    let first = single(cached_rows(
+        &table,
+        &query,
+        CorrectionMethod::Bucket,
+        &cache,
+    ));
+    let second = single(cached_rows(
+        &table,
+        &query,
+        CorrectionMethod::Bucket,
+        &cache,
+    ));
     assert_same(&uncached, &first);
     assert_same(&first, &second);
 
@@ -88,8 +119,8 @@ fn repeated_queries_hit_and_match_the_uncached_path() {
         ),
     ] {
         let query = parse(sql).unwrap();
-        let cached = execute_cached(&table, &query, method, &cache).unwrap();
-        let direct = execute_sql(&table, sql, method).unwrap();
+        let cached = single(cached_rows(&table, &query, method, &cache));
+        let direct = single(execute_sql(&table, sql, method).unwrap());
         assert_same(&direct, &cached);
     }
     let m = cache.metrics();
@@ -125,9 +156,9 @@ fn grouped_queries_cache_per_group_universes() {
     let sql = "SELECT SUM(employees) FROM companies GROUP BY state";
     let query = parse(sql).unwrap();
 
-    let direct = execute_sql_grouped(&table, sql, CorrectionMethod::Naive).unwrap();
-    let cached1 = execute_grouped_cached(&table, &query, CorrectionMethod::Naive, &cache).unwrap();
-    let cached2 = execute_grouped_cached(&table, &query, CorrectionMethod::Naive, &cache).unwrap();
+    let direct = execute_sql(&table, sql, CorrectionMethod::Naive).unwrap();
+    let cached1 = cached_rows(&table, &query, CorrectionMethod::Naive, &cache);
+    let cached2 = cached_rows(&table, &query, CorrectionMethod::Naive, &cache);
 
     assert_eq!(direct.len(), cached1.len());
     for ((d, c1), c2) in direct.iter().zip(&cached1).zip(&cached2) {
@@ -152,7 +183,7 @@ fn capacity_bound_evicts_lru_selections() {
     ];
     for sql in queries {
         let q = parse(sql).unwrap();
-        let _ = execute_cached(&table, &q, CorrectionMethod::Bucket, &cache).unwrap();
+        let _ = single(cached_rows(&table, &q, CorrectionMethod::Bucket, &cache));
     }
     let m = cache.metrics();
     assert_eq!(m.misses, 3);
@@ -160,11 +191,11 @@ fn capacity_bound_evicts_lru_selections() {
     assert_eq!(m.len, 2);
     // The oldest selection was evicted: running it again misses …
     let q0 = parse(queries[0]).unwrap();
-    let _ = execute_cached(&table, &q0, CorrectionMethod::Bucket, &cache).unwrap();
+    let _ = single(cached_rows(&table, &q0, CorrectionMethod::Bucket, &cache));
     assert_eq!(cache.metrics().misses, 4);
     // … while the most recent one still hits.
     let q2 = parse(queries[2]).unwrap();
-    let _ = execute_cached(&table, &q2, CorrectionMethod::Bucket, &cache).unwrap();
+    let _ = single(cached_rows(&table, &q2, CorrectionMethod::Bucket, &cache));
     assert_eq!(cache.metrics().hits, 1);
 }
 
@@ -174,13 +205,9 @@ fn catalog_mutation_invalidates_and_results_track_the_new_state() {
     catalog.register(tech_table()).unwrap();
     let sql = "SELECT COUNT(*) FROM companies";
 
-    let before = catalog
-        .execute_sql_cached(sql, CorrectionMethod::Naive)
-        .unwrap();
+    let before = single(catalog.execute_sql(sql, CorrectionMethod::Naive).unwrap());
     assert_eq!(before.observed, 4.0);
-    let _ = catalog
-        .execute_sql_cached(sql, CorrectionMethod::Naive)
-        .unwrap();
+    let _ = single(catalog.execute_sql(sql, CorrectionMethod::Naive).unwrap());
     assert_eq!(catalog.cache().metrics().hits, 1);
 
     // Mutate: a brand-new entity arrives.
@@ -197,14 +224,10 @@ fn catalog_mutation_invalidates_and_results_track_the_new_state() {
         "get_mut must invalidate the table's entries"
     );
 
-    let after = catalog
-        .execute_sql_cached(sql, CorrectionMethod::Naive)
-        .unwrap();
+    let after = single(catalog.execute_sql(sql, CorrectionMethod::Naive).unwrap());
     assert_eq!(after.observed, 5.0, "cached result reflects the new row");
     // And the fresh state is itself cached again.
-    let again = catalog
-        .execute_sql_cached(sql, CorrectionMethod::Naive)
-        .unwrap();
+    let again = single(catalog.execute_sql(sql, CorrectionMethod::Naive).unwrap());
     assert_eq!(again.observed, 5.0);
     assert_eq!(catalog.cache().metrics().hits, 2);
 }
@@ -242,8 +265,8 @@ fn distinct_tables_with_equal_name_and_version_do_not_share_entries() {
     let cache = QueryProfileCache::new(8);
     let sql = "SELECT SUM(employees) FROM companies";
     let query = parse(sql).unwrap();
-    let ra = execute_cached(&a, &query, CorrectionMethod::None, &cache).unwrap();
-    let rb = execute_cached(&b, &query, CorrectionMethod::None, &cache).unwrap();
+    let ra = single(cached_rows(&a, &query, CorrectionMethod::None, &cache));
+    let rb = single(cached_rows(&b, &query, CorrectionMethod::None, &cache));
     assert_eq!(ra.observed, 13_300.0);
     assert_eq!(rb.observed, 5.0 * 77.0);
     assert_eq!(cache.metrics().misses, 2, "no cross-table hit");
@@ -251,7 +274,7 @@ fn distinct_tables_with_equal_name_and_version_do_not_share_entries() {
     // A clone is a new table object too: it may diverge from the original.
     let c = a.clone();
     assert_ne!(a.instance(), c.instance());
-    let _ = execute_cached(&c, &query, CorrectionMethod::None, &cache).unwrap();
+    let _ = single(cached_rows(&c, &query, CorrectionMethod::None, &cache));
     assert_eq!(cache.metrics().misses, 3);
 }
 
@@ -263,8 +286,18 @@ fn predicate_fingerprints_are_column_case_insensitive() {
     let cache = QueryProfileCache::new(8);
     let lower = parse("SELECT SUM(employees) FROM companies WHERE employees < 5000").unwrap();
     let upper = parse("SELECT SUM(employees) FROM companies WHERE EMPLOYEES < 5000").unwrap();
-    let r1 = execute_cached(&table, &lower, CorrectionMethod::Bucket, &cache).unwrap();
-    let r2 = execute_cached(&table, &upper, CorrectionMethod::Bucket, &cache).unwrap();
+    let r1 = single(cached_rows(
+        &table,
+        &lower,
+        CorrectionMethod::Bucket,
+        &cache,
+    ));
+    let r2 = single(cached_rows(
+        &table,
+        &upper,
+        CorrectionMethod::Bucket,
+        &cache,
+    ));
     assert_same(&r1, &r2);
     let m = cache.metrics();
     assert_eq!(m.misses, 1, "one universe, one entry");
@@ -276,14 +309,16 @@ fn grouped_cached_without_group_by_degrades_to_single_null_group() {
     let table = tech_table();
     let cache = QueryProfileCache::new(4);
     let query = parse("SELECT SUM(employees) FROM companies").unwrap();
-    let rows = execute_grouped_cached(&table, &query, CorrectionMethod::Bucket, &cache).unwrap();
+    let rows = cached_rows(&table, &query, CorrectionMethod::Bucket, &cache);
     assert_eq!(rows.len(), 1);
     assert!(rows[0].key.is_null());
-    let direct = execute_sql(
-        &table,
-        "SELECT SUM(employees) FROM companies",
-        CorrectionMethod::Bucket,
-    )
-    .unwrap();
+    let direct = single(
+        execute_sql(
+            &table,
+            "SELECT SUM(employees) FROM companies",
+            CorrectionMethod::Bucket,
+        )
+        .unwrap(),
+    );
     assert_same(&direct, &rows[0].result);
 }

@@ -103,8 +103,9 @@ fn expected_rows(catalog: &Catalog, sql: &str, estimators: &[&str]) -> Vec<WireR
         Some(uu_core::engine::EstimatorKind::MonteCarlo(cfg)) => CorrectionMethod::MonteCarlo(*cfg),
         Some(uu_core::engine::EstimatorKind::Policy) => CorrectionMethod::Auto,
     };
-    let (snapshots, _) = catalog.selection_sql(sql).unwrap();
-    let rows = catalog.execute_sql_grouped_cached(sql, method).unwrap();
+    let query = uu_query::sql::parse(sql).unwrap();
+    let (snapshots, _) = catalog.selection_query(&query).unwrap();
+    let rows = catalog.execute_sql(sql, method).unwrap();
     let session = EstimationSession::new(kinds.clone());
     rows.iter()
         .zip(snapshots.iter())
@@ -307,7 +308,7 @@ fn repeated_query_hits_the_cache_and_latency_is_recorded() {
 
 /// The acceptance pin for the prepared-query path: a prepared
 /// `execute_prepared`, an ad-hoc `query`, and a direct
-/// `Catalog::execute_sql_cached` call answer bit-for-bit identically for the
+/// `Catalog::execute_sql` call answer bit-for-bit identically for the
 /// same SQL — across ungrouped and grouped shapes.
 #[test]
 fn prepared_adhoc_and_direct_catalog_answers_agree_bit_for_bit() {
@@ -347,16 +348,16 @@ fn prepared_adhoc_and_direct_catalog_answers_agree_bit_for_bit() {
             assert_eq!(p.result.canonical(), a.result.canonical(), "{sql}");
         }
         // Prepared vs direct catalog calls (the expected_rows helper routes
-        // through selection_sql + execute_sql_grouped_cached — and for the
-        // ungrouped cases also pin `execute_sql_cached` itself below).
+        // through selection_query + execute_sql — and for the ungrouped
+        // cases also pin the single-row shape of `execute_sql` below).
         let expected = expected_rows(&catalog, sql, &estimators);
         for (p, want) in prepared.groups.iter().zip(&expected) {
             assert_eq!(p.result.canonical(), want.canonical(), "{sql}");
         }
         if !prepared.grouped {
-            let direct = catalog
-                .execute_sql_cached(sql, CorrectionMethod::Bucket)
-                .unwrap();
+            let mut direct = catalog.execute_sql(sql, CorrectionMethod::Bucket).unwrap();
+            assert_eq!(direct.len(), 1, "{sql}");
+            let direct = direct.remove(0).result;
             let got = prepared.single().unwrap();
             assert_eq!(got.observed.to_bits(), direct.observed.to_bits(), "{sql}");
             assert_eq!(

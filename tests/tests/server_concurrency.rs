@@ -129,10 +129,9 @@ fn expected(catalog: &Catalog, case: &Case) -> Vec<String> {
         .iter()
         .map(|n| EstimatorKind::by_name(n).unwrap())
         .collect();
-    let (snapshots, _) = catalog.selection_sql(sql).unwrap();
-    let rows = catalog
-        .execute_sql_grouped_cached(sql, method_for(&kinds))
-        .unwrap();
+    let query = uu_query::sql::parse(sql).unwrap();
+    let (snapshots, _) = catalog.selection_query(&query).unwrap();
+    let rows = catalog.execute_sql(sql, method_for(&kinds)).unwrap();
     let session = EstimationSession::new(kinds);
     rows.iter()
         .zip(snapshots.iter())

@@ -113,8 +113,10 @@ fn dispatched_queries_match_direct_catalog_calls_bit_for_bit() {
         "SELECT SUM(employees) FROM companies WHERE employees < 5000",
     ] {
         let direct = catalog
-            .execute_sql_cached(sql, CorrectionMethod::Bucket)
-            .unwrap();
+            .execute_sql(sql, CorrectionMethod::Bucket)
+            .unwrap()
+            .remove(0)
+            .result;
         let response = service.dispatch(
             &mut ctx,
             Request::Query(QueryRequest {

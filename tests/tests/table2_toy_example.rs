@@ -106,20 +106,35 @@ fn end_to_end_through_the_query_engine() {
     }
 
     let sql = "SELECT SUM(employees) FROM k";
-    let naive = execute_sql(&table, sql, CorrectionMethod::Naive).unwrap();
+    let naive = execute_sql(&table, sql, CorrectionMethod::Naive)
+        .unwrap()
+        .remove(0)
+        .result;
     assert!((naive.corrected.unwrap() - 16_009.0).abs() < 0.5);
-    let bucket = execute_sql(&table, sql, CorrectionMethod::Bucket).unwrap();
+    let bucket = execute_sql(&table, sql, CorrectionMethod::Bucket)
+        .unwrap()
+        .remove(0)
+        .result;
     assert!((bucket.corrected.unwrap() - 14_500.0).abs() < 1e-9);
 
     // s5 arrives: {A, E}.
     push(&mut table, 4, "A", 1000.0);
     push(&mut table, 4, "E", 300.0);
 
-    let naive = execute_sql(&table, sql, CorrectionMethod::Naive).unwrap();
+    let naive = execute_sql(&table, sql, CorrectionMethod::Naive)
+        .unwrap()
+        .remove(0)
+        .result;
     assert!((naive.corrected.unwrap() - 14_962.5).abs() < 1e-6);
-    let freq = execute_sql(&table, sql, CorrectionMethod::Frequency).unwrap();
+    let freq = execute_sql(&table, sql, CorrectionMethod::Frequency)
+        .unwrap()
+        .remove(0)
+        .result;
     assert!((freq.corrected.unwrap() - 13_450.0).abs() < 1e-6);
-    let bucket = execute_sql(&table, sql, CorrectionMethod::Bucket).unwrap();
+    let bucket = execute_sql(&table, sql, CorrectionMethod::Bucket)
+        .unwrap()
+        .remove(0)
+        .result;
     assert!((bucket.corrected.unwrap() - 13_950.0).abs() < 1e-6);
 
     // Adding s5 improved every estimator, exactly as the table reads.

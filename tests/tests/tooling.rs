@@ -44,7 +44,9 @@ worker,company,employees
             "SELECT SUM(employees) FROM companies",
             CorrectionMethod::Bucket,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0)
+        .result;
     assert_eq!(r.observed, 13_300.0);
     assert!((r.corrected.unwrap() - 13_950.0).abs() < 1e-6); // Table 2
 }
@@ -143,7 +145,9 @@ fn catalog_hosts_multiple_tables() {
                 &format!("SELECT SUM(v) FROM {name}"),
                 CorrectionMethod::Naive,
             )
-            .unwrap();
+            .unwrap()
+            .remove(0)
+            .result;
         assert_eq!(r.observed, 3.0);
         assert_eq!(r.corrected, Some(3.0)); // complete: every entity seen twice
     }
@@ -155,10 +159,14 @@ fn catalog_hosts_multiple_tables() {
         .unwrap();
     let east = catalog
         .execute_sql("SELECT COUNT(*) FROM east", CorrectionMethod::None)
-        .unwrap();
+        .unwrap()
+        .remove(0)
+        .result;
     let west = catalog
         .execute_sql("SELECT COUNT(*) FROM west", CorrectionMethod::None)
-        .unwrap();
+        .unwrap()
+        .remove(0)
+        .result;
     assert_eq!(east.observed, 3.0);
     assert_eq!(west.observed, 2.0);
 }
