@@ -6,6 +6,8 @@
 //! * **select** — predicate evaluation + view assembly:
 //!   `oracle::sample_view_rows` (per-record `Predicate::eval` over boxed values)
 //!   vs `sample_view` (bitmap kernels over the cached projection).
+//! * **mask** — the predicate kernel alone, `selection_mask_bits` (the
+//!   selection bitmap a cold miss freezes, without item assembly).
 //! * **sort** — the value sort behind the frequency ladder / buckets:
 //!   a from-scratch stable sort of the selected items vs
 //!   `sample_view_with_sorted` (filtering the projection's memoized
@@ -98,6 +100,9 @@ fn bench_columnar_scan(c: &mut Criterion) {
             black_box(view.items().len())
         })
     });
+    group.bench_function("mask_columnar", |b| {
+        b.iter(|| black_box(table.selection_mask_bits(Some("v"), &pred).unwrap()))
+    });
     group.bench_function("sort_rows", |b| {
         b.iter(|| {
             let view = oracle::sample_view_rows(&table, Some("v"), &pred).unwrap();
@@ -143,6 +148,12 @@ fn bench_columnar_scan(c: &mut Criterion) {
         "select_columnar",
         Box::new(|| {
             black_box(table.sample_view(Some("v"), &pred).unwrap().items().len());
+        }),
+    );
+    record(
+        "mask_columnar",
+        Box::new(|| {
+            black_box(table.selection_mask_bits(Some("v"), &pred).unwrap());
         }),
     );
     record(

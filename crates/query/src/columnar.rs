@@ -16,9 +16,10 @@
 //! sort permutations  per numeric column, valid rows ascending (lazy)
 //! ```
 //!
-//! Predicates compile to tight loops producing `(true, false)` bitmap pairs
-//! (Kleene three-valued logic: a row with neither bit set is *unknown*), so
-//! AND/OR/NOT become word-wide bit operations. The value sort is computed
+//! Predicates compile to `(true, false)` bitmap pairs (Kleene three-valued
+//! logic: a row with neither bit set is *unknown*) through one word kernel
+//! that compares 64 rows per step without a per-row branch, so AND/OR/NOT
+//! become word-wide bit operations. The value sort is computed
 //! once per column as a stable permutation of the valid rows; every
 //! selection's sorted order is derived by filtering that permutation, never
 //! by re-sorting. All kernels reproduce the row path bit for bit — the same
@@ -146,20 +147,6 @@ impl Mask {
             t: self.f,
             f: self.t,
         }
-    }
-}
-
-/// The comparison acceptance function for an operator, over the
-/// three-valued `compare` result of a *comparable* pair.
-fn pass_fn(op: CmpOp) -> fn(std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering;
-    match op {
-        CmpOp::Eq => Ordering::is_eq,
-        CmpOp::Ne => Ordering::is_ne,
-        CmpOp::Lt => Ordering::is_lt,
-        CmpOp::Le => Ordering::is_le,
-        CmpOp::Gt => Ordering::is_gt,
-        CmpOp::Ge => Ordering::is_ge,
     }
 }
 
@@ -641,7 +628,9 @@ impl Projection {
         }
     }
 
-    /// The comparison kernel: one column against one literal.
+    /// The comparison kernel: one column against one literal. Every typed
+    /// comparison maps both sides to an `i64` key whose order is the
+    /// `Value::compare` order, and runs through `cmp_words`.
     fn cmp_mask(&self, col: usize, op: CmpOp, lit: &Value) -> Mask {
         let c = &self.columns[col];
         match (&c.data, lit) {
@@ -655,83 +644,77 @@ impl Projection {
                     rank,
                 },
                 Value::Str(s),
-            ) => cmp_str(codes, pool, sorted, rank, &c.valid, op, s),
+            ) => {
+                // Rows key on twice their dictionary rank; an absent literal
+                // keys on the odd slot just below its insertion rank, so it
+                // orders between its neighbours and equals no row.
+                let lit_rank = sorted.partition_point(|&i| pool[i as usize].as_str() < s);
+                let present = sorted
+                    .get(lit_rank)
+                    .is_some_and(|&i| pool[i as usize] == *s);
+                let lit = 2 * lit_rank as i64 - i64::from(!present);
+                // NULL rows of an all-NULL column hold code 0 over an empty
+                // pool; validity masks whatever key they get.
+                let key = |code: u32| rank.get(code as usize).map_or(0, |&r| 2 * i64::from(r));
+                cmp_words(codes, &c.valid, op, lit, key)
+            }
             // String vs. number (either direction): incomparable.
             (ColumnData::Str { .. }, _) | (_, Value::Str(_)) => Mask::all_unknown(self.rows),
             (ColumnData::Float(values), lit) => {
-                let l = lit.as_f64().expect("numeric literal");
-                cmp_numeric(&c.valid, op, l, |row| values[row])
+                let l = total_key(lit.as_f64().expect("numeric literal"));
+                cmp_words(values, &c.valid, op, l, total_key)
             }
             (ColumnData::Int(values), lit) => {
-                let l = lit.as_f64().expect("numeric literal");
-                cmp_numeric(&c.valid, op, l, |row| values[row] as f64)
+                let l = total_key(lit.as_f64().expect("numeric literal"));
+                cmp_words(values, &c.valid, op, l, |v| total_key(v as f64))
             }
         }
     }
 }
 
-/// Numeric comparison loop: NULL rows stay unknown; valid rows order by
-/// `total_cmp` over the widened value, exactly as `Value::compare`.
-fn cmp_numeric(valid: &[u64], op: CmpOp, lit: f64, value_at: impl Fn(usize) -> f64) -> Mask {
-    let pass = pass_fn(op);
-    let mut t = vec![0u64; valid.len()];
-    let mut f = vec![0u64; valid.len()];
-    for (w, &vw) in valid.iter().enumerate() {
-        let mut bits = vw;
-        let (tw, fw) = (&mut t[w], &mut f[w]);
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if pass(value_at(w * WORD + b).total_cmp(&lit)) {
-                *tw |= 1 << b;
-            } else {
-                *fw |= 1 << b;
-            }
-        }
-    }
-    Mask { t, f }
+/// An `i64` whose signed order is `f64::total_cmp` order (the same bit
+/// transform `total_cmp` applies), so numeric rows compare as integers.
+#[inline]
+fn total_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// String comparison loop over dictionary codes: the literal's rank in the
-/// lexicographic dictionary order turns string comparison into integer
-/// comparison per row.
-fn cmp_str(
-    codes: &[u32],
-    pool: &[String],
-    sorted: &[u32],
-    rank: &[u32],
+/// The word kernel: compares 64 rows per step with no data-dependent
+/// branch. The operator is matched once; each 64-row chunk of `values`
+/// folds `key(value) op lit` into one `u64`, which validity splits into
+/// true and false bits (NULL rows stay unknown, bits past the last row stay
+/// clear).
+fn cmp_words<T: Copy>(
+    values: &[T],
     valid: &[u64],
     op: CmpOp,
-    lit: &str,
+    lit: i64,
+    key: impl Fn(T) -> i64,
 ) -> Mask {
-    use std::cmp::Ordering;
-    let pass = pass_fn(op);
-    let lit_rank = sorted.partition_point(|&i| pool[i as usize].as_str() < lit) as u32;
-    let present = sorted
-        .get(lit_rank as usize)
-        .is_some_and(|&i| pool[i as usize] == lit);
-    let mut t = vec![0u64; valid.len()];
-    let mut f = vec![0u64; valid.len()];
-    for (w, &vw) in valid.iter().enumerate() {
-        let mut bits = vw;
-        let (tw, fw) = (&mut t[w], &mut f[w]);
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let code = codes[w * WORD + b];
-            let ord = match rank[code as usize].cmp(&lit_rank) {
-                Ordering::Less => Ordering::Less,
-                Ordering::Equal if present => Ordering::Equal,
-                _ => Ordering::Greater,
-            };
-            if pass(ord) {
-                *tw |= 1 << b;
-            } else {
-                *fw |= 1 << b;
+    fn fold<T: Copy>(values: &[T], valid: &[u64], pass: impl Fn(T) -> bool) -> Mask {
+        let (mut t, mut f) = (
+            Vec::with_capacity(valid.len()),
+            Vec::with_capacity(valid.len()),
+        );
+        for (chunk, &vw) in values.chunks(WORD).zip(valid) {
+            let mut word = 0u64;
+            for (b, &v) in chunk.iter().enumerate() {
+                word |= (pass(v) as u64) << b;
             }
+            t.push(word & vw);
+            f.push(!word & vw);
         }
+        Mask { t, f }
     }
-    Mask { t, f }
+    match op {
+        CmpOp::Eq => fold(values, valid, |v| key(v) == lit),
+        CmpOp::Ne => fold(values, valid, |v| key(v) != lit),
+        CmpOp::Lt => fold(values, valid, |v| key(v) < lit),
+        CmpOp::Le => fold(values, valid, |v| key(v) <= lit),
+        CmpOp::Gt => fold(values, valid, |v| key(v) > lit),
+        CmpOp::Ge => fold(values, valid, |v| key(v) >= lit),
+    }
 }
 
 /// Derives the sorted item permutation of a selection from the full-column
@@ -1019,5 +1002,160 @@ mod tests {
         // Items in table order: [3.0, 3.0, 2.0, 1.0, 0.5]; stable ascending
         // sort of those items is [0.5, 1.0, 2.0, 3.0, 3.0] = items 4,3,2,0,1.
         assert_eq!(idx, vec![4, 3, 2, 0, 1]);
+    }
+
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// Checks one comparison mask against `Value::compare` plus the operator
+    /// on every row, and that no bit past the last row is set.
+    fn assert_mask_matches(mask: &Mask, cells: &[Value], op: CmpOp, lit: &Value, what: &str) {
+        let want_for = |cell: &Value| {
+            cell.compare(lit).map(|ord| match op {
+                CmpOp::Eq => ord.is_eq(),
+                CmpOp::Ne => ord.is_ne(),
+                CmpOp::Lt => ord.is_lt(),
+                CmpOp::Le => ord.is_le(),
+                CmpOp::Gt => ord.is_gt(),
+                CmpOp::Ge => ord.is_ge(),
+            })
+        };
+        assert_eq!(mask.t.len(), words_for(cells.len()), "{what}");
+        assert_eq!(mask.f.len(), words_for(cells.len()), "{what}");
+        for (row, cell) in cells.iter().enumerate() {
+            let want = want_for(cell);
+            let got = (bit(&mask.t, row), bit(&mask.f, row));
+            let expected = (want == Some(true), want == Some(false));
+            assert_eq!(got, expected, "{what}: {cell:?} {op} {lit:?} at row {row}");
+        }
+        for row in cells.len()..mask.t.len() * WORD {
+            assert!(
+                !bit(&mask.t, row) && !bit(&mask.f, row),
+                "{what}: bit {row}"
+            );
+        }
+    }
+
+    #[test]
+    fn word_kernel_matches_value_compare_on_numeric_columns() {
+        let schema = Schema::new([
+            ("k", ColumnType::Int),
+            ("x", ColumnType::Float),
+            ("n", ColumnType::Int),
+        ]);
+        let big = (1i64 << 53) + 1;
+        let floats = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0,
+            1.5,
+            2.0,
+            -3.25,
+            big as f64,
+            1e300,
+        ];
+        let ints = [0, 1, 2, -1, 3, big, big - 2, i64::MAX, i64::MIN, -7];
+        let lits = [
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Int(big),
+            Value::Float(1.5),
+            Value::Int(2),
+        ];
+        for rows in [1, 63, 64, 65, 127, 128, 129] {
+            // NULLs fall in the last word: every third row of it.
+            let last_word = (rows - 1) / WORD * WORD;
+            let null_at = |row: usize| row >= last_word && (row - last_word) % 3 == 2;
+            let table: Vec<Vec<Value>> = (0..rows)
+                .map(|row| {
+                    let (x, n) = if null_at(row) {
+                        (Value::Null, Value::Null)
+                    } else {
+                        (
+                            Value::Float(floats[row % floats.len()]),
+                            Value::Int(ints[row * 7 % ints.len()]),
+                        )
+                    };
+                    vec![Value::Int(row as i64), x, n]
+                })
+                .collect();
+            let proj = Projection::build(&schema, &entities(&schema, table.clone()), 0);
+            for col in [1, 2] {
+                let cells: Vec<Value> = table.iter().map(|r| r[col].clone()).collect();
+                for op in OPS {
+                    for lit in &lits {
+                        let mask = proj.cmp_mask(col, op, lit);
+                        assert_mask_matches(
+                            &mask,
+                            &cells,
+                            op,
+                            lit,
+                            &format!("{rows} rows, col {col}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_kernel_matches_value_compare_on_a_grown_dictionary() {
+        let schema = Schema::new([("k", ColumnType::Int), ("s", ColumnType::Str)]);
+        // The build sees only "bb", "dd", "ff"; the append adds strings
+        // before, between and after them, whose codes sit at the pool end.
+        let old = ["dd", "bb", "ff"];
+        let new = ["gg", "cc", "aa", "ee", "dd"];
+        let rows = 129;
+        let old_rows = 70;
+        let cells: Vec<Value> = (0..rows)
+            .map(|row| match row {
+                r if r >= 128 || (r >= 64 && r % 4 == 1) => Value::Null,
+                r if r < old_rows => Value::from(old[r % old.len()]),
+                r => Value::from(new[r % new.len()]),
+            })
+            .collect();
+        let table: Vec<Vec<Value>> = cells
+            .iter()
+            .enumerate()
+            .map(|(row, cell)| vec![Value::Int(row as i64), cell.clone()])
+            .collect();
+        let ents = entities(&schema, table);
+        let mut proj = Projection::build(&schema, &ents[..old_rows], 0);
+        proj.extend_for_append(&schema, &ents, &[], 1);
+        let lits = [
+            "a", "aa", "bb", "bc", "cc", "cd", "dd", "ee", "ff", "fz", "gg", "zz",
+        ];
+        for op in OPS {
+            for lit in lits {
+                let lit = Value::from(lit);
+                let mask = proj.cmp_mask(1, op, &lit);
+                assert_mask_matches(&mask, &cells, op, &lit, "grown dictionary");
+            }
+        }
+        // An all-NULL TEXT column has an empty pool: every row is unknown.
+        let nulls = entities(&schema, vec![vec![Value::Int(0), Value::Null]; 3]);
+        let proj = Projection::build(&schema, &nulls, 0);
+        let mask = proj.cmp_mask(1, CmpOp::Ge, &Value::from("a"));
+        assert_mask_matches(
+            &mask,
+            &vec![Value::Null; 3],
+            CmpOp::Ge,
+            &Value::from("a"),
+            "empty pool",
+        );
     }
 }

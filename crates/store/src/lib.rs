@@ -154,6 +154,10 @@ pub struct Store {
     /// WAL payloads scanned at open, consumed by [`Store::recover`].
     pending_replay: Mutex<Vec<Vec<u8>>>,
     last_checkpoint: Mutex<Option<Instant>>,
+    /// Held across a whole checkpoint: callers may checkpoint concurrently
+    /// under the catalog read lock, and each table's snapshot goes through
+    /// one fixed temp file name.
+    checkpointing: Mutex<()>,
     rows_since_checkpoint: AtomicU64,
     wal_records: AtomicU64,
     wal_bytes: AtomicU64,
@@ -187,6 +191,7 @@ impl Store {
             wal: Mutex::new(wal),
             pending_replay: Mutex::new(scan.payloads),
             last_checkpoint: Mutex::new(None),
+            checkpointing: Mutex::new(()),
             rows_since_checkpoint: AtomicU64::new(0),
             wal_records: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
@@ -363,8 +368,9 @@ impl Store {
     /// inside the snapshots now. Returns `(tables, bytes written)`. The
     /// caller must hold the catalog lock (read suffices: appends take the
     /// write lock, so no record can land between the snapshots and the
-    /// truncate).
+    /// truncate). Concurrent calls run one at a time.
     pub fn checkpoint(&self, catalog: &Catalog) -> Result<(u64, u64), StoreError> {
+        let _serial = self.checkpointing.lock().expect("checkpoint lock");
         let mut tables = 0u64;
         let mut bytes = 0u64;
         for table in catalog.tables() {

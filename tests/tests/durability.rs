@@ -15,6 +15,10 @@
 //! 3. **Clean shutdown** — the `shutdown` verb writes a final checkpoint,
 //!    so a restart replays zero WAL records and still serves the first
 //!    query from the re-warmed cache.
+//! 4. **Concurrent checkpoints** — the `checkpoint` verb and `shutdown`
+//!    both checkpoint under the catalog *read* lock, so two checkpoints may
+//!    overlap each other and queries; each must succeed and leave a
+//!    directory that recovers.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -377,4 +381,65 @@ fn clean_shutdown_restarts_with_an_empty_wal_and_a_warm_cache() {
     );
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// Layer 4: two threads checkpoint the same catalog at once while a third
+/// queries it. Every checkpoint must succeed, and after every round the
+/// directory must open and recover to the live answer.
+#[test]
+fn concurrent_checkpoints_all_succeed_and_recover() {
+    const ROUNDS: u32 = 30;
+    const CALLS: u32 = 20;
+    let dir = scratch("concurrent-checkpoint");
+    let store = Store::open(&dir, FsyncPolicy::Off, u64::MAX, u64::MAX).unwrap();
+    let mut catalog = Catalog::new();
+    let first = batch(0);
+    store
+        .log_fresh("companies", &columns(), "company", &first)
+        .unwrap();
+    let mut staged = IntegratedTable::new("companies", Schema::new(columns()), "company").unwrap();
+    for (source, values) in &first {
+        staged.insert_observation(*source, values.clone()).unwrap();
+    }
+    catalog.register(staged).unwrap();
+    for i in 1..40 {
+        let version_before = catalog.get("companies").unwrap().version();
+        let b = batch(i);
+        store.log_append("companies", version_before, &b).unwrap();
+        catalog.append_observations("companies", b).unwrap();
+    }
+    let want = answer(&catalog);
+
+    for round in 0..ROUNDS {
+        let errors: Vec<String> = std::thread::scope(|s| {
+            let (store, catalog, want) = (&store, &catalog, &want);
+            let checkpointers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(move || {
+                        (0..CALLS)
+                            .filter_map(|_| store.checkpoint(catalog).err())
+                            .map(|e| e.to_string())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let reader = s.spawn(move || {
+                for _ in 0..CALLS {
+                    assert_eq!(&answer(catalog), want);
+                }
+            });
+            reader.join().unwrap();
+            checkpointers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert!(errors.is_empty(), "round {round}: {errors:?}");
+
+        let reopened = Store::open(&dir, FsyncPolicy::Off, u64::MAX, u64::MAX).unwrap();
+        let mut recovered = Catalog::new();
+        reopened.recover(&mut recovered).unwrap();
+        assert_eq!(answer(&recovered), want, "round {round}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
