@@ -4,17 +4,17 @@
 //! measures the three primitives every cold query pays, on both paths:
 //!
 //! * **select** — predicate evaluation + view assembly:
-//!   `oracle::sample_view_rows` (per-record `Predicate::eval` over boxed values)
-//!   vs `sample_view` (bitmap kernels over the cached projection).
+//!   `RowTable::sample_view` (per-record `Predicate::eval` over boxed values
+//!   in the row oracle, built from the same observations) vs `sample_view`
+//!   (bitmap kernels over the table's columns).
 //! * **mask** — the predicate kernel alone, `selection_mask_bits` (the
 //!   selection bitmap a cold miss freezes, without item assembly).
 //! * **sort** — the value sort behind the frequency ladder / buckets:
 //!   a from-scratch stable sort of the selected items vs
-//!   `sample_view_with_sorted` (filtering the projection's memoized
+//!   `sample_view_with_sorted` (filtering the column's memoized
 //!   full-column permutation).
-//! * **projection_build** — the one-off cost of materializing the columnar
-//!   buffers (paid once per `(instance, version)`, amortized across every
-//!   query until the next mutation).
+//! * **restore** — `IntegratedTable::restore` from persisted `EntityRows`:
+//!   writing every column from rows, which is what recovery pays per table.
 //!
 //! Like the other harness benches, every case is re-timed explicitly and
 //! written as machine-readable JSON to `BENCH_columnar_scan.json` (in
@@ -23,23 +23,27 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use uu_bench::oracle;
+use uu_bench::oracle::RowTable;
 use uu_query::predicate::{CmpOp, Predicate};
 use uu_query::schema::{ColumnType, Schema};
-use uu_query::table::IntegratedTable;
+use uu_query::table::{EntityRows, IntegratedTable};
 use uu_query::value::Value;
 use uu_stats::rng::Rng;
 
 const ENTITIES: usize = 20_000;
 const SOURCES: u32 = 6;
 
-fn table() -> IntegratedTable {
-    let schema = Schema::new([
+fn schema() -> Schema {
+    Schema::new([
         ("k", ColumnType::Str),
         ("v", ColumnType::Float),
         ("g", ColumnType::Str),
-    ]);
-    let mut t = IntegratedTable::new("t", schema, "k").unwrap();
+    ])
+}
+
+/// The observations behind the benched table.
+fn observations() -> Vec<(u32, Vec<Value>)> {
+    let mut out = Vec::new();
     let mut rng = Rng::new(0xC01);
     for i in 0..ENTITIES {
         // Skewed multiplicities: popular entities observed by more sources.
@@ -51,18 +55,17 @@ fn table() -> IntegratedTable {
         };
         let group = format!("g{}", i % 7);
         for s in 0..observations {
-            t.insert_observation(
+            out.push((
                 s,
                 vec![
                     Value::from(format!("e{i}")),
                     value.clone(),
                     Value::from(group.as_str()),
                 ],
-            )
-            .unwrap();
+            ));
         }
     }
-    t
+    out
 }
 
 /// ~half the rows pass: a numeric range AND a string exclusion, so both the
@@ -78,10 +81,15 @@ fn predicate() -> Predicate {
 }
 
 fn bench_columnar_scan(c: &mut Criterion) {
-    let table = table();
+    let mut table = IntegratedTable::new("t", schema(), "k").unwrap();
+    for (source, values) in observations() {
+        table.insert_observation(source, values).unwrap();
+    }
+    let rows = RowTable::from_observations(schema(), "k", observations()).unwrap();
+    rows.assert_same_entities(&table).unwrap();
     let pred = predicate();
-    // Warm the projection + sort permutation so the steady-state cases
-    // measure the kernels, not the one-off build (recorded separately).
+    // Warm the sort permutation so the steady-state cases measure the
+    // kernels, not the one-off sort.
     table.warm_projection(Some("v")).unwrap();
     let selected = table.sample_view(Some("v"), &pred).unwrap().items().len();
     assert!(selected > 0, "the predicate must select something");
@@ -90,7 +98,7 @@ fn bench_columnar_scan(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("select_rows", |b| {
         b.iter(|| {
-            let view = oracle::sample_view_rows(&table, Some("v"), &pred).unwrap();
+            let view = rows.sample_view(Some("v"), &pred).unwrap();
             black_box(view.items().len())
         })
     });
@@ -105,7 +113,7 @@ fn bench_columnar_scan(c: &mut Criterion) {
     });
     group.bench_function("sort_rows", |b| {
         b.iter(|| {
-            let view = oracle::sample_view_rows(&table, Some("v"), &pred).unwrap();
+            let view = rows.sample_view(Some("v"), &pred).unwrap();
             black_box(view.items_sorted_by_value().len())
         })
     });
@@ -136,12 +144,7 @@ fn bench_columnar_scan(c: &mut Criterion) {
     record(
         "select_rows",
         Box::new(|| {
-            black_box(
-                oracle::sample_view_rows(&table, Some("v"), &pred)
-                    .unwrap()
-                    .items()
-                    .len(),
-            );
+            black_box(rows.sample_view(Some("v"), &pred).unwrap().items().len());
         }),
     );
     record(
@@ -159,7 +162,7 @@ fn bench_columnar_scan(c: &mut Criterion) {
     record(
         "sort_rows",
         Box::new(|| {
-            let view = oracle::sample_view_rows(&table, Some("v"), &pred).unwrap();
+            let view = rows.sample_view(Some("v"), &pred).unwrap();
             black_box(view.items_sorted_by_value().len());
         }),
     );
@@ -170,15 +173,21 @@ fn bench_columnar_scan(c: &mut Criterion) {
             black_box((view.items().len(), sorted.len()));
         }),
     );
-    // Projection build timed on pre-made clones (a clone starts cold), so
-    // the clone itself stays outside the measurement.
+    // Restore timed on pre-made copies of the persisted rows, so the copy
+    // itself stays outside the measurement.
     {
-        let mut fresh: Vec<IntegratedTable> = (0..samples + 1).map(|_| table.clone()).collect();
+        let persisted: EntityRows = table
+            .entities()
+            .map(|e| (e.record.into_values(), e.source_counts))
+            .collect();
+        let version = table.version();
+        let mut copies: Vec<EntityRows> = (0..samples + 1).map(|_| persisted.clone()).collect();
         record(
-            "projection_build",
+            "restore",
             Box::new(move || {
-                let t = fresh.pop().expect("one clone per run");
-                black_box(t.projection().rows());
+                let rows = copies.pop().expect("one copy per run");
+                let t = IntegratedTable::restore("t", schema(), "k", rows, version).unwrap();
+                black_box(t.len());
             }),
         );
     }

@@ -45,8 +45,8 @@ const PER_GROUP: usize = 240;
 const SQL: &str = "SELECT SUM(v) FROM t";
 const GROUPED_SQL: &str = "SELECT SUM(v) FROM t GROUP BY g";
 /// A twin table left completely untouched until the `cold_columnar`
-/// measurement: its one round-trip pays the projection build **and** the
-/// vectorized statistics, with no cache anywhere.
+/// measurement: its one round-trip pays the first column sort, the
+/// vectorized selection and the statistics, with no cache anywhere.
 const COLD_SQL: &str = "SELECT SUM(v) FROM t_cold";
 /// A third twin reserved for the incremental-append cases, so the appends
 /// never perturb the tables behind the cache-hit measurements.
@@ -115,7 +115,8 @@ fn bench_server(c: &mut Criterion) {
     let grouped_cold_ns = start.elapsed().as_secs_f64() * 1e9;
     assert!(!grouped_cold.cache_hit);
     // Fully cold columnar round-trip: first contact with `t_cold` ever, so
-    // the time includes the projection build + vectorized selection/sort.
+    // the time includes the column's first sort permutation + vectorized
+    // selection + the freeze of every statistic.
     let start = Instant::now();
     let cold_columnar = client.query(COLD_SQL, ESTIMATORS, false).unwrap();
     let cold_columnar_ns = start.elapsed().as_secs_f64() * 1e9;
@@ -323,7 +324,7 @@ fn bench_server(c: &mut Criterion) {
     // Incremental maintenance's payoff case: each sample appends a 100-row
     // batch of new entities (untimed — the maintenance cost is what
     // `append_stream_sustained` measures) and then times the very next
-    // query. Without delta maintenance that query is a full cold rebuild
+    // query. Without delta maintenance that query is a full cold freeze
     // (`cold_columnar`); with it, the re-frozen snapshot answers as a cache
     // hit — the ratio the regression gate pins at 0.25x.
     {

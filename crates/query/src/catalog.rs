@@ -143,7 +143,7 @@ impl Catalog {
 
     /// Appends a batch of observations to a registered table through the
     /// delta-maintenance path: the table applies the batch as an append
-    /// (growing its columnar projection and sort permutations in place) and
+    /// (growing its columns and sort permutations in place) and
     /// every cached selection of the table is re-frozen at the new version
     /// from the delta rows alone, instead of being evicted. Selections that
     /// cannot be maintained incrementally are dropped (counted as fallback
@@ -333,13 +333,12 @@ impl Catalog {
     }
 
     /// Pre-warms the embedded cache for `sql` without computing an
-    /// aggregate: the table's columnar projection and the aggregate column's
-    /// sort permutation are built first, then the selection's per-universe
-    /// statistics are captured (eagerly, via `ViewProfile::warm` on the
-    /// shared executor) and frozen — so the next execution of the same
-    /// query is a pure cache hit, and a *different* query over the same
-    /// table still finds the columnar layers ready. Returns
-    /// `(universes warmed, was already cached)`.
+    /// aggregate: the aggregate column's sort permutation is built first,
+    /// then the selection's per-universe statistics are captured (eagerly,
+    /// via `ViewProfile::warm` on the shared executor) and frozen — so the
+    /// next execution of the same query is a pure cache hit, and a
+    /// *different* query over the same table still finds the sort ready.
+    /// Returns `(universes warmed, was already cached)`.
     pub fn warm_sql(&self, sql: &str) -> Result<(usize, bool), ExecError> {
         let query = parse(sql)?;
         let table = self
@@ -350,20 +349,17 @@ impl Catalog {
         Ok((snapshots.len(), hit))
     }
 
-    /// Aggregated columnar-projection telemetry across all registered
-    /// tables: `(builds, reuses, materialized bytes)` — the numbers behind
-    /// the server `stats` verb.
+    /// Aggregated column-store telemetry across all registered tables:
+    /// `(tables restored from persisted rows, reads served by the columns,
+    /// column-store bytes)` — the numbers behind the server `stats` verb's
+    /// `projection` block.
     pub fn projection_stats(&self) -> (u64, u64, usize) {
-        let mut builds = 0;
-        let mut reuses = 0;
-        let mut bytes = 0;
-        for table in self.tables.values() {
-            let (b, r) = table.projection_metrics();
-            builds += b;
-            reuses += r;
-            bytes += table.projection_bytes();
-        }
-        (builds, reuses, bytes)
+        self.tables
+            .values()
+            .fold((0, 0, 0), |(builds, reuses, bytes), t| {
+                let (b, r) = t.projection_metrics();
+                (builds + b, reuses + r, bytes + t.projection_bytes())
+            })
     }
 }
 
@@ -513,18 +509,19 @@ mod tests {
     fn warm_sql_builds_the_columnar_layers_too() {
         let mut catalog = Catalog::new();
         catalog.register(table("t")).unwrap();
+        let (_, _, cold_bytes) = catalog.projection_stats();
         catalog.warm_sql("SELECT SUM(v) FROM t").unwrap();
-        let (builds, _, bytes) = catalog.projection_stats();
-        assert_eq!(builds, 1);
-        assert!(bytes > 0);
-        // The warmed projection serves subsequent cold queries of *other*
-        // predicates without another build.
+        // The aggregate column's sort permutation is built and held.
+        let (builds, reads, bytes) = catalog.projection_stats();
+        assert_eq!(builds, 0, "no table was restored from persisted rows");
+        assert!(bytes > cold_bytes);
+        // Cold queries of *other* predicates read the same columns.
         catalog
             .execute_sql("SELECT SUM(v) FROM t WHERE v > 1", CorrectionMethod::Bucket)
             .unwrap();
-        let (builds, reuses, _) = catalog.projection_stats();
-        assert_eq!(builds, 1);
-        assert!(reuses >= 1);
+        let (_, reads_after, bytes_after) = catalog.projection_stats();
+        assert!(reads_after > reads);
+        assert_eq!(bytes_after, bytes, "no second permutation was built");
     }
 
     #[test]

@@ -1,20 +1,30 @@
-//! Columnar projections of an [`crate::table::IntegratedTable`] and the
-//! vectorized kernels that run over them.
+//! The column store behind [`crate::table::IntegratedTable`] and the
+//! vectorized kernels that run over it.
 //!
-//! The paper's cold path executes three primitives per query — predicate
-//! selection, a value sort, and the bucket partition — and the row
-//! representation pays boxed [`crate::value::Value`] dispatch per record for
-//! each. A [`Projection`] flattens the table once per `(instance, version)`
-//! into primitive buffers:
+//! The columns *are* the table: there is no row store behind them. A
+//! [`Projection`] holds every cell in primitive buffers, plus each entity's
+//! multiplicity and lineage and the entity-key index:
 //!
 //! ```text
-//! column j (FLOAT)   values:  [ f64; rows ]     (Int cells widened, as_f64)
-//!                    valid:   [ u64; ⌈rows/64⌉ ] (bit = cell is non-NULL)
-//! column k (TEXT)    codes:   [ u32; rows ]     (rank in sorted dict)
-//!                    pool:    [ String; uniq ]   (sorted, deduplicated)
+//! column j (FLOAT)   values:  [ f64; rows ]       (Int cells widened, as_f64)
+//!                    ints:    [ (row, i64) ]      (which cells were Int, exactly)
+//!                    valid:   [ u64; ⌈rows/64⌉ ]  (bit = cell is non-NULL)
+//! column k (TEXT)    codes:   [ u32; rows ]       (first-appearance dictionary code)
+//!                    pool:    [ str; uniq ]       (+ string → code lookup)
 //! multiplicity       mults:   [ u64; rows ]
-//! sort permutations  per numeric column, valid rows ascending (lazy)
+//! lineage            per row  [ (source, count) ] (sorted by source)
+//! key index          GroupKey → row               (entity_key → row once a
+//!                                                  FLOAT key turns lossy)
+//! lazily built       per numeric column a sort permutation, per TEXT
+//!                    column the lexicographic order of its pool
 //! ```
+//!
+//! Cells enter through one writer, `Projection::extend_for_append`, which
+//! every load, append, single insert and restore goes through. A row exists
+//! only when something asks for it: `Projection::cell` rebuilds an exact
+//! [`Value`] from the buffers. Lazily built orders are merged forward by
+//! appends, never rebuilt, and never built by loading, so loading stays
+//! O(n log n) whatever the batch size.
 //!
 //! Predicates compile to `(true, false)` bitmap pairs (Kleene three-valued
 //! logic: a row with neither bit set is *unknown*) through one word kernel
@@ -22,17 +32,18 @@
 //! become word-wide bit operations. The value sort is computed
 //! once per column as a stable permutation of the valid rows; every
 //! selection's sorted order is derived by filtering that permutation, never
-//! by re-sorting. All kernels reproduce the row path bit for bit — the same
-//! `as_f64` widening, `total_cmp` ordering, and three-valued comparison
-//! rules — which the `columnar_parity` suite pins.
+//! by re-sorting. All kernels reproduce per-record evaluation bit for bit —
+//! the same `as_f64` widening, `total_cmp` ordering, and three-valued
+//! comparison rules — which the `columnar_parity` suite pins against the
+//! row oracle in `uu_bench::oracle`.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::predicate::{CmpOp, Predicate, PredicateError};
 use crate::schema::{ColumnType, Schema};
-use crate::table::Entity;
 use crate::value::Value;
+use uu_core::sample::ObservedItem;
 
 /// Bitmap word width.
 const WORD: usize = 64;
@@ -78,7 +89,7 @@ pub(crate) fn for_each_set(bits: &[u64], mut f: impl FnMut(usize)) {
 
 /// True when bit `row` is set.
 #[inline]
-fn bit(bits: &[u64], row: usize) -> bool {
+pub(crate) fn bit(bits: &[u64], row: usize) -> bool {
     bits[row / WORD] >> (row % WORD) & 1 == 1
 }
 
@@ -113,18 +124,10 @@ impl Mask {
         }
     }
 
-    /// Kleene conjunction: true iff both true, false iff either false.
-    fn and(mut self, other: Mask) -> Mask {
-        for ((t, f), (ot, of)) in self
-            .t
-            .iter_mut()
-            .zip(self.f.iter_mut())
-            .zip(other.t.iter().zip(&other.f))
-        {
-            *t &= ot;
-            *f |= of;
-        }
-        self
+    /// Kleene conjunction: true iff both true, false iff either false —
+    /// De Morgan's law over [`Mask::or`].
+    fn and(self, other: Mask) -> Mask {
+        self.not().or(other.not()).not()
     }
 
     /// Kleene disjunction: true iff either true, false iff both false.
@@ -150,48 +153,174 @@ impl Mask {
     }
 }
 
-/// Primitive buffers of one column. Invalid (NULL) rows hold an arbitrary
-/// placeholder; every consumer checks the validity bitmap first.
-#[derive(Debug)]
-enum ColumnData {
-    /// FLOAT column: cells widened with `Value::as_f64` (Int cells included,
-    /// matching row-path comparison and aggregation semantics exactly).
-    Float(Vec<f64>),
-    /// INT column, kept exact for grouping.
-    Int(Vec<i64>),
-    /// TEXT column, dictionary-encoded: `codes[row]` indexes the
-    /// deduplicated `pool`, and `rank` maps a pool index to its
-    /// lexicographic rank, so ordered comparisons against a literal reduce
-    /// to one rank lookup plus integer compares per row. At build time the
-    /// pool is sorted, making `sorted` and `rank` the identity; appends push
-    /// new strings onto the pool end and splice them into `sorted`, so old
-    /// codes never need re-coding when the dictionary widens.
-    Str {
-        codes: Vec<u32>,
-        pool: Vec<String>,
-        /// Pool indices in lexicographic order of their strings.
-        sorted: Vec<u32>,
-        /// Pool index → lexicographic rank (inverse permutation of `sorted`).
-        rank: Vec<u32>,
-    },
+/// A TEXT column's dictionary: every distinct string once, coded in order of
+/// first appearance, so a code never changes once assigned.
+#[derive(Debug, Clone, Default)]
+struct Dict {
+    /// Code → string.
+    pool: Vec<Arc<str>>,
+    /// String → code (shares the pool's allocations).
+    lookup: HashMap<Arc<str>, u32>,
+    /// Lexicographic order of the pool, built on the first ordered
+    /// comparison and merged forward by later appends, like the sort
+    /// permutations.
+    order: OnceLock<DictOrder>,
 }
 
-/// One projected column: primitive data plus validity.
-#[derive(Debug)]
-struct ColumnProjection {
+/// Lexicographic order of a dictionary's pool.
+#[derive(Debug, Clone)]
+struct DictOrder {
+    /// Codes in lexicographic order of their strings.
+    sorted: Vec<u32>,
+    /// Code → lexicographic rank (inverse permutation of `sorted`).
+    rank: Vec<u32>,
+}
+
+impl Dict {
+    /// The code of `s`, assigning the next one when the string is new.
+    fn code(&mut self, s: String) -> u32 {
+        if let Some(&code) = self.lookup.get(s.as_str()) {
+            return code;
+        }
+        let code = self.pool.len() as u32;
+        let s: Arc<str> = Arc::from(s);
+        self.pool.push(Arc::clone(&s));
+        self.lookup.insert(s, code);
+        code
+    }
+
+    /// The lexicographic order, built on first use.
+    fn order(&self) -> &DictOrder {
+        self.order.get_or_init(|| {
+            let mut sorted: Vec<u32> = (0..self.pool.len() as u32).collect();
+            sorted.sort_unstable_by(|&a, &b| self.pool[a as usize].cmp(&self.pool[b as usize]));
+            DictOrder::from_sorted(sorted)
+        })
+    }
+
+    /// Splices strings coded since the order was built into it: one sorted
+    /// merge and one rank rebuild per append, instead of an O(pool) shift
+    /// per new string. A no-op when the order was never built.
+    fn absorb(&mut self) {
+        let pool = &self.pool;
+        let Some(order) = self.order.get_mut() else {
+            return;
+        };
+        let mut delta: Vec<u32> = (order.sorted.len() as u32..pool.len() as u32).collect();
+        if delta.is_empty() {
+            return;
+        }
+        delta.sort_unstable_by(|&a, &b| pool[a as usize].cmp(&pool[b as usize]));
+        // New strings are distinct from every old one, so the merge never
+        // ties and reproduces the full lexicographic order exactly.
+        let old = std::mem::take(&mut order.sorted);
+        *order = DictOrder::from_sorted(merge_runs(old, delta, |o, n| {
+            pool[o as usize] < pool[n as usize]
+        }));
+    }
+}
+
+impl DictOrder {
+    fn from_sorted(sorted: Vec<u32>) -> DictOrder {
+        let mut rank = vec![0u32; sorted.len()];
+        for (pos, &code) in sorted.iter().enumerate() {
+            rank[code as usize] = pos as u32;
+        }
+        DictOrder { sorted, rank }
+    }
+}
+
+/// Merges two ascending runs; `old_first(o, n)` says whether old element
+/// `o` goes before new element `n`.
+fn merge_runs(old: Vec<u32>, new: Vec<u32>, old_first: impl Fn(u32, u32) -> bool) -> Vec<u32> {
+    if new.is_empty() {
+        return old;
+    }
+    let mut merged = Vec::with_capacity(old.len() + new.len());
+    let mut new = new.into_iter().peekable();
+    for o in old {
+        while let Some(n) = new.next_if(|&n| !old_first(o, n)) {
+            merged.push(n);
+        }
+        merged.push(o);
+    }
+    merged.extend(new);
+    merged
+}
+
+/// Primitive buffers of one column. Invalid (NULL) rows hold a placeholder;
+/// every consumer checks the validity bitmap first.
+#[derive(Debug, Clone)]
+enum ColumnData {
+    /// FLOAT column: cells widened with `Value::as_f64`, which is exactly
+    /// how comparison and aggregation read them. `ints` remembers the cells
+    /// that were `Value::Int`, as `(row, value)` in row order, so a row
+    /// built from the columns gets the exact cell back.
+    Float {
+        values: Vec<f64>,
+        ints: Vec<(u32, i64)>,
+    },
+    /// INT column.
+    Int(Vec<i64>),
+    /// TEXT column, dictionary-encoded: `codes[row]` indexes the pool.
+    Str { codes: Vec<u32>, dict: Dict },
+}
+
+/// One column: primitive data plus validity.
+#[derive(Debug, Clone)]
+struct Column {
     data: ColumnData,
     /// Bit per row: cell is non-NULL.
     valid: Vec<u64>,
-    /// A FLOAT column held an INT cell whose magnitude exceeds 2^53, i.e.
-    /// the widened `f64` may not round-trip. Comparisons and aggregation
-    /// widen in the row path too, so only entity-key *grouping* (which keys
-    /// on the exact decimal string) must key such a column on strings.
-    lossy_ints: bool,
+}
+
+impl Column {
+    fn new(ty: ColumnType) -> Column {
+        let data = match ty {
+            ColumnType::Float => ColumnData::Float {
+                values: Vec::new(),
+                ints: Vec::new(),
+            },
+            ColumnType::Int => ColumnData::Int(Vec::new()),
+            ColumnType::Str => ColumnData::Str {
+                codes: Vec::new(),
+                dict: Dict::default(),
+            },
+        };
+        Column {
+            data,
+            valid: Vec::new(),
+        }
+    }
+
+    /// Appends `cell` (already validated against the column type) as `row`.
+    fn push(&mut self, row: usize, cell: Value) {
+        if row % WORD == 0 {
+            self.valid.push(0);
+        }
+        if !cell.is_null() {
+            self.valid[row / WORD] |= 1 << (row % WORD);
+        }
+        match (&mut self.data, cell) {
+            (ColumnData::Float { values, ints }, cell) => {
+                if let Value::Int(i) = cell {
+                    ints.push((row as u32, i));
+                }
+                values.push(cell.as_f64().unwrap_or(0.0));
+            }
+            (ColumnData::Int(values), Value::Int(i)) => values.push(i),
+            (ColumnData::Int(values), _) => values.push(0),
+            (ColumnData::Str { codes, dict }, Value::Str(s)) => codes.push(dict.code(s)),
+            (ColumnData::Str { codes, .. }, _) => codes.push(0),
+        }
+    }
 }
 
 /// Hashable canonical group identity of a cell, mirroring
 /// [`Value::entity_key`] without materialising the string: two cells map to
-/// the same key iff their entity keys are equal.
+/// the same key iff their entity keys are equal — unless a FLOAT column
+/// holds an INT beyond 2^53, whose widened `f64` may collide with a
+/// neighbour (see [`Projection::lossy_ints`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum GroupKey {
     /// NULL cell (SQL groups NULLs together).
@@ -209,15 +338,45 @@ pub(crate) enum GroupKey {
     Str(u32),
 }
 
-/// A columnar snapshot of one table state, cached on the table per
-/// `(instance, version)` and shared read-only across queries.
-#[derive(Debug)]
+/// The group key of a FLOAT cell.
+fn float_key(f: f64) -> GroupKey {
+    if f.is_nan() {
+        GroupKey::Nan
+    } else if f.fract() == 0.0 && f.abs() < 1e15 {
+        GroupKey::Int(f as i64)
+    } else {
+        GroupKey::Bits(f.to_bits())
+    }
+}
+
+/// True for an INT whose `f64` widening may not round-trip.
+fn lossy(i: i64) -> bool {
+    i.unsigned_abs() > 1 << 53
+}
+
+/// Entity key → row. Keyed on [`GroupKey`] — the grouped pass's identity —
+/// until a FLOAT key column receives an INT beyond 2^53; from then on keyed
+/// on `Value::entity_key` strings, the one identity that stays exact.
+#[derive(Debug, Clone)]
+enum KeyIndex {
+    Typed(HashMap<GroupKey, u32>),
+    Exact(HashMap<String, u32>),
+}
+
+/// The column store of one integrated table: every cell, every
+/// multiplicity and every lineage list, plus the entity-key index. This is
+/// the table itself; rows exist only when built on demand
+/// (`Projection::cell`, `Projection::lineage`).
+#[derive(Debug, Clone)]
 pub struct Projection {
-    version: u64,
     rows: usize,
-    columns: Vec<ColumnProjection>,
+    key_col: usize,
+    columns: Vec<Column>,
     /// Per-row total observation count (`Entity::multiplicity`).
     mults: Vec<u64>,
+    /// Per-row `(source, count)` lineage, sorted by source.
+    lineage: Vec<Vec<(u32, u32)>>,
+    index: KeyIndex,
     /// Lazily-built stable sort permutation per column: indices of *valid*
     /// rows in ascending value order (`total_cmp` over the widened floats,
     /// ties in row order). Numeric columns only.
@@ -225,259 +384,153 @@ pub struct Projection {
 }
 
 impl Projection {
-    /// Flattens `entities` under `schema` into primitive buffers.
-    pub(crate) fn build(schema: &Schema, entities: &[Entity], version: u64) -> Projection {
-        let rows = entities.len();
-        let words = words_for(rows);
-        let columns = schema
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(j, col)| {
-                let mut valid = vec![0u64; words];
-                let mut lossy_ints = false;
-                let data = match col.ty {
-                    ColumnType::Float => {
-                        let mut values = vec![0.0f64; rows];
-                        for (row, e) in entities.iter().enumerate() {
-                            let cell = e.record.value(j);
-                            if let Some(v) = cell.as_f64() {
-                                values[row] = v;
-                                valid[row / WORD] |= 1 << (row % WORD);
-                                if let Value::Int(i) = cell {
-                                    lossy_ints |= i.unsigned_abs() > (1 << 53);
-                                }
-                            }
-                        }
-                        ColumnData::Float(values)
-                    }
-                    ColumnType::Int => {
-                        let mut values = vec![0i64; rows];
-                        for (row, e) in entities.iter().enumerate() {
-                            if let Value::Int(i) = e.record.value(j) {
-                                values[row] = *i;
-                                valid[row / WORD] |= 1 << (row % WORD);
-                            }
-                        }
-                        ColumnData::Int(values)
-                    }
-                    ColumnType::Str => {
-                        let mut pool: Vec<String> = entities
-                            .iter()
-                            .filter_map(|e| e.record.value(j).as_str().map(str::to_string))
-                            .collect();
-                        pool.sort_unstable();
-                        pool.dedup();
-                        let mut codes = vec![0u32; rows];
-                        for (row, e) in entities.iter().enumerate() {
-                            if let Some(s) = e.record.value(j).as_str() {
-                                let code = pool
-                                    .binary_search_by(|p| p.as_str().cmp(s))
-                                    .expect("pool contains every cell string");
-                                codes[row] = code as u32;
-                                valid[row / WORD] |= 1 << (row % WORD);
-                            }
-                        }
-                        let sorted: Vec<u32> = (0..pool.len() as u32).collect();
-                        let rank = sorted.clone();
-                        ColumnData::Str {
-                            codes,
-                            pool,
-                            sorted,
-                            rank,
-                        }
-                    }
-                };
-                ColumnProjection {
-                    data,
-                    valid,
-                    lossy_ints,
-                }
-            })
-            .collect();
-        let mults = entities.iter().map(Entity::multiplicity).collect();
+    /// An empty store for `schema`, deduplicating entities on column
+    /// `key_col`.
+    pub(crate) fn new(schema: &Schema, key_col: usize) -> Projection {
         Projection {
-            version,
-            rows,
-            columns,
-            mults,
+            rows: 0,
+            key_col,
+            columns: schema.columns().iter().map(|c| Column::new(c.ty)).collect(),
+            mults: Vec::new(),
+            lineage: Vec::new(),
+            index: KeyIndex::Typed(HashMap::new()),
             sort_perms: (0..schema.len()).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// Grows the projection in place for an append of
-    /// `entities[old_rows..]`: primitive buffers and validity bitmaps
-    /// extend, dictionaries widen without re-coding old rows, multiplicities
-    /// of `touched` pre-existing rows refresh, and every sort permutation
-    /// already built absorbs the new rows by a sorted merge instead of an
-    /// `n log n` re-sort. Returns the number of permutation merges
-    /// performed. The result is bit-for-bit identical to
-    /// [`Projection::build`] over the full entity slice, except that
-    /// dictionary codes of strings first seen in the delta sit at the pool
-    /// end rather than in rank order — an encoding choice the comparison
-    /// kernels absorb through the `rank` indirection.
+    /// The column writer — the one way cells enter the store. Each staged
+    /// record is `(cells, lineage)`: its cells already validated against
+    /// the schema with a non-NULL key, its lineage sorted by source. A
+    /// record whose key is new becomes a row (first record wins); otherwise
+    /// only its lineage is added to the existing row. Afterwards every
+    /// dictionary order and sort permutation already built absorbs the new
+    /// rows by a sorted merge instead of a rebuild. Returns the rows the
+    /// records re-observed, including rows an earlier record of the same
+    /// call created (ascending, deduplicated), and the number of
+    /// permutation merges.
     pub(crate) fn extend_for_append(
         &mut self,
-        schema: &Schema,
-        entities: &[Entity],
-        touched: &[u32],
-        version: u64,
-    ) -> usize {
+        staged: impl IntoIterator<Item = (Vec<Value>, Vec<(u32, u32)>)>,
+    ) -> (Vec<u32>, usize) {
         let old_rows = self.rows;
-        let rows = entities.len();
-        debug_assert!(rows >= old_rows, "appends never shrink a table");
-        let words = words_for(rows);
-        for (j, col) in self.columns.iter_mut().enumerate() {
-            col.valid.resize(words, 0);
-            match &mut col.data {
-                ColumnData::Float(values) => {
-                    values.reserve(rows - old_rows);
-                    for (row, e) in entities.iter().enumerate().skip(old_rows) {
-                        let cell = e.record.value(j);
-                        if let Some(v) = cell.as_f64() {
-                            values.push(v);
-                            col.valid[row / WORD] |= 1 << (row % WORD);
-                            if let Value::Int(i) = cell {
-                                col.lossy_ints |= i.unsigned_abs() > (1 << 53);
-                            }
-                        } else {
-                            values.push(0.0);
-                        }
-                    }
+        let staged = staged.into_iter();
+        if let KeyIndex::Typed(map) = &mut self.index {
+            map.reserve(staged.size_hint().0);
+        }
+        let mut touched = Vec::new();
+        for (cells, lineage) in staged {
+            let row = match self.find(&cells[self.key_col]) {
+                Some(row) => {
+                    touched.push(row as u32);
+                    row
                 }
-                ColumnData::Int(values) => {
-                    values.reserve(rows - old_rows);
-                    for (row, e) in entities.iter().enumerate().skip(old_rows) {
-                        if let Value::Int(i) = e.record.value(j) {
-                            values.push(*i);
-                            col.valid[row / WORD] |= 1 << (row % WORD);
-                        } else {
-                            values.push(0);
-                        }
-                    }
-                }
-                ColumnData::Str {
-                    codes,
-                    pool,
-                    sorted,
-                    rank,
-                } => {
-                    codes.reserve(rows - old_rows);
-                    // Strings the dictionary has never seen get codes at the
-                    // pool end in first-appearance order, but their splice
-                    // into the lexicographic order is batched: one sorted
-                    // merge and one rank rebuild per append, instead of an
-                    // O(pool) shift per new string.
-                    let base = pool.len() as u32;
-                    let mut new_strings: Vec<String> = Vec::new();
-                    let mut new_index: HashMap<String, u32> = HashMap::new();
-                    for (row, e) in entities.iter().enumerate().skip(old_rows) {
-                        let Some(s) = e.record.value(j).as_str() else {
-                            codes.push(0);
-                            continue;
-                        };
-                        let code = if let Some(&c) = new_index.get(s) {
-                            c
-                        } else {
-                            let pos = sorted.partition_point(|&i| pool[i as usize].as_str() < s);
-                            match sorted.get(pos) {
-                                Some(&i) if pool[i as usize] == s => i,
-                                _ => {
-                                    let c = base + new_strings.len() as u32;
-                                    new_strings.push(s.to_string());
-                                    new_index.insert(s.to_string(), c);
-                                    c
-                                }
-                            }
-                        };
-                        codes.push(code);
-                        col.valid[row / WORD] |= 1 << (row % WORD);
-                    }
-                    if !new_strings.is_empty() {
-                        let mut delta: Vec<u32> = (base..base + new_strings.len() as u32).collect();
-                        delta.sort_unstable_by(|&a, &b| {
-                            new_strings[(a - base) as usize].cmp(&new_strings[(b - base) as usize])
-                        });
-                        pool.extend(new_strings);
-                        // New strings are distinct from every old one, so the
-                        // merge never ties and reproduces the full
-                        // lexicographic order exactly.
-                        let mut merged = Vec::with_capacity(sorted.len() + delta.len());
-                        let mut old_it = sorted.iter().copied().peekable();
-                        let mut new_it = delta.into_iter().peekable();
-                        while let (Some(&o), Some(&n)) = (old_it.peek(), new_it.peek()) {
-                            if pool[o as usize] < pool[n as usize] {
-                                merged.push(o);
-                                old_it.next();
-                            } else {
-                                merged.push(n);
-                                new_it.next();
-                            }
-                        }
-                        merged.extend(old_it);
-                        merged.extend(new_it);
-                        *sorted = merged;
-                        rank.resize(pool.len(), 0);
-                        for (pos, &c) in sorted.iter().enumerate() {
-                            rank[c as usize] = pos as u32;
-                        }
-                    }
+                None => self.push_row(cells),
+            };
+            self.mults[row] += lineage.iter().map(|&(_, k)| u64::from(k)).sum::<u64>();
+            let counts = &mut self.lineage[row];
+            if counts.is_empty() {
+                *counts = lineage;
+                continue;
+            }
+            for (source, k) in lineage {
+                match counts.binary_search_by_key(&source, |&(s, _)| s) {
+                    Ok(pos) => counts[pos].1 += k,
+                    Err(pos) => counts.insert(pos, (source, k)),
                 }
             }
         }
-        self.mults
-            .extend(entities[old_rows..].iter().map(Entity::multiplicity));
-        for &row in touched {
-            self.mults[row as usize] = entities[row as usize].multiplicity();
+        touched.sort_unstable();
+        touched.dedup();
+        (touched, self.absorb(old_rows))
+    }
+
+    /// Appends a row of cells and indexes its key. Returns the row.
+    fn push_row(&mut self, cells: Vec<Value>) -> usize {
+        let (row, key_col) = (self.rows, self.key_col);
+        let key = (&self.columns[key_col].data, &cells[key_col], &self.index);
+        if matches!(key, (ColumnData::Float { .. }, Value::Int(i), KeyIndex::Typed(_)) if lossy(*i))
+        {
+            // Typed keys cannot tell this key from its widened neighbours:
+            // re-key every row on exact strings, once.
+            let exact = (0..row).map(|r| (self.cell(key_col, r).entity_key(), r as u32));
+            self.index = KeyIndex::Exact(exact.collect());
         }
+        for (column, cell) in self.columns.iter_mut().zip(cells) {
+            column.push(row, cell);
+        }
+        self.rows += 1;
+        self.mults.push(0);
+        self.lineage.push(Vec::new());
+        let mut index = std::mem::replace(&mut self.index, KeyIndex::Typed(HashMap::new()));
+        match &mut index {
+            KeyIndex::Typed(map) => map.insert(self.group_key(key_col, row), row as u32),
+            KeyIndex::Exact(map) => map.insert(self.cell(key_col, row).entity_key(), row as u32),
+        };
+        self.index = index;
+        row
+    }
+
+    /// Brings every built dictionary order and sort permutation up to date
+    /// with rows `old_rows..`. Returns the number of permutation merges.
+    fn absorb(&mut self, old_rows: usize) -> usize {
+        let rows = self.rows;
         let mut merges = 0;
-        for (col, slot) in self.columns.iter().zip(&mut self.sort_perms) {
+        for (col, slot) in self.columns.iter_mut().zip(&mut self.sort_perms) {
+            if let ColumnData::Str { dict, .. } = &mut col.data {
+                dict.absorb();
+            }
             let Some(old_perm) = slot.take() else {
                 continue;
             };
             merges += 1;
             let value_at: &dyn Fn(u32) -> f64 = match &col.data {
-                ColumnData::Float(v) => &|r| v[r as usize],
+                ColumnData::Float { values, .. } => &|r| values[r as usize],
                 ColumnData::Int(v) => &|r| v[r as usize] as f64,
                 ColumnData::Str { .. } => unreachable!("sort permutation of a TEXT column"),
             };
-            let mut delta: Vec<u32> = Vec::new();
-            for row in old_rows..rows {
-                if bit(&col.valid, row) {
-                    delta.push(row as u32);
-                }
-            }
+            let mut delta: Vec<u32> = (old_rows..rows)
+                .filter(|&row| bit(&col.valid, row))
+                .map(|row| row as u32)
+                .collect();
             // Delta rows arrive in row order, so a stable sort keeps ties in
-            // row order — exactly the tie rule of a full re-sort.
+            // row order — exactly the tie rule of a full re-sort. Every
+            // delta row index exceeds every old one, so on a value tie the
+            // old row comes first, as in the full re-sort.
             delta.sort_by(|&a, &b| value_at(a).total_cmp(&value_at(b)));
-            let mut merged = Vec::with_capacity(old_perm.len() + delta.len());
-            let mut old_it = old_perm.into_iter().peekable();
-            let mut new_it = delta.into_iter().peekable();
-            while let (Some(&o), Some(&n)) = (old_it.peek(), new_it.peek()) {
-                // Every delta row index exceeds every old row index, so on a
-                // value tie the old row comes first — matching the stable
-                // full re-sort bit for bit.
-                if value_at(o).total_cmp(&value_at(n)).is_le() {
-                    merged.push(o);
-                    old_it.next();
-                } else {
-                    merged.push(n);
-                    new_it.next();
-                }
-            }
-            merged.extend(old_it);
-            merged.extend(new_it);
+            let merged = merge_runs(old_perm, delta, |o, n| {
+                value_at(o).total_cmp(&value_at(n)).is_le()
+            });
             slot.set(merged).expect("slot was just emptied");
         }
-        debug_assert_eq!(self.columns.len(), schema.len());
-        self.rows = rows;
-        self.version = version;
         merges
     }
 
-    /// The table version this projection snapshots.
-    pub fn version(&self) -> u64 {
-        self.version
+    /// The row whose key cell has the entity key of `key`, if any. A key of
+    /// a type the key column cannot hold finds nothing.
+    pub(crate) fn find(&self, key: &Value) -> Option<usize> {
+        let row = match &self.index {
+            KeyIndex::Exact(map) => map.get(&key.entity_key()),
+            KeyIndex::Typed(map) => {
+                let typed = match (&self.columns[self.key_col].data, key) {
+                    (ColumnData::Int(_), Value::Int(i)) => GroupKey::Int(*i),
+                    (ColumnData::Float { .. }, Value::Float(f)) => float_key(*f),
+                    // An INT probe of a FLOAT column keys on its widening,
+                    // unless widening changes its entity key: then no
+                    // stored cell can share it (none is lossy yet).
+                    (ColumnData::Float { .. }, Value::Int(i))
+                        if !lossy(*i) || Value::Float(*i as f64).entity_key() == i.to_string() =>
+                    {
+                        float_key(*i as f64)
+                    }
+                    (ColumnData::Str { dict, .. }, Value::Str(s)) => {
+                        GroupKey::Str(*dict.lookup.get(s.as_str())?)
+                    }
+                    _ => return None,
+                };
+                map.get(&typed)
+            }
+        };
+        row.map(|&r| r as usize)
     }
 
     /// Number of rows (= unique entities).
@@ -485,39 +538,37 @@ impl Projection {
         self.rows
     }
 
-    /// Approximate heap footprint: value buffers, validity bitmaps, string
-    /// pools, multiplicities, and any sort permutations built so far.
+    /// Approximate heap footprint: value buffers, validity bitmaps,
+    /// dictionaries, multiplicities, lineage, the key index and any
+    /// dictionary orders and sort permutations built so far.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
-        let mut total = size_of::<Self>();
+        use std::mem::size_of_val as bytes;
+        let mut total = std::mem::size_of::<Self>() + bytes(self.mults.as_slice());
         for col in &self.columns {
-            total += size_of_val(col.valid.as_slice());
+            total += bytes(col.valid.as_slice());
             total += match &col.data {
-                ColumnData::Float(v) => size_of_val(v.as_slice()),
-                ColumnData::Int(v) => size_of_val(v.as_slice()),
-                ColumnData::Str {
-                    codes,
-                    pool,
-                    sorted,
-                    rank,
-                } => {
-                    size_of_val(codes.as_slice())
-                        + size_of_val(sorted.as_slice())
-                        + size_of_val(rank.as_slice())
-                        + pool
-                            .iter()
-                            .map(|s| size_of::<String>() + s.len())
-                            .sum::<usize>()
+                ColumnData::Float { values, ints } => bytes(&values[..]) + bytes(&ints[..]),
+                ColumnData::Int(v) => bytes(&v[..]),
+                ColumnData::Str { codes, dict } => {
+                    let order = dict.order.get().map_or(0, |o| 8 * o.sorted.len());
+                    // Each string: its bytes, two `Arc` handles, a code.
+                    let strings: usize = dict.pool.iter().map(|s| s.len() + 36).sum();
+                    bytes(&codes[..]) + order + strings
                 }
             };
         }
-        total += size_of_val(self.mults.as_slice());
-        for perm in &self.sort_perms {
-            if let Some(p) = perm.get() {
-                total += size_of_val(p.as_slice());
-            }
-        }
-        total
+        // Each lineage list: its `Vec` header and its pairs.
+        total += self
+            .lineage
+            .iter()
+            .map(|l| 24 + 8 * l.capacity())
+            .sum::<usize>();
+        total += match &self.index {
+            KeyIndex::Typed(map) => 24 * map.len(),
+            KeyIndex::Exact(map) => map.keys().map(|k| k.len() + 32).sum(),
+        };
+        let perms = self.sort_perms.iter().filter_map(OnceLock::get);
+        total + perms.map(|p| bytes(&p[..])).sum::<usize>()
     }
 
     /// Per-row multiplicities.
@@ -525,15 +576,59 @@ impl Projection {
         &self.mults
     }
 
+    /// The item `row` contributes to an aggregate of column `attr`: the
+    /// cell widened with `as_f64` (`0.0` for `COUNT(*)`), the multiplicity
+    /// and the lineage. `None` when the cell is NULL.
+    pub(crate) fn item(&self, row: usize, attr: Option<usize>) -> Option<ObservedItem> {
+        let value = match attr {
+            Some(col) if !bit(&self.columns[col].valid, row) => return None,
+            Some(col) => self.float_at(col, row),
+            None => 0.0,
+        };
+        Some(ObservedItem {
+            value,
+            multiplicity: self.mults[row],
+            source_counts: self.lineage[row].clone(),
+        })
+    }
+
+    /// The `(source, count)` lineage of `row`, sorted by source.
+    pub(crate) fn lineage(&self, row: usize) -> &[(u32, u32)] {
+        &self.lineage[row]
+    }
+
+    /// The exact cell of column `col` at `row`, built from the column.
+    pub(crate) fn cell(&self, col: usize, row: usize) -> Value {
+        let c = &self.columns[col];
+        if !bit(&c.valid, row) {
+            return Value::Null;
+        }
+        match &c.data {
+            ColumnData::Float { values, ints } => {
+                match ints.binary_search_by_key(&(row as u32), |&(r, _)| r) {
+                    Ok(i) => Value::Int(ints[i].1),
+                    Err(_) => Value::Float(values[row]),
+                }
+            }
+            ColumnData::Int(values) => Value::Int(values[row]),
+            ColumnData::Str { codes, dict } => {
+                Value::Str(dict.pool[codes[row] as usize].to_string())
+            }
+        }
+    }
+
     /// The validity bitmap of column `col`.
     pub(crate) fn valid_bits(&self, col: usize) -> &[u64] {
         &self.columns[col].valid
     }
 
-    /// Whether grouping by `col` must key on exact entity-key strings (see
-    /// [`ColumnProjection::lossy_ints`]).
+    /// Whether grouping by `col` must key on exact entity-key strings: a
+    /// FLOAT column holds an INT cell beyond 2^53, whose widened `f64` may
+    /// not round-trip. Comparisons and aggregation widen such cells too, so
+    /// only grouping cares.
     pub(crate) fn lossy_ints(&self, col: usize) -> bool {
-        self.columns[col].lossy_ints
+        let data = &self.columns[col].data;
+        matches!(data, ColumnData::Float { ints, .. } if ints.iter().any(|&(_, i)| lossy(i)))
     }
 
     /// The cell of a numeric column widened to `f64` (exactly
@@ -541,7 +636,7 @@ impl Projection {
     #[inline]
     pub(crate) fn float_at(&self, col: usize, row: usize) -> f64 {
         match &self.columns[col].data {
-            ColumnData::Float(v) => v[row],
+            ColumnData::Float { values, .. } => values[row],
             ColumnData::Int(v) => v[row] as f64,
             ColumnData::Str { .. } => unreachable!("numeric access to a TEXT column"),
         }
@@ -556,31 +651,22 @@ impl Projection {
         match &c.data {
             ColumnData::Int(v) => GroupKey::Int(v[row]),
             ColumnData::Str { codes, .. } => GroupKey::Str(codes[row]),
-            ColumnData::Float(v) => {
-                let f = v[row];
-                if f.is_nan() {
-                    GroupKey::Nan
-                } else if f.fract() == 0.0 && f.abs() < 1e15 {
-                    GroupKey::Int(f as i64)
-                } else {
-                    GroupKey::Bits(f.to_bits())
-                }
-            }
+            ColumnData::Float { values, .. } => float_key(values[row]),
         }
     }
 
     /// The stable ascending sort permutation of column `col`'s valid rows,
-    /// built on first use and memoized on the projection. Ties keep row
-    /// order, so filtering this permutation by any selection reproduces a
-    /// stable `total_cmp` sort of the selected items exactly.
+    /// built on first use and memoized on the store. Ties keep row order,
+    /// so filtering this permutation by any selection reproduces a stable
+    /// `total_cmp` sort of the selected items exactly.
     pub(crate) fn sort_perm(&self, col: usize) -> &[u32] {
         self.sort_perms[col].get_or_init(|| {
             let c = &self.columns[col];
             let mut perm: Vec<u32> = Vec::with_capacity(self.rows);
             for_each_set(&c.valid, |row| perm.push(row as u32));
             match &c.data {
-                ColumnData::Float(v) => {
-                    perm.sort_by(|&a, &b| v[a as usize].total_cmp(&v[b as usize]));
+                ColumnData::Float { values, .. } => {
+                    perm.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
                 }
                 ColumnData::Int(v) => {
                     perm.sort_by(|&a, &b| {
@@ -636,22 +722,16 @@ impl Projection {
         match (&c.data, lit) {
             // NULL literal: unknown everywhere.
             (_, Value::Null) => Mask::all_unknown(self.rows),
-            (
-                ColumnData::Str {
-                    codes,
-                    pool,
-                    sorted,
-                    rank,
-                },
-                Value::Str(s),
-            ) => {
+            (ColumnData::Str { codes, dict }, Value::Str(s)) => {
                 // Rows key on twice their dictionary rank; an absent literal
                 // keys on the odd slot just below its insertion rank, so it
                 // orders between its neighbours and equals no row.
-                let lit_rank = sorted.partition_point(|&i| pool[i as usize].as_str() < s);
+                let DictOrder { sorted, rank } = dict.order();
+                let pool = &dict.pool;
+                let lit_rank = sorted.partition_point(|&i| *pool[i as usize] < **s);
                 let present = sorted
                     .get(lit_rank)
-                    .is_some_and(|&i| pool[i as usize] == *s);
+                    .is_some_and(|&i| *pool[i as usize] == **s);
                 let lit = 2 * lit_rank as i64 - i64::from(!present);
                 // NULL rows of an all-NULL column hold code 0 over an empty
                 // pool; validity masks whatever key they get.
@@ -660,7 +740,7 @@ impl Projection {
             }
             // String vs. number (either direction): incomparable.
             (ColumnData::Str { .. }, _) | (_, Value::Str(_)) => Mask::all_unknown(self.rows),
-            (ColumnData::Float(values), lit) => {
+            (ColumnData::Float { values, .. }, lit) => {
                 let l = total_key(lit.as_f64().expect("numeric literal"));
                 cmp_words(values, &c.valid, op, l, total_key)
             }
@@ -755,13 +835,12 @@ mod tests {
     use super::*;
     use crate::record::Record;
 
-    fn entities(schema: &Schema, rows: Vec<Vec<Value>>) -> Vec<Entity> {
-        rows.into_iter()
-            .map(|values| Entity {
-                record: Record::new(schema, values).unwrap(),
-                source_counts: vec![(0, 1)],
-            })
-            .collect()
+    /// A store holding `rows`, each observed once by source 0, written
+    /// through the one column writer. Column 0 is the key.
+    fn store(schema: &Schema, rows: Vec<Vec<Value>>) -> Projection {
+        let mut proj = Projection::new(schema, 0);
+        proj.extend_for_append(rows.into_iter().map(|cells| (cells, vec![(0, 1)])));
+        proj
     }
 
     #[test]
@@ -780,8 +859,7 @@ mod tests {
             .enumerate()
             .map(|(i, &v)| vec![Value::Int(i as i64), Value::Float(v)])
             .collect();
-        let ents = entities(&schema, rows);
-        let proj = Projection::build(&schema, &ents, 0);
+        let proj = store(&schema, rows);
         let pred = Predicate::cmp("x", CmpOp::Gt, Value::from(1.0));
         let mask = proj.selection_mask(&schema, &pred).unwrap();
         let selected: Vec<usize> = {
@@ -810,8 +888,7 @@ mod tests {
             .enumerate()
             .map(|(i, v)| vec![Value::Int(i as i64), v.clone()])
             .collect();
-        let ents = entities(&schema, rows);
-        let proj = Projection::build(&schema, &ents, 0);
+        let proj = store(&schema, rows);
         for op in [
             CmpOp::Eq,
             CmpOp::Ne,
@@ -840,8 +917,7 @@ mod tests {
     #[test]
     fn unknown_predicate_column_errors_in_dfs_order() {
         let schema = Schema::new([("k", ColumnType::Int)]);
-        let ents = entities(&schema, vec![vec![Value::Int(1)]]);
-        let proj = Projection::build(&schema, &ents, 0);
+        let proj = store(&schema, vec![vec![Value::Int(1)]]);
         let pred = Predicate::cmp("aa", CmpOp::Eq, Value::Int(1)).and(Predicate::cmp(
             "bb",
             CmpOp::Eq,
@@ -871,8 +947,7 @@ mod tests {
             .enumerate()
             .map(|(i, v)| vec![Value::Int(i as i64), v.clone()])
             .collect();
-        let ents = entities(&schema, rows);
-        let proj = Projection::build(&schema, &ents, 0);
+        let proj = store(&schema, rows);
         for a in 0..cells.len() {
             for b in 0..cells.len() {
                 let same_key = proj.group_key(1, a) == proj.group_key(1, b);
@@ -885,13 +960,41 @@ mod tests {
     #[test]
     fn lossy_int_flag_trips_only_past_2_53() {
         let schema = Schema::new([("k", ColumnType::Int), ("x", ColumnType::Float)]);
-        let exact = entities(&schema, vec![vec![Value::Int(0), Value::Int(1 << 53)]]);
-        assert!(!Projection::build(&schema, &exact, 0).lossy_ints(1));
-        let lossy = entities(
+        let exact = store(&schema, vec![vec![Value::Int(0), Value::Int(1 << 53)]]);
+        assert!(!exact.lossy_ints(1));
+        let lossy = store(
             &schema,
             vec![vec![Value::Int(0), Value::Int((1 << 53) + 1)]],
         );
-        assert!(Projection::build(&schema, &lossy, 0).lossy_ints(1));
+        assert!(lossy.lossy_ints(1));
+    }
+
+    #[test]
+    fn cells_come_back_exactly() {
+        let schema = Schema::new([
+            ("k", ColumnType::Int),
+            ("x", ColumnType::Float),
+            ("s", ColumnType::Str),
+        ]);
+        let nan = f64::from_bits(f64::NAN.to_bits() | 7);
+        let rows = vec![
+            vec![Value::Int(0), Value::Int(5), Value::from("b")],
+            vec![Value::Int(1), Value::Float(5.0), Value::Null],
+            vec![Value::Int(2), Value::Float(-0.0), Value::from("a")],
+            vec![Value::Int(3), Value::Float(nan), Value::from("b")],
+            vec![Value::Int(4), Value::Null, Value::from("")],
+            vec![Value::Int(5), Value::Int(i64::MIN), Value::from("a")],
+        ];
+        let proj = store(&schema, rows.clone());
+        for (row, cells) in rows.iter().enumerate() {
+            for (col, want) in cells.iter().enumerate() {
+                let got = proj.cell(col, row);
+                match (&got, want) {
+                    (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
+                    _ => assert_eq!(&got, want, "row {row} col {col}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -919,44 +1022,33 @@ mod tests {
             vec![Value::Int(6), Value::Float(0.0), Value::from("apple")],
         ];
         let mut all = old_rows.clone();
-        all.extend(delta_rows);
-        let old_ents = entities(&schema, old_rows);
-        let all_ents = entities(&schema, all);
+        all.extend(delta_rows.clone());
 
-        let mut grown = Projection::build(&schema, &old_ents, 3);
-        // Initialize both numeric perms so the merge path runs.
+        let mut grown = store(&schema, old_rows);
+        // Build both numeric perms and the dictionary order so the merge
+        // paths run.
         grown.sort_perm(0);
         grown.sort_perm(1);
-        let merges = grown.extend_for_append(&schema, &all_ents, &[], 7);
+        let probe = Predicate::cmp("s", CmpOp::Lt, Value::from("m"));
+        grown.selection_mask(&schema, &probe).unwrap();
+        let (touched, merges) =
+            grown.extend_for_append(delta_rows.into_iter().map(|cells| (cells, vec![(0, 1)])));
+        assert!(touched.is_empty());
         assert_eq!(merges, 2);
 
-        let fresh = Projection::build(&schema, &all_ents, 7);
+        let fresh = store(&schema, all);
         assert_eq!(grown.rows(), fresh.rows());
         assert_eq!(grown.sort_perm(0), fresh.sort_perm(0));
         assert_eq!(grown.sort_perm(1), fresh.sort_perm(1));
         assert_eq!(grown.mults(), fresh.mults());
         for col in 0..schema.len() {
             assert_eq!(grown.valid_bits(col), fresh.valid_bits(col));
-        }
-        // Group keys agree up to code renaming: same-key pairs are identical.
-        for a in 0..grown.rows() {
-            for b in 0..grown.rows() {
-                assert_eq!(
-                    grown.group_key(2, a) == grown.group_key(2, b),
-                    fresh.group_key(2, a) == fresh.group_key(2, b),
-                    "group key equivalence rows {a},{b}"
-                );
+            for row in 0..grown.rows() {
+                assert_eq!(grown.group_key(col, row), fresh.group_key(col, row));
             }
         }
         // Every comparison kernel sees the widened dictionary identically.
-        for op in [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ] {
+        for op in OPS {
             for lit in [
                 "aardvark", "apple", "banana", "mango", "pear", "zucchini", "zzz",
             ] {
@@ -976,13 +1068,18 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..3)
             .map(|i| vec![Value::Int(i), Value::Float(i as f64)])
             .collect();
-        let mut ents = entities(&schema, rows);
-        let mut proj = Projection::build(&schema, &ents, 0);
-        ents[1].source_counts = vec![(0, 4)];
-        let merges = proj.extend_for_append(&schema, &ents, &[1], 1);
+        let mut proj = store(&schema, rows);
+        // Row 1 re-observed by sources 0 and 2; the record's other cells
+        // lose to the first record.
+        let (touched, merges) = proj.extend_for_append([
+            (vec![Value::Int(1), Value::Float(9.0)], vec![(0, 2)]),
+            (vec![Value::Int(1), Value::Null], vec![(2, 1)]),
+        ]);
+        assert_eq!(touched, vec![1]);
         assert_eq!(merges, 0, "no permutation was built, so none merged");
         assert_eq!(proj.mults(), &[1, 4, 1]);
-        assert_eq!(proj.version(), 1);
+        assert_eq!(proj.lineage(1), &[(0, 3), (2, 1)]);
+        assert_eq!(proj.cell(1, 1), Value::Float(1.0));
     }
 
     #[test]
@@ -994,8 +1091,7 @@ mod tests {
             .enumerate()
             .map(|(i, &v)| vec![Value::Int(i as i64), Value::Float(v)])
             .collect();
-        let ents = entities(&schema, rows);
-        let proj = Projection::build(&schema, &ents, 0);
+        let proj = store(&schema, rows);
         // Select rows 0, 2, 3, 4, 6 (drop 1 and 5).
         let selected = vec![0b101_1101u64];
         let idx = sorted_idx_filtered(&proj, Some(1), &selected, 5);
@@ -1093,7 +1189,7 @@ mod tests {
                     vec![Value::Int(row as i64), x, n]
                 })
                 .collect();
-            let proj = Projection::build(&schema, &entities(&schema, table.clone()), 0);
+            let proj = store(&schema, table.clone());
             for col in [1, 2] {
                 let cells: Vec<Value> = table.iter().map(|r| r[col].clone()).collect();
                 for op in OPS {
@@ -1133,9 +1229,14 @@ mod tests {
             .enumerate()
             .map(|(row, cell)| vec![Value::Int(row as i64), cell.clone()])
             .collect();
-        let ents = entities(&schema, table);
-        let mut proj = Projection::build(&schema, &ents[..old_rows], 0);
-        proj.extend_for_append(&schema, &ents, &[], 1);
+        let mut proj = store(&schema, table[..old_rows].to_vec());
+        // Build the dictionary order before the append, so it is merged.
+        proj.cmp_mask(1, CmpOp::Eq, &Value::from("dd"));
+        proj.extend_for_append(
+            table[old_rows..]
+                .iter()
+                .map(|cells| (cells.clone(), vec![(0, 1)])),
+        );
         let lits = [
             "a", "aa", "bb", "bc", "cc", "cd", "dd", "ee", "ff", "fz", "gg", "zz",
         ];
@@ -1147,8 +1248,8 @@ mod tests {
             }
         }
         // An all-NULL TEXT column has an empty pool: every row is unknown.
-        let nulls = entities(&schema, vec![vec![Value::Int(0), Value::Null]; 3]);
-        let proj = Projection::build(&schema, &nulls, 0);
+        let nulls = (0..3).map(|k| vec![Value::Int(k), Value::Null]).collect();
+        let proj = store(&schema, nulls);
         let mask = proj.cmp_mask(1, CmpOp::Ge, &Value::from("a"));
         assert_mask_matches(
             &mask,

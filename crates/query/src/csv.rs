@@ -168,7 +168,8 @@ pub fn parse_csv(input: &str) -> Result<Vec<Vec<String>>, CsvError> {
 /// The header row must contain `source_column` (parsed as an unsigned
 /// integer source id) plus one column per schema column, matched by name
 /// case-insensitively; extra CSV columns are ignored. Empty fields become
-/// NULL. Returns the number of observations loaded.
+/// NULL. The rows load as one append batch: on any error none of them is
+/// applied. Returns the number of observations loaded.
 ///
 /// # Examples
 ///
@@ -189,13 +190,9 @@ pub fn load_observations(
     csv: &str,
     source_column: &str,
 ) -> Result<usize, CsvError> {
-    let schema = table.schema().clone();
-    let batch = parse_observations(&schema, csv, source_column)?;
-    let mut loaded = 0usize;
-    for (source, values) in batch {
-        table.insert_observation(source, values)?;
-        loaded += 1;
-    }
+    let batch = parse_observations(table.schema(), csv, source_column)?;
+    let loaded = batch.len();
+    table.append_batch(batch)?;
     Ok(loaded)
 }
 

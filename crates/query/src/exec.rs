@@ -441,11 +441,6 @@ pub fn refreeze_selection(
     }
 }
 
-/// True when bit `row` of the membership bitmap is set.
-fn mask_bit(mask: &[u64], row: usize) -> bool {
-    mask[row / 64] >> (row % 64) & 1 == 1
-}
-
 /// Number of set bits strictly before `row` — a member row's item index.
 fn popcount_before(mask: &[u64], row: usize) -> usize {
     let w = row / 64;
@@ -456,19 +451,25 @@ fn popcount_before(mask: &[u64], row: usize) -> usize {
         + (mask[w] & ((1u64 << (row % 64)) - 1)).count_ones() as usize
 }
 
-/// The delta item a selected row contributes, mirroring the columnar item
-/// construction exactly (`as_f64` widening, `0.0` for `COUNT(*)`). `None`
-/// when the row's attribute is NULL (excluded from the aggregate).
-fn delta_item(entity: &crate::table::Entity, attr_idx: Option<usize>) -> Option<ObservedItem> {
-    let value = match attr_idx {
-        Some(idx) => entity.record.value(idx).as_f64()?,
-        None => 0.0,
-    };
-    Some(ObservedItem {
-        value,
-        multiplicity: entity.multiplicity(),
-        source_counts: entity.source_counts.clone(),
-    })
+/// The rows of `rows` that `predicate` selects and whose attribute is
+/// non-NULL, each with its item, by scalar predicate evaluation over the
+/// records built from the columns (parity with the vectorized kernels is
+/// pinned by the columnar suite). `None` when the predicate no longer
+/// evaluates — e.g. it referenced an unknown column and the table was empty
+/// at freeze time: the query path then surfaces the error.
+fn selected_items(
+    table: &IntegratedTable,
+    predicate: &Predicate,
+    attr_idx: Option<usize>,
+    rows: impl IntoIterator<Item = usize>,
+) -> Option<Vec<(usize, ObservedItem)>> {
+    let mut out = Vec::new();
+    for row in rows {
+        if predicate.eval(table.schema(), &table.record_at(row)).ok()? {
+            out.extend(table.columns().item(row, attr_idx).map(|item| (row, item)));
+        }
+    }
+    Some(out)
 }
 
 fn refreeze_ungrouped(
@@ -477,52 +478,29 @@ fn refreeze_ungrouped(
     delta: &AppendDelta,
     attr_idx: Option<usize>,
 ) -> Option<CachedSelection> {
-    let schema = table.schema();
     let (group, snapshot) = selection.snapshots.first()?;
-    let items = snapshot.view().items();
     // Re-observed rows: their records (hence values and membership) are
     // unchanged, only the lineage grew. The stored mask locates each row's
     // item by popcount.
     let mut bumps = Vec::new();
     for &row in &delta.touched {
         let row = row as usize;
-        if !mask_bit(&selection.mask, row) {
-            continue;
+        if crate::columnar::bit(&selection.mask, row) {
+            bumps.push((
+                popcount_before(&selection.mask, row),
+                table.columns().item(row, attr_idx)?,
+            ));
         }
-        let entity = table.entity_at(row);
-        let idx = popcount_before(&selection.mask, row);
-        bumps.push((
-            idx,
-            ObservedItem {
-                value: items[idx].value,
-                multiplicity: entity.multiplicity(),
-                source_counts: entity.source_counts.clone(),
-            },
-        ));
     }
-    // Delta rows: scalar predicate evaluation over k records (parity with
-    // the vectorized kernels is pinned by the columnar suite), extending
-    // the membership mask as we go.
+    // Delta rows extend the membership mask.
+    let rows = delta.rows_before..delta.rows_after;
+    let appended = selected_items(table, &selection.predicate, attr_idx, rows)?;
     let mut mask = selection.mask.clone();
     mask.resize(delta.rows_after.div_ceil(64), 0);
-    let mut appended = Vec::new();
-    for row in delta.rows_before..delta.rows_after {
-        let entity = table.entity_at(row);
-        match selection.predicate.eval(schema, &entity.record) {
-            Ok(true) => {}
-            Ok(false) => continue,
-            // The predicate no longer evaluates (e.g. it referenced an
-            // unknown column and the table was empty at freeze time): let
-            // the query path surface the error.
-            Err(_) => return None,
-        }
-        let Some(item) = delta_item(entity, attr_idx) else {
-            continue;
-        };
+    for &(row, _) in &appended {
         mask[row / 64] |= 1 << (row % 64);
-        appended.push(item);
     }
-    let refrozen = snapshot.refreeze(&bumps, appended);
+    let refrozen = snapshot.refreeze(&bumps, appended.into_iter().map(|(_, item)| item).collect());
     Some(CachedSelection {
         column: selection.column.clone(),
         predicate: selection.predicate.clone(),
@@ -539,26 +517,14 @@ fn refreeze_grouped(
     attr_idx: Option<usize>,
     group_column: &str,
 ) -> Option<CachedSelection> {
-    let schema = table.schema();
-    let group_idx = schema.index_of(group_column)?;
+    let group_idx = table.schema().index_of(group_column)?;
+    let predicate = &selection.predicate;
     // A touched row *inside* the selection would bump a multiplicity in the
     // middle of some group's item list; grouped selections store no
     // per-group membership, so that case falls back to a rebuild.
-    for &row in &delta.touched {
-        let entity = table.entity_at(row as usize);
-        match selection.predicate.eval(schema, &entity.record) {
-            Ok(true) => {
-                let in_selection = match attr_idx {
-                    Some(idx) => entity.record.value(idx).as_f64().is_some(),
-                    None => true,
-                };
-                if in_selection {
-                    return None;
-                }
-            }
-            Ok(false) => {}
-            Err(_) => return None,
-        }
+    let touched = delta.touched.iter().map(|&row| row as usize);
+    if !selected_items(table, predicate, attr_idx, touched)?.is_empty() {
+        return None;
     }
     // Route each selected delta row to its group by entity key — the exact
     // identity the grouped build keys on.
@@ -568,23 +534,15 @@ fn refreeze_grouped(
     }
     let mut existing_appends: Vec<Vec<ObservedItem>> = vec![Vec::new(); selection.snapshots.len()];
     let mut new_groups: Vec<(Value, Vec<ObservedItem>)> = Vec::new();
-    for row in delta.rows_before..delta.rows_after {
-        let entity = table.entity_at(row);
-        match selection.predicate.eval(schema, &entity.record) {
-            Ok(true) => {}
-            Ok(false) => continue,
-            Err(_) => return None,
-        }
-        let Some(item) = delta_item(entity, attr_idx) else {
-            continue;
-        };
-        let group_value = entity.record.value(group_idx);
+    let rows = delta.rows_before..delta.rows_after;
+    for (row, item) in selected_items(table, predicate, attr_idx, rows)? {
+        let group_value = table.columns().cell(group_idx, row);
         match by_key.get(&group_value.entity_key()) {
             Some(&(false, i)) => existing_appends[i].push(item),
             Some(&(true, i)) => new_groups[i].1.push(item),
             None => {
                 by_key.insert(group_value.entity_key(), (true, new_groups.len()));
-                new_groups.push((group_value.clone(), vec![item]));
+                new_groups.push((group_value, vec![item]));
             }
         }
     }

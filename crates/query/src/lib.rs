@@ -13,8 +13,8 @@
 //! * [`value`] / [`schema`] / [`record`] — a minimal typed row model.
 //! * [`table`] — [`table::IntegratedTable`]: entity-deduplicated storage with
 //!   observation lineage (the paper's `K` view over the multiset `S`).
-//! * [`columnar`] — columnar projections and the vectorized predicate /
-//!   sort kernels behind the cold query path.
+//! * [`columnar`] — the column store every table keeps its data in, and
+//!   the vectorized predicate / sort kernels behind the cold query path.
 //! * [`predicate`] — a typed predicate AST (`WHERE` clauses).
 //! * [`query`] — aggregate query description + fluent builder.
 //! * [`sql`] — a hand-written parser for the paper's query form

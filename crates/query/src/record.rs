@@ -72,6 +72,11 @@ impl Record {
     pub fn values(&self) -> &[Value] {
         &self.values
     }
+
+    /// The values in schema order, by value.
+    pub fn into_values(self) -> Vec<Value> {
+        self.values
+    }
 }
 
 #[cfg(test)]

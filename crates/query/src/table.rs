@@ -4,10 +4,18 @@
 //! together with the information that defines the multiset `S`: how many
 //! times each entity was observed, by which source. The end user queries the
 //! deduplicated view; the estimators consume the lineage.
+//!
+//! The table is stored as columns only (a [`Projection`]): cells in
+//! primitive buffers, a multiplicity column, a per-row lineage list and an
+//! entity-key index. Every write — [`IntegratedTable::append_batch`],
+//! [`IntegratedTable::insert_observation`] and
+//! [`IntegratedTable::restore`] — goes through the store's one column
+//! writer. Rows ([`Entity`]) are built on demand from the columns, for the
+//! few callers that want them: re-freezing a cached selection, checkpoints
+//! and tooling.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use crate::columnar::{self, GroupKey, Projection};
 use crate::predicate::{Predicate, PredicateError};
@@ -72,7 +80,7 @@ impl From<PredicateError> for TableError {
     }
 }
 
-/// One unique entity with its lineage.
+/// One unique entity with its lineage, built from the table's columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Entity {
     /// The record under the table schema (first observation wins; upstream
@@ -133,8 +141,8 @@ pub struct IntegratedTable {
     name: String,
     schema: Schema,
     key_col: usize,
-    entities: Vec<Entity>,
-    index: HashMap<String, usize>,
+    /// The column store: the table's only copy of its data.
+    columns: Projection,
     /// Mutation counter: bumped by every accepted observation. Part of the
     /// cross-query [`uu_core::profile::ProfileKey`], so cached profiles of an
     /// older table state can never be returned.
@@ -143,33 +151,27 @@ pub struct IntegratedTable {
     /// also part of the cache key: two distinct tables that happen to share a
     /// name and a version can never serve each other's cached profiles.
     instance: u64,
-    /// The cached columnar [`Projection`] of the current version, built
-    /// lazily on the first cold read and shared by every query until the
-    /// next mutation invalidates it.
-    projection: Mutex<Option<Arc<Projection>>>,
-    /// Projections built (cold reads after a mutation or on a fresh table).
-    projection_builds: AtomicU64,
-    /// Reads served by the cached projection.
-    projection_reuses: AtomicU64,
+    /// 1 when the columns were written from persisted rows
+    /// ([`IntegratedTable::restore`]), else 0.
+    restored: u64,
+    /// Reads served by the columns.
+    reads: AtomicU64,
 }
 
 impl Clone for IntegratedTable {
     /// Clones the contents but assigns a **fresh instance id**: the clone is
     /// a different table that may diverge from the original, so it must not
-    /// share cached profiles with it. The columnar projection and its
-    /// counters start cold.
+    /// share cached profiles with it. Its counters start at zero.
     fn clone(&self) -> Self {
         IntegratedTable {
             name: self.name.clone(),
             schema: self.schema.clone(),
             key_col: self.key_col,
-            entities: self.entities.clone(),
-            index: self.index.clone(),
+            columns: self.columns.clone(),
             version: self.version,
             instance: next_instance(),
-            projection: Mutex::new(None),
-            projection_builds: AtomicU64::new(0),
-            projection_reuses: AtomicU64::new(0),
+            restored: 0,
+            reads: AtomicU64::new(0),
         }
     }
 }
@@ -187,15 +189,13 @@ impl IntegratedTable {
             .ok_or_else(|| TableError::UnknownKeyColumn(key_column.to_string()))?;
         Ok(IntegratedTable {
             name: name.into(),
+            columns: Projection::new(&schema, key_col),
             schema,
             key_col,
-            entities: Vec::new(),
-            index: HashMap::new(),
             version: 0,
             instance: next_instance(),
-            projection: Mutex::new(None),
-            projection_builds: AtomicU64::new(0),
-            projection_reuses: AtomicU64::new(0),
+            restored: 0,
+            reads: AtomicU64::new(0),
         })
     }
 
@@ -227,6 +227,15 @@ impl IntegratedTable {
         &self.schema.columns()[self.key_col].name
     }
 
+    /// Validates `values` as a record of this table with a non-NULL key.
+    fn checked_cells(&self, values: Vec<Value>) -> Result<Vec<Value>, TableError> {
+        let record = Record::new(&self.schema, values)?;
+        if record.value(self.key_col).is_null() {
+            return Err(TableError::NullKey);
+        }
+        Ok(record.into_values())
+    }
+
     /// Rebuilds a table from persisted state: entities in their original
     /// row order (values + per-source lineage counts) and the version
     /// counter they were persisted at. Row order matters — selection masks
@@ -241,27 +250,21 @@ impl IntegratedTable {
         version: u64,
     ) -> Result<Self, TableError> {
         let mut table = IntegratedTable::new(name, schema, key_column)?;
-        for (values, source_counts) in entities {
-            let record = Record::new(&table.schema, values)?;
-            let key_value = record.value(table.key_col);
-            if key_value.is_null() {
-                return Err(TableError::NullKey);
-            }
-            let key = key_value.entity_key();
-            if table.index.contains_key(&key) {
-                return Err(TableError::DuplicateEntity(key));
-            }
-            table.entities.push(Entity {
-                record,
-                source_counts,
-            });
-            table.index.insert(key, table.entities.len() - 1);
+        let staged = entities
+            .into_iter()
+            .map(|(values, source_counts)| Ok((table.checked_cells(values)?, source_counts)))
+            .collect::<Result<Vec<_>, TableError>>()?;
+        if let Some(&row) = table.columns.extend_for_append(staged).0.first() {
+            let key = table.columns.cell(table.key_col, row as usize);
+            return Err(TableError::DuplicateEntity(key.entity_key()));
         }
         table.version = version;
+        table.restored = 1;
         Ok(table)
     }
 
-    /// Records that `source_id` mentioned the entity described by `values`.
+    /// Records that `source_id` mentioned the entity described by `values`:
+    /// an append batch of one.
     ///
     /// If the entity (by key column) is new, the record is stored; otherwise
     /// only the lineage is updated (first record wins — the paper assumes
@@ -271,46 +274,20 @@ impl IntegratedTable {
         source_id: u32,
         values: Vec<Value>,
     ) -> Result<(), TableError> {
-        let record = Record::new(&self.schema, values)?;
-        let key_value = record.value(self.key_col);
-        if key_value.is_null() {
-            return Err(TableError::NullKey);
-        }
-        let key = key_value.entity_key();
-        let idx = match self.index.get(&key) {
-            Some(&i) => i,
-            None => {
-                self.entities.push(Entity {
-                    record,
-                    source_counts: Vec::new(),
-                });
-                let i = self.entities.len() - 1;
-                self.index.insert(key, i);
-                i
-            }
-        };
-        let entity = &mut self.entities[idx];
-        match entity
-            .source_counts
-            .binary_search_by_key(&source_id, |&(s, _)| s)
-        {
-            Ok(pos) => entity.source_counts[pos].1 += 1,
-            Err(pos) => entity.source_counts.insert(pos, (source_id, 1)),
-        }
+        let cells = self.checked_cells(values)?;
         self.version += 1;
-        // Drop the now-stale projection eagerly (reads would reject it by
-        // version anyway; this just frees the buffers sooner).
-        *self.projection.get_mut().expect("projection lock") = None;
+        self.columns
+            .extend_for_append([(cells, vec![(source_id, 1)])]);
         Ok(())
     }
 
     /// Applies a batch of observations as an *append*: the version bumps
     /// once per accepted observation (exactly as repeated
-    /// [`IntegratedTable::insert_observation`] calls would), but instead of
-    /// dropping warm state the cached columnar projection grows in place —
-    /// buffers extend, dictionaries widen, built sort permutations absorb
-    /// the delta by sorted merge. The returned [`AppendDelta`] tells
-    /// downstream caches (profile snapshots, selection masks) what changed.
+    /// [`IntegratedTable::insert_observation`] calls would), the columns
+    /// grow in place — buffers extend, dictionaries widen, built sort
+    /// permutations absorb the delta by sorted merge. The returned
+    /// [`AppendDelta`] tells downstream caches (profile snapshots, selection
+    /// masks) what changed.
     ///
     /// The batch is validated in full before anything is applied: on error
     /// the table is unchanged.
@@ -318,116 +295,69 @@ impl IntegratedTable {
         &mut self,
         batch: Vec<(u32, Vec<Value>)>,
     ) -> Result<AppendDelta, TableError> {
-        let mut staged = Vec::with_capacity(batch.len());
-        for (source_id, values) in batch {
-            let record = Record::new(&self.schema, values)?;
-            if record.value(self.key_col).is_null() {
-                return Err(TableError::NullKey);
-            }
-            let key = record.value(self.key_col).entity_key();
-            staged.push((source_id, record, key));
-        }
+        let staged = batch
+            .into_iter()
+            .map(|(source_id, values)| Ok((self.checked_cells(values)?, vec![(source_id, 1)])))
+            .collect::<Result<Vec<_>, TableError>>()?;
         let version_before = self.version;
-        let rows_before = self.entities.len();
-        let observations = staged.len() as u64;
-        let mut touched: Vec<u32> = Vec::new();
-        for (source_id, record, key) in staged {
-            let idx = match self.index.get(&key) {
-                Some(&i) => {
-                    if i < rows_before {
-                        touched.push(i as u32);
-                    }
-                    i
-                }
-                None => {
-                    self.entities.push(Entity {
-                        record,
-                        source_counts: Vec::new(),
-                    });
-                    let i = self.entities.len() - 1;
-                    self.index.insert(key, i);
-                    i
-                }
-            };
-            let entity = &mut self.entities[idx];
-            match entity
-                .source_counts
-                .binary_search_by_key(&source_id, |&(s, _)| s)
-            {
-                Ok(pos) => entity.source_counts[pos].1 += 1,
-                Err(pos) => entity.source_counts.insert(pos, (source_id, 1)),
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        self.version += observations;
-        let mut perm_merges = 0u64;
-        let guard = self.projection.get_mut().expect("projection lock");
-        let grown = match guard.as_mut() {
-            Some(arc) if arc.version() == version_before => {
-                // During an append the table is held exclusively, so the
-                // cache's Arc is normally the only one left; a surviving
-                // outside reference forces a rebuild-on-next-read.
-                match Arc::get_mut(arc) {
-                    Some(proj) => {
-                        perm_merges = proj.extend_for_append(
-                            &self.schema,
-                            &self.entities,
-                            &touched,
-                            self.version,
-                        ) as u64;
-                        true
-                    }
-                    None => false,
-                }
-            }
-            Some(_) => false,
-            // Nothing cached: nothing to grow, nothing stale to drop.
-            None => true,
-        };
-        if !grown {
-            *guard = None;
-        }
+        let rows_before = self.len();
+        self.version += staged.len() as u64;
+        let (mut touched, perm_merges) = self.columns.extend_for_append(staged);
+        touched.retain(|&row| (row as usize) < rows_before);
         Ok(AppendDelta {
             version_before,
             version_after: self.version,
             rows_before,
-            rows_after: self.entities.len(),
+            rows_after: self.len(),
             touched,
-            perm_merges,
+            perm_merges: perm_merges as u64,
         })
     }
 
-    /// The entity at row index `row` (table order).
-    pub fn entity_at(&self, row: usize) -> &Entity {
-        &self.entities[row]
+    /// The entity at row index `row` (table order), built from the columns.
+    pub fn entity_at(&self, row: usize) -> Entity {
+        Entity {
+            record: self.record_at(row),
+            source_counts: self.columns.lineage(row).to_vec(),
+        }
+    }
+
+    /// The record at row `row`, built from the columns.
+    pub(crate) fn record_at(&self, row: usize) -> Record {
+        let cells = (0..self.schema.len()).map(|col| self.columns.cell(col, row));
+        Record::new(&self.schema, cells.collect()).expect("column cells fit the schema")
+    }
+
+    /// The column store, for row-at-a-time readers in this crate.
+    pub(crate) fn columns(&self) -> &Projection {
+        &self.columns
     }
 
     /// Number of unique entities (`c = |K|`).
     pub fn len(&self) -> usize {
-        self.entities.len()
+        self.columns.rows()
     }
 
     /// True when the table has no entities.
     pub fn is_empty(&self) -> bool {
-        self.entities.is_empty()
+        self.len() == 0
     }
 
     /// Total observations across all sources (`n = |S|`).
     pub fn total_observations(&self) -> u64 {
-        self.entities.iter().map(Entity::multiplicity).sum()
+        self.columns.mults().iter().sum()
     }
 
-    /// Iterates over the unique entities.
-    pub fn entities(&self) -> impl Iterator<Item = &Entity> {
-        self.entities.iter()
+    /// The unique entities in row order, each built from the columns as the
+    /// iterator reaches it.
+    pub fn entities(&self) -> impl ExactSizeIterator<Item = Entity> + '_ {
+        (0..self.len()).map(|row| self.entity_at(row))
     }
 
-    /// Looks up an entity by its key value.
-    pub fn entity(&self, key: &Value) -> Option<&Entity> {
-        self.index
-            .get(&key.entity_key())
-            .map(|&i| &self.entities[i])
+    /// Looks up an entity by its key value. A key of a type the key column
+    /// cannot hold (or a string the column has never seen) finds nothing.
+    pub fn entity(&self, key: &Value) -> Option<Entity> {
+        self.columns.find(key).map(|row| self.entity_at(row))
     }
 
     /// Resolves and validates the aggregate attribute column.
@@ -447,56 +377,29 @@ impl IntegratedTable {
         }
     }
 
-    /// The columnar [`Projection`] of the current table state, building and
-    /// caching it when the cache is cold or a mutation made it stale.
-    pub fn projection(&self) -> Arc<Projection> {
-        let mut guard = self.projection.lock().expect("projection lock");
-        if let Some(p) = guard.as_ref() {
-            if p.version() == self.version {
-                self.projection_reuses.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(p);
-            }
-        }
-        let _span = uu_core::obs::span(uu_core::obs::Stage::ProjectionBuild);
-        let p = Arc::new(Projection::build(
-            &self.schema,
-            &self.entities,
-            self.version,
-        ));
-        self.projection_builds.fetch_add(1, Ordering::Relaxed);
-        *guard = Some(Arc::clone(&p));
-        p
+    /// The column store, counting the read.
+    fn read(&self) -> &Projection {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        &self.columns
     }
 
-    /// `(builds, reuses)` of the projection cache since construction.
+    /// `(builds, reuses)`: 1 build when the columns were written from
+    /// persisted rows ([`IntegratedTable::restore`]), and the reads served
+    /// by the columns since construction.
     pub fn projection_metrics(&self) -> (u64, u64) {
-        (
-            self.projection_builds.load(Ordering::Relaxed),
-            self.projection_reuses.load(Ordering::Relaxed),
-        )
+        (self.restored, self.reads.load(Ordering::Relaxed))
     }
 
-    /// Heap bytes held by the materialized projection, 0 when none is
-    /// cached for the current version.
+    /// Approximate heap bytes of the column store.
     pub fn projection_bytes(&self) -> usize {
-        self.projection
-            .lock()
-            .expect("projection lock")
-            .as_ref()
-            .filter(|p| p.version() == self.version)
-            .map_or(0, |p| p.approx_bytes())
+        self.columns.approx_bytes()
     }
 
-    /// Pre-builds the columnar projection and, when an aggregate column is
-    /// given, its sort permutation, so a later cold query finds both ready.
+    /// Pre-builds the aggregate column's sort permutation, when one is
+    /// given, so a later cold query finds it ready.
     pub fn warm_projection(&self, attr_column: Option<&str>) -> Result<(), TableError> {
-        let attr_idx = self.checked_attr(attr_column)?;
-        if self.entities.is_empty() {
-            return Ok(());
-        }
-        let proj = self.projection();
-        if let Some(idx) = attr_idx {
-            let _ = proj.sort_perm(idx);
+        if let Some(idx) = self.checked_attr(attr_column)? {
+            let _ = self.columns.sort_perm(idx);
         }
         Ok(())
     }
@@ -506,8 +409,8 @@ impl IntegratedTable {
     /// full lineage. Entities whose attribute is NULL are skipped (SQL
     /// aggregate semantics).
     ///
-    /// Runs over the columnar projection; results are bit-for-bit those of
-    /// per-record predicate evaluation (the `uu_bench::oracle` reference).
+    /// Runs over the columns; results are bit-for-bit those of per-record
+    /// predicate evaluation (the `uu_bench::oracle` reference).
     pub fn sample_view(
         &self,
         attr_column: Option<&str>,
@@ -518,7 +421,7 @@ impl IntegratedTable {
 
     /// [`IntegratedTable::sample_view`] plus the selection's value-sort
     /// permutation (indices into the view's items, ascending, stable),
-    /// derived from the projection's memoized full-column sort — the input
+    /// derived from the column's memoized full-column sort — the input
     /// to [`uu_core::profile::ProfileSnapshot::capture_presorted`].
     pub fn sample_view_with_sorted(
         &self,
@@ -554,28 +457,21 @@ impl IntegratedTable {
         // An empty table evaluates the predicate on no record, so even an
         // unknown predicate column is not an error there — skip compilation
         // to match.
-        if self.entities.is_empty() {
+        if self.is_empty() {
             return Ok((
                 SampleView::from_observed_items(Vec::new()),
                 Vec::new(),
                 Vec::new(),
             ));
         }
-        let proj = self.projection();
-        let selected = self.selected_bits(&proj, attr_idx, predicate)?;
+        let proj = self.read();
+        let selected = self.selected_bits(proj, attr_idx, predicate)?;
         let count = columnar::count_ones(&selected);
         let mut items = Vec::with_capacity(count);
-        columnar::for_each_set(&selected, |row| {
-            let value = attr_idx.map_or(0.0, |c| proj.float_at(c, row));
-            items.push(ObservedItem {
-                value,
-                multiplicity: proj.mults()[row],
-                source_counts: self.entities[row].source_counts.clone(),
-            });
-        });
+        columnar::for_each_set(&selected, |row| items.extend(proj.item(row, attr_idx)));
         let sorted = if want_sorted {
             let _span = uu_core::obs::span(uu_core::obs::Stage::PresortedFilter);
-            columnar::sorted_idx_filtered(&proj, attr_idx, &selected, count)
+            columnar::sorted_idx_filtered(proj, attr_idx, &selected, count)
         } else {
             Vec::new()
         };
@@ -609,10 +505,10 @@ impl IntegratedTable {
         predicate: &Predicate,
     ) -> Result<Vec<u64>, TableError> {
         let attr_idx = self.checked_attr(attr_column)?;
-        if self.entities.is_empty() {
+        if self.is_empty() {
             return Ok(Vec::new());
         }
-        self.selected_bits(&self.projection(), attr_idx, predicate)
+        self.selected_bits(self.read(), attr_idx, predicate)
     }
 
     /// Like [`IntegratedTable::sample_view`], but partitioned by the distinct
@@ -658,18 +554,18 @@ impl IntegratedTable {
             .index_of(group_column)
             .ok_or_else(|| TableError::UnknownColumn(group_column.to_string()))?;
         let attr_idx = self.checked_attr(attr_column)?;
-        if self.entities.is_empty() {
+        if self.is_empty() {
             return Ok(Vec::new());
         }
-        let proj = self.projection();
-        let selected = self.selected_bits(&proj, attr_idx, predicate)?;
+        let proj = self.read();
+        let selected = self.selected_bits(proj, attr_idx, predicate)?;
         // One pass over the selected rows assigns groups; each row remembers
         // its group and its item index within it, so the memoized column
         // sort can be scattered into per-group permutations in a second
         // single pass. A group column holding an INT beyond 2^53 keys on the
         // exact entity-key string, which the widened floats cannot reproduce.
         let exact_keys = proj.lossy_ints(group_idx);
-        let rows = self.entities.len();
+        let rows = self.len();
         let mut row_group = vec![u32::MAX; rows];
         let mut row_slot = vec![0u32; rows];
         let mut by_key: HashMap<GroupKey, u32> = HashMap::new();
@@ -677,7 +573,7 @@ impl IntegratedTable {
         let mut reps: Vec<Value> = Vec::new();
         let mut buckets: Vec<Vec<ObservedItem>> = Vec::new();
         columnar::for_each_set(&selected, |row| {
-            let cell = || self.entities[row].record.value(group_idx);
+            let cell = || proj.cell(group_idx, row);
             let fresh = reps.len() as u32;
             let g = if exact_keys {
                 *by_exact_key.entry(cell().entity_key()).or_insert(fresh)
@@ -687,18 +583,13 @@ impl IntegratedTable {
                     .or_insert(fresh)
             };
             if g == fresh {
-                reps.push(cell().clone());
+                reps.push(cell());
                 buckets.push(Vec::new());
             }
             let bucket = &mut buckets[g as usize];
             row_group[row] = g;
             row_slot[row] = bucket.len() as u32;
-            let value = attr_idx.map_or(0.0, |c| proj.float_at(c, row));
-            bucket.push(ObservedItem {
-                value,
-                multiplicity: proj.mults()[row],
-                source_counts: self.entities[row].source_counts.clone(),
-            });
+            bucket.extend(proj.item(row, attr_idx));
         });
         let sorted: Vec<Vec<u32>> = if !want_sorted {
             vec![Vec::new(); buckets.len()]
@@ -959,28 +850,12 @@ mod tests {
             },
         ]);
         assert_eq!(columnar, rows);
-        // One build on the first read, reuses afterwards.
+        // Every read is served by the columns; nothing was restored.
         let _ = t.sample_view(None, &Predicate::True).unwrap();
         let (builds, reuses) = t.projection_metrics();
-        assert_eq!(builds, 1);
-        assert!(reuses >= 1);
+        assert_eq!(builds, 0);
+        assert_eq!(reuses, 2);
         assert!(t.projection_bytes() > 0);
-    }
-
-    #[test]
-    fn mutation_invalidates_the_projection() {
-        let mut t = tech_table();
-        let _ = t.sample_view(None, &Predicate::True).unwrap();
-        assert_eq!(t.projection_metrics().0, 1);
-        t.insert_observation(
-            4,
-            vec![Value::from("E"), Value::from(50.0), Value::from("NY")],
-        )
-        .unwrap();
-        assert_eq!(t.projection_bytes(), 0);
-        let v = t.sample_view(Some("employees"), &Predicate::True).unwrap();
-        assert_eq!(v.c(), 4);
-        assert_eq!(t.projection_metrics().0, 2);
     }
 
     #[test]
@@ -1071,13 +946,12 @@ mod tests {
     #[test]
     fn warm_projection_builds_buffers_and_checks_columns() {
         let t = tech_table();
+        let cold = t.projection_bytes();
         t.warm_projection(Some("employees")).unwrap();
-        assert_eq!(t.projection_metrics().0, 1);
-        assert!(t.projection_bytes() > 0);
-        // A warmed table serves reads without another build.
+        // The sort permutation now counts toward the store's bytes.
+        assert!(t.projection_bytes() > cold);
         let _ = t.sample_view(Some("employees"), &Predicate::True).unwrap();
-        let (builds, reuses) = t.projection_metrics();
-        assert_eq!((builds, reuses), (1, 1));
+        assert_eq!(t.projection_metrics(), (0, 1));
         assert!(matches!(
             t.warm_projection(Some("missing")),
             Err(TableError::UnknownColumn(_))
@@ -1092,7 +966,7 @@ mod tests {
     fn append_batch_matches_repeated_inserts_without_a_rebuild() {
         let mut incremental = tech_table();
         let mut oracle = incremental.clone();
-        // Warm the projection and its sort permutation on both tables.
+        // Warm the sort permutation on both tables.
         incremental.warm_projection(Some("employees")).unwrap();
         oracle.warm_projection(Some("employees")).unwrap();
         let batch: Vec<(u32, Vec<Value>)> = vec![
@@ -1113,9 +987,6 @@ mod tests {
         assert_eq!((delta.rows_before, delta.rows_after), (3, 5));
         assert_eq!(delta.touched, vec![2]); // "D" is row 2
         assert_eq!(delta.perm_merges, 1);
-        // The projection was grown, not rebuilt.
-        assert_eq!(incremental.projection_metrics().0, 1);
-        assert!(incremental.projection_bytes() > 0);
         for (src, values) in batch {
             oracle.insert_observation(src, values).unwrap();
         }
@@ -1153,28 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_with_a_shared_projection_drops_warm_state() {
-        let mut t = tech_table();
-        t.warm_projection(Some("employees")).unwrap();
-        // An outside reference to the projection forbids growing it in
-        // place, so the append drops it instead.
-        let shared = t.projection();
-        let delta = t
-            .append_batch(vec![(
-                4,
-                vec![Value::from("E"), Value::from(50.0), Value::from("NY")],
-            )])
-            .unwrap();
-        drop(shared);
-        assert_eq!(delta.perm_merges, 0);
-        assert_eq!(t.projection_bytes(), 0);
-        // Parity holds regardless: the next read rebuilds from scratch.
-        let v = t.sample_view(Some("employees"), &Predicate::True).unwrap();
-        assert_eq!(v.c(), 4);
-        assert_eq!(t.projection_metrics().0, 2);
-    }
-
-    #[test]
     fn selection_mask_bits_mirror_sample_view_membership() {
         let t = tech_table();
         let pred = Predicate::cmp("state", CmpOp::Eq, Value::from("CA"));
@@ -1205,6 +1054,152 @@ mod tests {
             assert_eq!(sorted, ref_sorted);
             assert_eq!(mask, table.selection_mask_bits(attr, pred).unwrap());
         }
+    }
+
+    /// Loads `keys` into a table with a FLOAT key column, one observation
+    /// each (source = position).
+    fn float_keyed(keys: &[Value]) -> IntegratedTable {
+        let schema = Schema::new([("k", ColumnType::Float), ("x", ColumnType::Int)]);
+        let mut t = IntegratedTable::new("t", schema, "k").unwrap();
+        for (i, key) in keys.iter().enumerate() {
+            t.insert_observation(i as u32, vec![key.clone(), Value::Int(i as i64)])
+                .unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn float_key_index_dedups_by_entity_key() {
+        let two53 = 1i64 << 53;
+        let nan_a = f64::NAN;
+        let nan_b = f64::from_bits(f64::NAN.to_bits() | 0xBEEF);
+        let cases: [(&str, Vec<Value>, usize); 6] = [
+            (
+                "2^53 as INT and FLOAT",
+                vec![Value::Int(two53), Value::Float(two53 as f64)],
+                1,
+            ),
+            (
+                "2^53 and 2^53 + 1",
+                vec![Value::Int(two53), Value::Int(two53 + 1)],
+                2,
+            ),
+            (
+                "lossy INT equal to 2^60 by entity key",
+                vec![
+                    Value::Int(1_152_921_504_606_847_000),
+                    Value::Float(2f64.powi(60)),
+                ],
+                1,
+            ),
+            ("5 and 5.0", vec![Value::Int(5), Value::Float(5.0)], 1),
+            (
+                "-0.0 and 0.0",
+                vec![Value::Float(-0.0), Value::Float(0.0)],
+                1,
+            ),
+            (
+                "NaN payloads",
+                vec![Value::Float(nan_a), Value::Float(nan_b)],
+                1,
+            ),
+        ];
+        for (what, keys, want) in cases {
+            // The row rule: entities are distinct entity keys, first record
+            // wins, lineage gathers every source.
+            let mut row_keys: Vec<String> = Vec::new();
+            for key in &keys {
+                if !row_keys.contains(&key.entity_key()) {
+                    row_keys.push(key.entity_key());
+                }
+            }
+            assert_eq!(row_keys.len(), want, "{what}: the row rule");
+            let t = float_keyed(&keys);
+            assert_eq!(t.len(), want, "{what}");
+            for (entity, key) in t.entities().zip(&row_keys) {
+                assert_eq!(&entity.record.value(0).entity_key(), key, "{what}");
+            }
+            // The first record's exact cell survives, and every key finds
+            // its entity.
+            let first = t.entity_at(0);
+            match (first.record.value(0), &keys[0]) {
+                (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
+                (got, want) => assert_eq!(got, want, "{what}"),
+            }
+            for key in &keys {
+                let found = t.entity(key).expect("every key finds its entity");
+                assert_eq!(found.record.value(0).entity_key(), key.entity_key());
+            }
+            if want == 1 {
+                assert_eq!(first.source_counts, vec![(0, 1), (1, 1)], "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn unseen_text_key_finds_nothing() {
+        let t = tech_table();
+        assert!(t.entity(&Value::from("never seen")).is_none());
+        assert!(t.entity(&Value::Int(1)).is_none());
+        assert_eq!(t.entity(&Value::from("B")).unwrap().multiplicity(), 2);
+    }
+
+    #[test]
+    fn restore_rejects_repeated_keys() {
+        let schema = Schema::new([("k", ColumnType::Str)]);
+        let rows: EntityRows = vec![
+            (vec![Value::from("a")], vec![(0, 1)]),
+            (vec![Value::from("a")], vec![(1, 1)]),
+        ];
+        assert_eq!(
+            IntegratedTable::restore("t", schema, "k", rows, 2).unwrap_err(),
+            TableError::DuplicateEntity("a".into())
+        );
+    }
+
+    #[test]
+    fn loading_one_at_a_time_stays_linear() {
+        const KEYS: usize = 50_000;
+        let schema = Schema::new([("k", ColumnType::Str), ("x", ColumnType::Float)]);
+        let batch: Vec<(u32, Vec<Value>)> = (0..KEYS)
+            .map(|i| {
+                // Spread first characters so new strings land all over the
+                // dictionary's lexicographic order.
+                let key = format!("{:x}-{i}", (i * 7919) % 4096);
+                (
+                    (i % 5) as u32,
+                    vec![Value::from(key), Value::from(i as f64)],
+                )
+            })
+            .collect();
+        let timed = |load: &dyn Fn(&mut IntegratedTable)| {
+            let mut t = IntegratedTable::new("t", schema.clone(), "k").unwrap();
+            let start = std::time::Instant::now();
+            load(&mut t);
+            (t, start.elapsed())
+        };
+        let (batched, batched_time) = timed(&|t| {
+            t.append_batch(batch.clone()).unwrap();
+        });
+        let (single, single_time) = timed(&|t| {
+            for (source, values) in batch.clone() {
+                t.insert_observation(source, values).unwrap();
+            }
+        });
+        assert_eq!(single.len(), KEYS);
+        assert_eq!(single.version(), batched.version());
+        assert!(single.entities().eq(batched.entities()));
+        let pred = Predicate::cmp("k", CmpOp::Lt, Value::from("8"));
+        assert_eq!(
+            single.sample_view_with_sorted(Some("x"), &pred).unwrap(),
+            batched.sample_view_with_sorted(Some("x"), &pred).unwrap()
+        );
+        // The clone of the batch is inside both timings. A per-insert
+        // rebuild of anything O(table) costs ~1 000x here.
+        assert!(
+            single_time <= batched_time * 10,
+            "one at a time {single_time:?} vs batched {batched_time:?}"
+        );
     }
 
     #[test]

@@ -880,15 +880,17 @@ wire_record! {
         pub peak_workers: u64,
     }
 
-    /// Columnar-projection counters in a `stats` response, aggregated over every
-    /// registered table.
+    /// Column-store counters in a `stats` response, aggregated over every
+    /// registered table. The columns are each table's only storage; the
+    /// wire keeps the `projection` spelling of protocol revision 3.
     #[derive(Debug, Clone, PartialEq)]
     pub struct WireProjectionStats {
-        /// Projections materialized from row storage.
+        /// Tables whose columns were written from persisted rows: one per
+        /// table restored from a snapshot.
         pub builds: u64,
-        /// Requests served by an already-current projection.
+        /// Reads served by the columns.
         pub reuses: u64,
-        /// Bytes held by currently-valid projections (stale ones count zero).
+        /// Bytes of the column stores.
         pub bytes: u64,
     }
 

@@ -922,15 +922,12 @@ impl Service {
         .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?;
         let batch = parse_observations(staged.schema(), &load.csv, &load.source_column)
             .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
-        for (source, values) in &batch {
-            // Same staging `load_observations` performs, kept explicit so
-            // the fully validated batch is in hand for the WAL record
-            // (`CsvError::Table` displays as the inner error, so the error
-            // text is unchanged).
-            staged
-                .insert_observation(*source, values.clone())
-                .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
-        }
+        // The whole batch in one append (validated in full first), keeping
+        // the batch in hand for the WAL record. `CsvError::Table` displays
+        // as the inner error, so the error text is `load_observations`'s.
+        staged
+            .append_batch(batch.clone())
+            .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
         let observations = batch.len() as u64;
         let entities = staged.len() as u64;
         // Log only after every row validated: the WAL holds committed
@@ -1156,7 +1153,12 @@ fn answer(
     method: CorrectionMethod,
     session: Option<&EstimationSession>,
 ) -> (Vec<GroupResult>, Vec<Vec<WireEstimate>>) {
-    let rows = uu_query::exec::results_from_selection(query, snapshots, method);
+    // The corrected aggregate is estimator work too: without this span the
+    // correction, bound and recommendation of every universe go untraced.
+    let rows = {
+        let _span = obs::span(Stage::EstimatorFanout);
+        uu_query::exec::results_from_selection(query, snapshots, method)
+    };
     let estimates = snapshots
         .iter()
         .map(|(_, snapshot)| match session {

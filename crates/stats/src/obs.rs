@@ -49,9 +49,7 @@ pub enum Stage {
     Parse,
     /// Profile-cache lookup (hit or miss).
     CacheProbe,
-    /// Building (or rebuilding) a columnar projection.
-    ProjectionBuild,
-    /// Vectorized selection kernels over a projection.
+    /// Vectorized selection kernels over a table's columns.
     SelectionKernel,
     /// Filtering a presorted index instead of re-sorting.
     PresortedFilter,
@@ -75,11 +73,10 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in display order.
-    pub const ALL: [Stage; 14] = [
+    pub const ALL: [Stage; 13] = [
         Stage::QueueWait,
         Stage::Parse,
         Stage::CacheProbe,
-        Stage::ProjectionBuild,
         Stage::SelectionKernel,
         Stage::PresortedFilter,
         Stage::ValueSort,
@@ -98,7 +95,6 @@ impl Stage {
             Stage::QueueWait => "queue_wait",
             Stage::Parse => "parse",
             Stage::CacheProbe => "cache_probe",
-            Stage::ProjectionBuild => "projection_build",
             Stage::SelectionKernel => "selection_kernel",
             Stage::PresortedFilter => "presorted_filter",
             Stage::ValueSort => "value_sort",

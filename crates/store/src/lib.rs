@@ -277,16 +277,13 @@ impl Store {
                     // Already present ⇒ the load is inside the snapshot (a
                     // crash landed between the snapshot rename and the WAL
                     // truncate) — skip. Otherwise replay exactly like the
-                    // live path: stage, insert, register only on success
+                    // live path: stage, append, register only on success
                     // (a failure was rejected live too, deterministically).
                     if catalog.get(&table).is_none() {
                         if let Ok(mut staged) =
                             IntegratedTable::new(&table, Schema::new(columns), &entity_column)
                         {
-                            let clean = batch.into_iter().all(|(src, values)| {
-                                staged.insert_observation(src, values).is_ok()
-                            });
-                            if clean {
+                            if staged.append_batch(batch).is_ok() {
                                 let _ = catalog.register(staged);
                             }
                         }
@@ -388,8 +385,7 @@ impl Store {
                 version: table.version(),
                 entities: table
                     .entities()
-                    .map(|e| (e.record.values().to_vec(), e.source_counts.clone()))
-                    .collect(),
+                    .map(|e| (e.record.into_values(), e.source_counts)),
                 selections: selections
                     .iter()
                     .map(|sel| SelectionData {
@@ -408,7 +404,7 @@ impl Store {
                     })
                     .collect(),
             };
-            let (written, syncs) = write_snapshot(&self.dir, &snap, self.policy)?;
+            let (written, syncs) = write_snapshot(&self.dir, snap, self.policy)?;
             self.snapshot_fsyncs.fetch_add(syncs, Ordering::Relaxed);
             tables += 1;
             bytes += written;

@@ -55,8 +55,10 @@ pub struct SelectionData {
     pub universes: Vec<UniverseData>,
 }
 
-/// A whole table checkpoint.
-pub struct TableSnapshot {
+/// A whole table checkpoint. `R` holds the rows: [`EntityRows`] when read
+/// back, any exact-size iterator of rows when written, so a checkpoint can
+/// encode each row as the table builds it instead of collecting them.
+pub struct TableSnapshot<R = EntityRows> {
     /// The catalog key (lowercased table name) — also the file identity.
     pub key: String,
     /// Display name, verbatim.
@@ -68,7 +70,7 @@ pub struct TableSnapshot {
     /// The table's version counter at checkpoint time.
     pub version: u64,
     /// Entities in row order: `(record values, (source, count) lineage)`.
-    pub entities: EntityRows,
+    pub entities: R,
     /// Every selection that was current (same instance and version) at
     /// checkpoint time.
     pub selections: Vec<SelectionData>,
@@ -83,7 +85,11 @@ pub fn snapshot_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("t-{}.snap", hex(key.as_bytes())))
 }
 
-fn encode(snapshot: &TableSnapshot) -> Vec<u8> {
+fn encode<R>(snapshot: TableSnapshot<R>) -> Vec<u8>
+where
+    R: IntoIterator<Item = (Vec<Value>, Vec<(u32, u32)>)>,
+    R::IntoIter: ExactSizeIterator,
+{
     let mut out = Vec::new();
     put_str(&mut out, &snapshot.key);
     put_str(&mut out, &snapshot.name);
@@ -94,14 +100,15 @@ fn encode(snapshot: &TableSnapshot) -> Vec<u8> {
     }
     put_str(&mut out, &snapshot.key_column);
     put_u64(&mut out, snapshot.version);
-    put_count(&mut out, snapshot.entities.len());
-    for (values, source_counts) in &snapshot.entities {
+    let entities = snapshot.entities.into_iter();
+    put_count(&mut out, entities.len());
+    for (values, source_counts) in entities {
         put_count(&mut out, values.len());
-        for value in values {
+        for value in &values {
             put_value(&mut out, value);
         }
         put_count(&mut out, source_counts.len());
-        for (source, count) in source_counts {
+        for (source, count) in &source_counts {
             put_u32(&mut out, *source);
             put_u32(&mut out, *count);
         }
@@ -254,11 +261,16 @@ fn decode(payload: &[u8]) -> Result<TableSnapshot, StoreError> {
 /// Writes `snapshot` atomically (temp file + fsync + rename + directory
 /// fsync, syncs skipped under [`FsyncPolicy::Off`]). Returns the file's
 /// byte size and how many fsyncs were issued.
-pub fn write_snapshot(
+pub fn write_snapshot<R>(
     dir: &Path,
-    snapshot: &TableSnapshot,
+    snapshot: TableSnapshot<R>,
     policy: FsyncPolicy,
-) -> std::io::Result<(u64, u64)> {
+) -> std::io::Result<(u64, u64)>
+where
+    R: IntoIterator<Item = (Vec<Value>, Vec<(u32, u32)>)>,
+    R::IntoIter: ExactSizeIterator,
+{
+    let final_path = snapshot_path(dir, &snapshot.key);
     let payload = encode(snapshot);
     let mut framed = Vec::with_capacity(MAGIC.len() + 8 + payload.len());
     framed.extend_from_slice(MAGIC);
@@ -266,7 +278,6 @@ pub fn write_snapshot(
     framed.extend_from_slice(&crc32(&payload).to_le_bytes());
     framed.extend_from_slice(&payload);
 
-    let final_path = snapshot_path(dir, &snapshot.key);
     let tmp_path = final_path.with_extension("snap.tmp");
     let mut syncs = 0u64;
     {
@@ -395,7 +406,7 @@ mod tests {
     fn snapshots_round_trip_through_disk() {
         let dir = scratch("round-trip");
         let snapshot = sample();
-        let (bytes, _) = write_snapshot(&dir, &snapshot, FsyncPolicy::Off).unwrap();
+        let (bytes, _) = write_snapshot(&dir, sample(), FsyncPolicy::Off).unwrap();
         assert!(bytes > 0);
         let back = read_snapshot(&snapshot_path(&dir, "companies")).unwrap();
         assert_eq!(back.key, snapshot.key);
@@ -418,10 +429,10 @@ mod tests {
     #[test]
     fn rewrite_replaces_atomically_and_corruption_is_detected() {
         let dir = scratch("rewrite");
+        write_snapshot(&dir, sample(), FsyncPolicy::Off).unwrap();
         let mut snapshot = sample();
-        write_snapshot(&dir, &snapshot, FsyncPolicy::Off).unwrap();
         snapshot.version = 12;
-        write_snapshot(&dir, &snapshot, FsyncPolicy::Off).unwrap();
+        write_snapshot(&dir, snapshot, FsyncPolicy::Off).unwrap();
         let path = snapshot_path(&dir, "companies");
         assert_eq!(read_snapshot(&path).unwrap().version, 12);
         let mut bytes = std::fs::read(&path).unwrap();

@@ -7,10 +7,19 @@
 //! the [`FsyncPolicy`] governs. A torn final frame (length or CRC mismatch,
 //! or fewer bytes than the length promises) marks the end of the valid
 //! prefix; [`scan`] reports it and recovery physically truncates it away.
+//!
+//! An I/O error never leaves the log in a state that could lose an
+//! acknowledged record or revive a rejected one. A failed write is cut back
+//! to the last good length, so the next record does not land behind a
+//! partial frame that recovery would stop at. A failed fsync — and a failed
+//! cut-back — *poisons* the log: the kernel may have dropped the dirty
+//! pages, so no later append, sync or truncate is attempted, let alone
+//! acknowledged (PostgreSQL's "fsyncgate" rule). A restart recovers from
+//! whatever reached the disk.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{Seek, SeekFrom, Write};
+use std::path::Path;
 
 use crate::crc32::crc32;
 use crate::FsyncPolicy;
@@ -33,11 +42,15 @@ pub struct WalScan {
 /// empty. The scan stops at the first length/CRC mismatch — everything
 /// after it is a torn write to truncate, never an error.
 pub fn scan(path: &Path) -> std::io::Result<WalScan> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(scan_bytes(&bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(scan_bytes(&[])),
+        Err(e) => Err(e),
+    }
+}
+
+/// [`scan`] over the log's bytes.
+fn scan_bytes(bytes: &[u8]) -> WalScan {
     let mut payloads = Vec::new();
     let mut pos = 0usize;
     loop {
@@ -58,21 +71,45 @@ pub fn scan(path: &Path) -> std::io::Result<WalScan> {
         payloads.push(payload.to_vec());
         pos = body_start + len;
     }
-    Ok(WalScan {
+    WalScan {
         payloads,
         valid_len: pos as u64,
         torn_bytes: (bytes.len() - pos) as u64,
-    })
+    }
+}
+
+/// The file operations the log needs: implemented by [`File`], and by a
+/// fault-injecting fake in the tests.
+trait LogFile: Write + Seek {
+    fn set_len(&self, len: u64) -> std::io::Result<()>;
+    fn sync_data(&self) -> std::io::Result<()>;
+    fn sync_all(&self) -> std::io::Result<()>;
+}
+
+impl LogFile for File {
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        File::set_len(self, len)
+    }
+
+    fn sync_data(&self) -> std::io::Result<()> {
+        File::sync_data(self)
+    }
+
+    fn sync_all(&self) -> std::io::Result<()> {
+        File::sync_all(self)
+    }
 }
 
 /// The open, append-position WAL file.
 pub struct Wal {
-    file: File,
-    path: PathBuf,
+    file: Box<dyn LogFile + Send>,
     policy: FsyncPolicy,
     len: u64,
     dirty: bool,
     syncs: u64,
+    /// Set by an fsync error or a failed cut-back: every later operation
+    /// fails.
+    poisoned: bool,
 }
 
 impl Wal {
@@ -90,55 +127,95 @@ impl Wal {
             file.set_len(valid_len)?;
         }
         file.seek(SeekFrom::End(0))?;
-        Ok(Wal {
-            file,
-            path: path.to_path_buf(),
+        Ok(Wal::with_file(
+            Box::new(file),
             policy,
-            len: valid_len.min(actual),
+            valid_len.min(actual),
+        ))
+    }
+
+    fn with_file(file: Box<dyn LogFile + Send>, policy: FsyncPolicy, len: u64) -> Wal {
+        Wal {
+            file,
+            policy,
+            len,
             dirty: false,
             syncs: 0,
-        })
+            poisoned: false,
+        }
+    }
+
+    /// Runs `op` unless the log is poisoned; an error from `op` poisons it.
+    fn guarded(&mut self, op: impl FnOnce(&mut Wal) -> std::io::Result<()>) -> std::io::Result<()> {
+        if self.poisoned {
+            return Err(std::io::Error::other(
+                "the WAL is poisoned by an earlier I/O error; restart to recover",
+            ));
+        }
+        let result = op(self);
+        self.poisoned |= result.is_err();
+        result
     }
 
     /// Appends one framed record; under [`FsyncPolicy::Always`] the write is
-    /// synced before returning. Returns the framed byte count.
+    /// synced before returning. Returns the framed byte count. On error the
+    /// record is not in the log, and no later record lands behind a partial
+    /// frame.
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<u64> {
+        self.guarded(|_| Ok(()))?;
         let mut frame = Vec::with_capacity(payload.len() + FRAME_HEADER_BYTES as usize);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        if let Err(e) = self.file.write_all(&frame) {
+            // Cut the partial frame off (or poison the log trying).
+            self.guarded(|wal| {
+                wal.file.set_len(wal.len)?;
+                wal.file.seek(SeekFrom::End(0)).map(drop)
+            })?;
+            return Err(e);
+        }
         self.len += frame.len() as u64;
         self.dirty = true;
         if self.policy == FsyncPolicy::Always {
-            self.sync()?;
+            if let Err(e) = self.sync() {
+                // The caller rejects this record: cut it off so a restart
+                // cannot replay it. The log stays poisoned either way.
+                self.len -= frame.len() as u64;
+                let _ = self.file.set_len(self.len);
+                return Err(e);
+            }
         }
         Ok(frame.len() as u64)
     }
 
     /// Syncs pending writes to stable storage, honouring the policy
-    /// ([`FsyncPolicy::Off`] never syncs).
+    /// ([`FsyncPolicy::Off`] never syncs). An fsync error poisons the log.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        if self.dirty && self.policy != FsyncPolicy::Off {
-            self.file.sync_data()?;
-            self.syncs += 1;
-            self.dirty = false;
-        }
-        Ok(())
+        self.guarded(|wal| {
+            if wal.dirty && wal.policy != FsyncPolicy::Off {
+                wal.file.sync_data()?;
+                wal.syncs += 1;
+                wal.dirty = false;
+            }
+            Ok(())
+        })
     }
 
     /// Empties the log — called right after a checkpoint made every logged
-    /// batch redundant.
+    /// batch redundant. Any error poisons the log.
     pub fn truncate(&mut self) -> std::io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.len = 0;
-        self.dirty = false;
-        if self.policy != FsyncPolicy::Off {
-            self.file.sync_all()?;
-            self.syncs += 1;
-        }
-        Ok(())
+        self.guarded(|wal| {
+            wal.file.set_len(0)?;
+            wal.file.seek(SeekFrom::Start(0))?;
+            wal.len = 0;
+            wal.dirty = false;
+            if wal.policy != FsyncPolicy::Off {
+                wal.file.sync_all()?;
+                wal.syncs += 1;
+            }
+            Ok(())
+        })
     }
 
     /// Current log length in bytes.
@@ -155,25 +232,12 @@ impl Wal {
     pub fn syncs(&self) -> u64 {
         self.syncs
     }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Re-reads the whole file (tests and diagnostics).
-    pub fn read_bytes(&mut self) -> std::io::Result<Vec<u8>> {
-        self.file.seek(SeekFrom::Start(0))?;
-        let mut bytes = Vec::new();
-        self.file.read_to_end(&mut bytes)?;
-        self.file.seek(SeekFrom::End(0))?;
-        Ok(bytes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("uu-wal-test-{}", std::process::id()));
@@ -257,5 +321,153 @@ mod tests {
         // Appends continue normally after a truncate.
         wal.append(b"y").unwrap();
         assert_eq!(scan(&path).unwrap().payloads, vec![b"y".to_vec()]);
+    }
+
+    /// A fake disk: the bytes of one file plus the faults to inject.
+    #[derive(Default)]
+    struct Disk {
+        bytes: Vec<u8>,
+        pos: usize,
+        /// Bytes the next writes may still place before failing (a short
+        /// write, then ENOSPC); `None` = no limit.
+        space: Option<usize>,
+        fail_sync: bool,
+        fail_set_len: bool,
+    }
+
+    /// A [`LogFile`] over a shared [`Disk`], so the test can inspect and
+    /// steer it while the [`Wal`] owns the handle.
+    struct FakeFile(std::sync::Arc<std::sync::Mutex<Disk>>);
+
+    impl Write for FakeFile {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut disk = self.0.lock().unwrap();
+            let n = disk.space.map_or(buf.len(), |space| space.min(buf.len()));
+            if n == 0 {
+                return Err(std::io::Error::other("no space left on device"));
+            }
+            if let Some(space) = &mut disk.space {
+                *space -= n;
+            }
+            let pos = disk.pos;
+            if disk.bytes.len() < pos + n {
+                disk.bytes.resize(pos + n, 0);
+            }
+            disk.bytes[pos..pos + n].copy_from_slice(&buf[..n]);
+            disk.pos += n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Seek for FakeFile {
+        fn seek(&mut self, from: SeekFrom) -> std::io::Result<u64> {
+            let mut disk = self.0.lock().unwrap();
+            disk.pos = match from {
+                SeekFrom::Start(n) => n as usize,
+                SeekFrom::End(d) => (disk.bytes.len() as i64 + d) as usize,
+                SeekFrom::Current(d) => (disk.pos as i64 + d) as usize,
+            };
+            Ok(disk.pos as u64)
+        }
+    }
+
+    impl LogFile for FakeFile {
+        fn set_len(&self, len: u64) -> std::io::Result<()> {
+            let mut disk = self.0.lock().unwrap();
+            if disk.fail_set_len {
+                return Err(std::io::Error::other("set_len failed"));
+            }
+            disk.bytes.resize(len as usize, 0);
+            Ok(())
+        }
+
+        fn sync_data(&self) -> std::io::Result<()> {
+            match self.0.lock().unwrap().fail_sync {
+                true => Err(std::io::Error::other("fsync failed")),
+                false => Ok(()),
+            }
+        }
+
+        fn sync_all(&self) -> std::io::Result<()> {
+            self.sync_data()
+        }
+    }
+
+    fn faulty(policy: FsyncPolicy) -> (Wal, std::sync::Arc<std::sync::Mutex<Disk>>) {
+        let disk = std::sync::Arc::new(std::sync::Mutex::new(Disk::default()));
+        let file = Box::new(FakeFile(std::sync::Arc::clone(&disk)));
+        (Wal::with_file(file, policy, 0), disk)
+    }
+
+    fn payloads(disk: &std::sync::Mutex<Disk>) -> Vec<Vec<u8>> {
+        let scan = scan_bytes(&disk.lock().unwrap().bytes);
+        assert_eq!(scan.torn_bytes, 0, "no partial frame is left behind");
+        scan.payloads
+    }
+
+    #[test]
+    fn a_short_write_is_cut_back_so_later_appends_survive() {
+        let (mut wal, disk) = faulty(FsyncPolicy::Off);
+        wal.append(b"first").unwrap();
+        disk.lock().unwrap().space = Some(5); // ENOSPC mid-frame
+        assert!(wal.append(b"rejected").is_err());
+        disk.lock().unwrap().space = None;
+        wal.append(b"third").unwrap();
+        assert_eq!(payloads(&disk), vec![b"first".to_vec(), b"third".to_vec()]);
+        assert_eq!(wal.len(), disk.lock().unwrap().bytes.len() as u64);
+    }
+
+    #[test]
+    fn a_failed_cut_back_poisons_the_log() {
+        let (mut wal, disk) = faulty(FsyncPolicy::Off);
+        wal.append(b"first").unwrap();
+        {
+            let mut disk = disk.lock().unwrap();
+            disk.space = Some(3);
+            disk.fail_set_len = true;
+        }
+        assert!(wal.append(b"rejected").is_err());
+        {
+            let mut disk = disk.lock().unwrap();
+            disk.space = None;
+            disk.fail_set_len = false;
+        }
+        assert!(
+            wal.append(b"later").is_err(),
+            "a poisoned log acknowledges nothing"
+        );
+        assert!(wal.sync().is_err());
+        assert!(wal.truncate().is_err());
+    }
+
+    #[test]
+    fn a_failed_fsync_poisons_and_keeps_the_rejected_record_out() {
+        let (mut wal, disk) = faulty(FsyncPolicy::Always);
+        wal.append(b"acknowledged").unwrap();
+        disk.lock().unwrap().fail_sync = true;
+        assert!(wal.append(b"rejected").is_err());
+        assert_eq!(payloads(&disk), vec![b"acknowledged".to_vec()]);
+        // The fault clears, but the log never retries and acknowledges.
+        disk.lock().unwrap().fail_sync = false;
+        assert!(wal.append(b"later").is_err());
+        assert!(wal.sync().is_err());
+        assert!(wal.truncate().is_err());
+        assert_eq!(payloads(&disk), vec![b"acknowledged".to_vec()]);
+    }
+
+    #[test]
+    fn a_failed_batch_sync_poisons_the_log() {
+        let (mut wal, disk) = faulty(FsyncPolicy::Batch);
+        wal.append(b"pending").unwrap();
+        disk.lock().unwrap().fail_sync = true;
+        assert!(wal.sync().is_err());
+        disk.lock().unwrap().fail_sync = false;
+        assert!(wal.sync().is_err());
+        assert!(wal.append(b"later").is_err());
+        assert_eq!(payloads(&disk), vec![b"pending".to_vec()]);
     }
 }

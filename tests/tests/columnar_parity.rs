@@ -79,31 +79,45 @@ fn attr_cell(selector: u64, mantissa: i32) -> Value {
 
 const STATES: [&str; 4] = ["CA", "WA", "NY", ""];
 
-/// Builds a table with entity-key duplication (multiplicities), a
-/// specials-bearing Float predicate column, a finite attribute column and a
-/// small-pool string column.
-fn table_from(rows: &[RowSel]) -> IntegratedTable {
+/// The observations behind a table with entity-key duplication
+/// (multiplicities), a specials-bearing Float predicate column, a finite
+/// attribute column and a small-pool string column.
+fn observations(rows: &[RowSel]) -> Vec<(u32, Vec<Value>)> {
+    rows.iter()
+        .map(
+            |&((entity, source, pred_sel, pred_m), (attr_sel, attr_m, str_sel))| {
+                (
+                    source % 5,
+                    vec![
+                        Value::from(format!("e{}", entity % 24)),
+                        pred_cell(pred_sel, pred_m),
+                        attr_cell(attr_sel, attr_m),
+                        Value::from(STATES[str_sel as usize % STATES.len()]),
+                    ],
+                )
+            },
+        )
+        .collect()
+}
+
+/// The table under test and the row oracle, both fed the same
+/// observations; the rows the table builds from its columns must already
+/// equal the oracle's, value for value.
+fn table_from(rows: &[RowSel]) -> (IntegratedTable, oracle::RowTable) {
     let schema = Schema::new([
         ("company", ColumnType::Str),
         ("pred", ColumnType::Float),
         ("attr", ColumnType::Float),
         ("state", ColumnType::Str),
     ]);
-    let mut table = IntegratedTable::new("t", schema, "company").unwrap();
-    for &((entity, source, pred_sel, pred_m), (attr_sel, attr_m, str_sel)) in rows {
-        table
-            .insert_observation(
-                source % 5,
-                vec![
-                    Value::from(format!("e{}", entity % 24)),
-                    pred_cell(pred_sel, pred_m),
-                    attr_cell(attr_sel, attr_m),
-                    Value::from(STATES[str_sel as usize % STATES.len()]),
-                ],
-            )
-            .unwrap();
+    let mut table = IntegratedTable::new("t", schema.clone(), "company").unwrap();
+    for (source, values) in observations(rows) {
+        table.insert_observation(source, values).unwrap();
     }
-    table
+    let reference =
+        oracle::RowTable::from_observations(schema, "company", observations(rows)).unwrap();
+    reference.assert_same_entities(&table).unwrap();
+    (table, reference)
 }
 
 /// A literal for comparisons: finite/special floats, ints, NULL, and a
@@ -281,10 +295,10 @@ proptest! {
         psel in proptest::collection::vec(0u64..1_000_000, 6),
         mantissa in -40i32..40,
     ) {
-        let table = table_from(&rows);
+        let (table, reference_rows) = table_from(&rows);
         let predicate = predicate_from(&[psel[0], psel[1], psel[2], psel[3], psel[4], psel[5]], mantissa);
         for attr in [Some("attr"), None] {
-            let reference = oracle::sample_view_rows(&table, attr, &predicate).unwrap();
+            let reference = reference_rows.sample_view(attr, &predicate).unwrap();
             let (view, sorted) = table.sample_view_with_sorted(attr, &predicate).unwrap();
             assert_views_equal(&view, &reference, &format!("attr={attr:?}"))?;
             prop_assert_eq!(
@@ -311,12 +325,11 @@ proptest! {
         psel in proptest::collection::vec(0u64..1_000_000, 6),
         mantissa in -40i32..40,
     ) {
-        let table = table_from(&rows);
+        let (table, reference_rows) = table_from(&rows);
         let predicate = predicate_from(&[psel[0], psel[1], psel[2], psel[3], psel[4], psel[5]], mantissa);
         for group_column in ["pred", "state"] {
             let reference =
-                oracle::grouped_sample_views_rows(&table, Some("attr"), &predicate, group_column)
-                    .unwrap();
+                reference_rows.grouped_sample_views(Some("attr"), &predicate, group_column).unwrap();
             let grouped = table
                 .grouped_sample_views_with_sorted(Some("attr"), &predicate, group_column)
                 .unwrap();
@@ -356,7 +369,7 @@ proptest! {
         psel in proptest::collection::vec(0u64..1_000_000, 6),
         mantissa in -40i32..40,
     ) {
-        let table = table_from(&rows);
+        let (table, reference_rows) = table_from(&rows);
         let predicate = predicate_from(&[psel[0], psel[1], psel[2], psel[3], psel[4], psel[5]], mantissa);
         for (aggregate, attr) in [("SUM(attr)", Some("attr")), ("COUNT(*)", None)] {
             for group_by in [None, Some("pred")] {
@@ -372,15 +385,11 @@ proptest! {
                 let universes = match group_by {
                     None => vec![(
                         Value::Null,
-                        oracle::sample_view_rows(&table, attr, &query.predicate).unwrap(),
+                        reference_rows.sample_view(attr, &query.predicate).unwrap(),
                     )],
-                    Some(group_column) => oracle::grouped_sample_views_rows(
-                        &table,
-                        attr,
-                        &query.predicate,
-                        group_column,
-                    )
-                    .unwrap(),
+                    Some(group_column) => reference_rows
+                        .grouped_sample_views(attr, &query.predicate, group_column)
+                        .unwrap(),
                 };
                 for (method, kind) in correction_methods() {
                     let got = execute_sql(&table, &sql, method).unwrap();
@@ -398,14 +407,65 @@ proptest! {
 
 #[test]
 fn unknown_predicate_columns_error_identically() {
-    let table = table_from(&[((0, 0, 0, 1), (0, 1, 0))]);
+    let (table, reference_rows) = table_from(&[((0, 0, 0, 1), (0, 1, 0))]);
     let bad = Predicate::cmp("nope", CmpOp::Eq, Value::from(1.0));
     let columnar = table.sample_view(Some("attr"), &bad).unwrap_err();
-    let rows = oracle::sample_view_rows(&table, Some("attr"), &bad).unwrap_err();
+    let rows = reference_rows.sample_view(Some("attr"), &bad).unwrap_err();
     assert_eq!(columnar.to_string(), rows.to_string());
 
     // An empty table never evaluates the predicate, on either path.
-    let empty = table_from(&[]);
+    let (empty, empty_rows) = table_from(&[]);
     assert!(empty.sample_view(Some("attr"), &bad).is_ok());
-    assert!(oracle::sample_view_rows(&empty, Some("attr"), &bad).is_ok());
+    assert!(empty_rows.sample_view(Some("attr"), &bad).is_ok());
+}
+
+/// The key index against the row rule, on a FLOAT key column: typed keys
+/// while every key is exact, entity-key strings once an INT beyond 2^53
+/// arrives, and first-record-wins cells either way.
+#[test]
+fn float_key_index_matches_the_row_table() {
+    let two53 = 1i64 << 53;
+    let nan_b = f64::from_bits(f64::NAN.to_bits() | 0xBEEF);
+    let cases: [Vec<Value>; 6] = [
+        vec![Value::Int(two53), Value::Float(two53 as f64)],
+        vec![Value::Int(two53), Value::Int(two53 + 1)],
+        vec![
+            Value::Int(1_152_921_504_606_847_000),
+            Value::Float(2f64.powi(60)),
+        ],
+        vec![Value::Int(5), Value::Float(5.0)],
+        vec![Value::Float(-0.0), Value::Float(0.0)],
+        vec![Value::Float(f64::NAN), Value::Float(nan_b)],
+    ];
+    let schema = Schema::new([("k", ColumnType::Float), ("x", ColumnType::Int)]);
+    for keys in cases {
+        // Every key twice, interleaved, so re-observations hit both index
+        // modes.
+        let observations: Vec<(u32, Vec<Value>)> = keys
+            .iter()
+            .chain(&keys)
+            .enumerate()
+            .map(|(i, key)| (i as u32 % 3, vec![key.clone(), Value::Int(i as i64)]))
+            .collect();
+        let mut table = IntegratedTable::new("t", schema.clone(), "k").unwrap();
+        for (source, values) in observations.clone() {
+            table.insert_observation(source, values).unwrap();
+        }
+        let reference =
+            oracle::RowTable::from_observations(schema.clone(), "k", observations).unwrap();
+        reference
+            .assert_same_entities(&table)
+            .unwrap_or_else(|e| panic!("{keys:?}: {e}"));
+        let grouped = table
+            .grouped_sample_views(None, &Predicate::True, "k")
+            .unwrap();
+        let want = reference
+            .grouped_sample_views(None, &Predicate::True, "k")
+            .unwrap();
+        assert_eq!(grouped.len(), want.len(), "{keys:?}");
+        for ((key, view), (ref_key, ref_view)) in grouped.iter().zip(&want) {
+            assert!(oracle::identical(key, ref_key), "{key:?} vs {ref_key:?}");
+            assert_eq!(view, ref_view);
+        }
+    }
 }

@@ -18,12 +18,15 @@
 //! 4. **Concurrent checkpoints** — the `checkpoint` verb and `shutdown`
 //!    both checkpoint under the catalog *read* lock, so two checkpoints may
 //!    overlap each other and queries; each must succeed and leave a
-//!    directory that recovers.
+//!    directory that recovers. A second table carries the cells the columns
+//!    must hand back exactly — INT cells in FLOAT columns, NaN payloads,
+//!    `-0.0`, FLOAT keys beyond 2^53 — and recovers variant for variant.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
+use uu_bench::oracle::identical;
 use uu_query::catalog::Catalog;
 use uu_query::exec::CorrectionMethod;
 use uu_query::schema::{ColumnType, Schema};
@@ -383,6 +386,108 @@ fn clean_shutdown_restarts_with_an_empty_wal_and_a_warm_cache() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
+fn odd_columns() -> Vec<(String, ColumnType)> {
+    ["k", "v", "x"]
+        .into_iter()
+        .map(|c| (c.to_string(), ColumnType::Float))
+        .chain([("g".to_string(), ColumnType::Str)])
+        .collect()
+}
+
+/// Batches for the `odd` table (FLOAT key `k`, FLOAT `v` aggregated, FLOAT
+/// `x`, TEXT `g`): the first is its fresh load. Keys beyond 2^53 include an
+/// INT that collides with its neighbour once widened and an INT whose
+/// entity key equals `Float(2^60)`'s; `-0.0` and `0.0` are one key.
+fn odd_batches() -> Vec<Vec<(u32, Vec<Value>)>> {
+    let nan = f64::from_bits(f64::NAN.to_bits() | 0x5EED);
+    let two53 = 1i64 << 53;
+    let row = |k: Value, v: Value, x: Value, g: &str| vec![k, v, x, Value::from(g)];
+    vec![
+        vec![
+            (
+                0,
+                row(Value::Float(1.5), Value::Int(7), Value::Float(nan), "a"),
+            ),
+            (
+                1,
+                row(
+                    Value::Float(two53 as f64),
+                    Value::Float(-0.0),
+                    Value::Int(-3),
+                    "b",
+                ),
+            ),
+            (
+                1,
+                row(
+                    Value::Float(2f64.powi(60)),
+                    Value::Int(2),
+                    Value::Float(-0.0),
+                    "a",
+                ),
+            ),
+        ],
+        vec![
+            (
+                2,
+                row(
+                    Value::Int(two53 + 1),
+                    Value::Int(5),
+                    Value::Float(-f64::NAN),
+                    "c",
+                ),
+            ),
+            (
+                0,
+                row(
+                    Value::Int(1_152_921_504_606_847_000),
+                    Value::Null,
+                    Value::Null,
+                    "b",
+                ),
+            ),
+        ],
+        vec![
+            (
+                2,
+                row(
+                    Value::Float(-0.0),
+                    Value::Float(0.25),
+                    Value::Int(i64::MAX),
+                    "b",
+                ),
+            ),
+            (
+                1,
+                row(Value::Float(0.0), Value::Int(9), Value::Float(0.0), "c"),
+            ),
+            (0, row(Value::Int(two53), Value::Int(1), Value::Null, "a")),
+        ],
+    ]
+}
+
+/// `recovered`'s `odd` table holds `live`'s rows value for value (variant,
+/// float bits, lineage) and answers grouped queries identically.
+fn assert_odd_table_recovered(live: &Catalog, recovered: &Catalog, context: &str) {
+    let (a, b) = (live.get("odd").unwrap(), recovered.get("odd").unwrap());
+    assert_eq!(a.len(), b.len(), "{context}");
+    for (x, y) in a.entities().zip(b.entities()) {
+        let cells = x.record.values().iter().zip(y.record.values());
+        assert!(
+            cells.into_iter().all(|(p, q)| identical(p, q)) && x.source_counts == y.source_counts,
+            "{context}: {x:?} vs {y:?}"
+        );
+    }
+    for sql in [
+        "SELECT SUM(v) FROM odd GROUP BY g",
+        "SELECT SUM(v) FROM odd GROUP BY k",
+        "SELECT COUNT(*) FROM odd GROUP BY x",
+    ] {
+        let answer = |c: &Catalog| format!("{:?}", c.execute_sql(sql, CorrectionMethod::Bucket));
+        assert_eq!(answer(live), answer(recovered), "{context}: {sql}");
+    }
+}
+
 /// Layer 4: two threads checkpoint the same catalog at once while a third
 /// queries it. Every checkpoint must succeed, and after every round the
 /// directory must open and recover to the live answer.
@@ -408,6 +513,24 @@ fn concurrent_checkpoints_all_succeed_and_recover() {
         store.log_append("companies", version_before, &b).unwrap();
         catalog.append_observations("companies", b).unwrap();
     }
+    let mut odd = odd_batches().into_iter();
+    let fresh = odd.next().unwrap();
+    store.log_fresh("odd", &odd_columns(), "k", &fresh).unwrap();
+    let mut staged = IntegratedTable::new("odd", Schema::new(odd_columns()), "k").unwrap();
+    for (source, values) in fresh {
+        staged.insert_observation(source, values).unwrap();
+    }
+    catalog.register(staged).unwrap();
+    for b in odd {
+        let version_before = catalog.get("odd").unwrap().version();
+        store.log_append("odd", version_before, &b).unwrap();
+        catalog.append_observations("odd", b).unwrap();
+    }
+    assert_eq!(
+        catalog.get("odd").unwrap().len(),
+        5,
+        "8 observations, 5 keys"
+    );
     let want = answer(&catalog);
 
     for round in 0..ROUNDS {
@@ -440,6 +563,7 @@ fn concurrent_checkpoints_all_succeed_and_recover() {
         let mut recovered = Catalog::new();
         reopened.recover(&mut recovered).unwrap();
         assert_eq!(answer(&recovered), want, "round {round}");
+        assert_odd_table_recovered(&catalog, &recovered, &format!("round {round}"));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -10,15 +10,18 @@
 //! keys beyond 2^53, NULL cells, duplicate entity keys across the
 //! base/delta boundary (touched multiplicities), dictionary-growing strings
 //! arriving only in the delta, interleaved append → query → append
-//! sequences, the appends that cannot be absorbed in place (a projection
-//! still shared at append time, a re-observed member of a cached grouped
-//! selection, a predicate that stops evaluating), and both server fronts
-//! (line-JSON and pgwire) answering identically after an `append_stream`.
+//! sequences, the appends whose cached selections cannot be re-frozen (a
+//! re-observed member of a cached grouped selection, a predicate that stops
+//! evaluating), and both server fronts (line-JSON and pgwire) answering
+//! identically after an `append_stream`.
 //!
-//! The oracle is always a table rebuilt from scratch ([`rebuilt`]) from the
-//! same observations.
+//! Two oracles see the same observations: a table rebuilt from scratch
+//! ([`rebuilt`]), one insert at a time, and the independent row oracle
+//! `uu_bench::oracle::RowTable`, whose rows the grown table must reproduce
+//! value for value.
 
 use proptest::prelude::*;
+use uu_bench::oracle::RowTable;
 use uu_core::sample::SampleView;
 use uu_query::catalog::Catalog;
 use uu_query::exec::CorrectionMethod;
@@ -109,18 +112,25 @@ fn record(row: &RowSel, delta: bool) -> (u32, Vec<Value>) {
     )
 }
 
+/// The observations of `base` then `delta`.
+fn observations(base: &[RowSel], delta: &[RowSel]) -> Vec<(u32, Vec<Value>)> {
+    let base = base.iter().map(|row| record(row, false));
+    base.chain(delta.iter().map(|row| record(row, true)))
+        .collect()
+}
+
 /// The from-scratch oracle: every observation inserted one by one.
 fn rebuilt(base: &[RowSel], delta: &[RowSel]) -> IntegratedTable {
     let mut table = IntegratedTable::new("t", schema(), "company").unwrap();
-    for row in base {
-        let (source, values) = record(row, false);
-        table.insert_observation(source, values).unwrap();
-    }
-    for row in delta {
-        let (source, values) = record(row, true);
+    for (source, values) in observations(base, delta) {
         table.insert_observation(source, values).unwrap();
     }
     table
+}
+
+/// The row oracle over the same observations.
+fn row_table(base: &[RowSel], delta: &[RowSel]) -> RowTable {
+    RowTable::from_observations(schema(), "company", observations(base, delta)).unwrap()
 }
 
 const OPS: [CmpOp; 6] = [
@@ -193,22 +203,24 @@ fn append_in_chunks(table: &mut IntegratedTable, delta: &[RowSel], chunks: usize
 }
 
 /// Full-surface comparison of the incrementally-grown table against the
-/// from-scratch oracle: entities, ungrouped and grouped selections, and the
-/// value-sort permutations behind them.
+/// from-scratch oracle and the row oracle: entities, ungrouped and grouped
+/// selections, and the value-sort permutations behind them.
 fn assert_tables_equal(
     grown: &IntegratedTable,
     oracle: &IntegratedTable,
+    rows: &RowTable,
     predicate: &Predicate,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(grown.len(), oracle.len(), "entity count");
     prop_assert_eq!(grown.total_observations(), oracle.total_observations());
-    for (a, b) in grown.entities().zip(oracle.entities()) {
-        prop_assert_eq!(a.multiplicity(), b.multiplicity(), "entity multiplicity");
-    }
+    let same_rows = rows.assert_same_entities(grown);
+    prop_assert!(same_rows.is_ok(), "grown rows: {:?}", same_rows);
     for attr in [Some("attr"), None] {
         let (view, sorted) = grown.sample_view_with_sorted(attr, predicate).unwrap();
         let (ref_view, ref_sorted) = oracle.sample_view_with_sorted(attr, predicate).unwrap();
         assert_views_equal(&view, &ref_view, &format!("attr={attr:?}"))?;
+        let row_view = rows.sample_view(attr, predicate).unwrap();
+        assert_views_equal(&view, &row_view, &format!("rows, attr={attr:?}"))?;
         prop_assert_eq!(
             &sorted,
             &ref_sorted,
@@ -223,10 +235,19 @@ fn assert_tables_equal(
         let reference = oracle
             .grouped_sample_views_with_sorted(Some("attr"), predicate, group_column)
             .unwrap();
+        let row_groups = rows
+            .grouped_sample_views(Some("attr"), predicate, group_column)
+            .unwrap();
         prop_assert_eq!(
             grouped.len(),
             reference.len(),
             "group count: {}",
+            group_column
+        );
+        prop_assert_eq!(
+            grouped.len(),
+            row_groups.len(),
+            "row groups: {}",
             group_column
         );
         for ((value, view, sorted), (ref_value, ref_view, ref_sorted)) in
@@ -244,6 +265,15 @@ fn assert_tables_equal(
                 &format!("group {value:?} of {group_column}"),
             )?;
             prop_assert_eq!(sorted, ref_sorted, "group sort perm: {}", group_column);
+        }
+        for ((value, view, _), (row_value, row_view)) in grouped.iter().zip(&row_groups) {
+            prop_assert!(
+                uu_bench::oracle::identical(value, row_value),
+                "row group key: {:?} vs {:?}",
+                value,
+                row_value
+            );
+            assert_views_equal(view, row_view, &format!("row group {value:?}"))?;
         }
     }
     Ok(())
@@ -311,16 +341,7 @@ proptest! {
                 .unwrap();
         }
         append_in_chunks(&mut grown, &delta, chunks);
-        assert_tables_equal(&grown, &oracle, &predicate)?;
-
-        // A projection still shared at append time cannot grow in place:
-        // the append drops it and the next read rebuilds, identically.
-        let mut dropped = rebuilt(&base, &[]);
-        dropped.sample_view_with_sorted(Some("attr"), &predicate).unwrap();
-        let shared = dropped.projection();
-        append_in_chunks(&mut dropped, &delta, chunks);
-        drop(shared);
-        assert_tables_equal(&dropped, &oracle, &predicate)?;
+        assert_tables_equal(&grown, &oracle, &row_table(&base, &delta), &predicate)?;
     }
 
     /// Tentpole invariant at the catalog layer: interleaved

@@ -527,13 +527,13 @@ fn warm_verb_prefills_the_cache() {
     assert!(reply.cache_hit, "query after warm is a pure hit");
     let stats = client.stats().unwrap();
     assert!(
-        stats.projection.builds >= 1,
-        "warm materializes the columnar projection (builds={})",
-        stats.projection.builds
+        stats.projection.reuses >= 1,
+        "warm reads the columns (reuses={})",
+        stats.projection.reuses
     );
     assert!(
         stats.projection.bytes > 0,
-        "a current projection reports its footprint"
+        "the column store reports its footprint"
     );
     handle.shutdown();
 }
