@@ -272,15 +272,10 @@ fn bench_grouped(c: &mut Criterion) {
     );
 
     let cache_metrics = cache.metrics();
-    let pool = uu_core::exec::global().metrics();
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"bench\": \"grouped_batch\",\n  \"groups\": {GROUPS},\n  \"per_group\": {PER_GROUP},\n  \"estimators\": {},\n  \"samples\": {samples},\n",
         kinds.len()
-    ));
-    json.push_str(&format!(
-        "  \"threads\": {},\n  \"parallel_regions\": {},\n  \"steals\": {},\n  \"peak_workers\": {},\n",
-        pool.threads, pool.parallel_regions, pool.steals, pool.peak_workers
     ));
     json.push_str(&format!(
         "  \"statistics_passes\": {{ \"shared\": {shared_passes}, \"unshared\": {unshared_passes} }},\n"

@@ -1,5 +1,5 @@
-//! Monte-Carlo estimator ablations: simulation repetitions, grid
-//! resolution, and parallel vs. serial grid scoring.
+//! Monte-Carlo estimator ablations: simulation repetitions and grid
+//! resolution.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -33,20 +33,6 @@ fn bench_mc(c: &mut Criterion) {
             ..Default::default()
         });
         group.bench_function(format!("steps{steps}"), |b| {
-            b.iter(|| black_box(est.estimate_delta(black_box(&view))))
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("mc_ablation/parallelism");
-    group.sample_size(10);
-    for parallel in [false, true] {
-        let est = MonteCarloEstimator::new(MonteCarloConfig {
-            parallel,
-            ..Default::default()
-        });
-        let label = if parallel { "parallel" } else { "serial" };
-        group.bench_function(label, |b| {
             b.iter(|| black_box(est.estimate_delta(black_box(&view))))
         });
     }

@@ -101,10 +101,10 @@ fn run_rep(
     }
 }
 
-/// Evaluates all repetitions on the shared work-stealing executor
-/// (`uu_core::exec`). Each repetition keeps its deterministic seed
-/// `base_seed + rep` and writes its own output slot, so the result is
-/// bit-identical to the serial path regardless of scheduling.
+/// Evaluates all repetitions, one contiguous run of seeds per core. Each
+/// repetition keeps its deterministic seed `base_seed + rep` and the runs
+/// are joined in seed order, so the result is bit-identical to a serial
+/// loop.
 fn run_reps(
     reps: u64,
     base_seed: u64,
@@ -112,15 +112,31 @@ fn run_reps(
     estimators: &[NamedEstimator],
 ) -> Vec<RepOutcome> {
     let seeds: Vec<u64> = (0..reps).map(|rep| base_seed + rep).collect();
-    uu_core::exec::global().map_indexed(seeds, |_, seed| run_rep(seed, make, estimators))
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let run = seeds.len().div_ceil(cores).max(1);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = seeds
+            .chunks(run)
+            .map(|run| {
+                s.spawn(move || {
+                    let outcomes = run.iter().map(|&seed| run_rep(seed, make, estimators));
+                    outcomes.collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("replication panicked"))
+            .collect()
+    })
 }
 
 /// Runs `reps` seeded repetitions of a workload and averages the corrected
 /// sums of every estimator at every checkpoint.
 ///
-/// Repetition `rep` always uses seed `base_seed + rep`; under the `parallel`
-/// feature the repetitions run on the shared executor and are folded in
-/// repetition order, so the series is identical either way.
+/// Repetition `rep` always uses seed `base_seed + rep`. Repetitions run on
+/// all cores and are folded in repetition order, so the series does not
+/// depend on the core count.
 pub fn mean_series(
     reps: u64,
     base_seed: u64,
@@ -282,9 +298,9 @@ mod tests {
 
     #[test]
     fn mean_series_is_deterministic_across_runs() {
-        // Repetitions run on the shared executor's workers;
-        // per-repetition seeds and the in-order fold must make scheduling
-        // irrelevant, so two runs agree bit-for-bit.
+        // Repetitions run on one thread per core; per-repetition seeds and
+        // the in-order fold must make scheduling irrelevant, so two runs
+        // agree bit-for-bit.
         let estimators = standard_estimators(MonteCarloConfig::fast());
         let make = |seed: u64| {
             let s = figure6(10, 1.0, 1.0, seed);

@@ -15,9 +15,9 @@
 //!   name↔kind registry (with the historical aliases accepted on input).
 //! * [`EstimationSession`] — builds a set of kinds once and runs sample
 //!   views through all of them, returning named [`DeltaEstimate`]s. Each run
-//!   builds one [`ViewProfile`] and fans every estimator out over its shared
-//!   statistics (in parallel on the shared executor), so a session of
-//!   `K` estimators costs one statistics pass per view instead of `K`.
+//!   builds one [`ViewProfile`] and runs every estimator over its shared
+//!   statistics, so a session of `K` estimators costs one statistics pass
+//!   per view instead of `K`.
 //!
 //! ```
 //! use uu_core::engine::{EstimationSession, EstimatorKind};
@@ -264,8 +264,7 @@ impl EstimationSession {
 
     /// [`Self::run`] over a caller-supplied profile, so repeated sessions (or
     /// other consumers, e.g. the query executor) can share one statistics
-    /// pass per view. The estimators are fanned out on the shared executor;
-    /// results are in session order however they are scheduled.
+    /// pass per view. Results are in session order.
     pub fn run_profiled(&self, profile: &ViewProfile<'_>) -> Vec<NamedEstimate> {
         let observed = profile.view().observed_sum();
         self.entries
@@ -280,21 +279,17 @@ impl EstimationSession {
             .collect()
     }
 
-    /// Each session estimator's Δ over the shared profile, in session order;
-    /// the fan-out point the shared executor ([`crate::exec`]) parallelises.
-    /// Inside another parallel region (e.g. a grouped batch) the fan-out runs
-    /// inline on the owning worker, so nesting never oversubscribes.
+    /// Each session estimator's Δ over the shared profile, in session order.
     fn deltas_profiled(&self, profile: &ViewProfile<'_>) -> Vec<DeltaEstimate> {
         let _span = crate::obs::span(crate::obs::Stage::EstimatorFanout);
-        let mut deltas = vec![DeltaEstimate::UNDEFINED; self.entries.len()];
-        crate::exec::global().for_each_indexed(&mut deltas, |i, slot| {
-            let _span = crate::obs::span_trace_only(
-                crate::obs::Stage::EstimatorFanout,
-                self.entries[i].0.name(),
-            );
-            *slot = self.entries[i].1.estimate_delta_profiled(profile);
-        });
-        deltas
+        self.entries
+            .iter()
+            .map(|(kind, estimator)| {
+                let _span =
+                    crate::obs::span_trace_only(crate::obs::Stage::EstimatorFanout, kind.name());
+                estimator.estimate_delta_profiled(profile)
+            })
+            .collect()
     }
 }
 

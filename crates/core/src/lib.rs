@@ -20,7 +20,6 @@
 //! | [`combined`] | §3.5, App. D | frequency-in-bucket, Monte-Carlo-in-bucket |
 //! | [`engine`] | infrastructure | the estimator registry: [`engine::EstimatorKind`], [`engine::EstimationSession`] |
 //! | [`profile`] | infrastructure | [`profile::ViewProfile`]: shared, lazily-memoized per-view statistics for batched estimation; [`profile::ProfileCache`]: cross-query reuse |
-//! | [`exec`] | infrastructure | the shared work-stealing executor behind every parallel region (hosted in `uu_stats`, re-exported here) |
 //! | [`recommend`] | §6.5 | estimator-selection policy (coverage gate, streaker detection) |
 //! | [`policy`] | §6.5 (extension) | the policy packaged as a self-selecting estimator |
 //! | [`capture`] | related work | capture–recapture COUNT baselines over source lineage |
@@ -68,18 +67,9 @@ pub mod recommend;
 pub mod sample;
 pub mod sensitivity;
 
-/// The shared work-stealing executor (see [`uu_stats::exec`]).
-///
-/// Hosted at the bottom of the dependency graph (`uu-stats`) so the
-/// species-ladder warm-up can use it, and re-exported here because the
-/// estimator layer is its main consumer: the Monte-Carlo grid, the session
-/// fan-out, the profile warm-up, `GROUP BY` batches and the harness all
-/// schedule through `uu_core::exec::global()`.
-pub use uu_stats::exec;
-
 /// Zero-dependency observability (see [`uu_stats::obs`]).
 ///
-/// Hosted next to [`exec`] at the bottom of the dependency graph so every
+/// Hosted at the bottom of the dependency graph (`uu-stats`) so every
 /// layer — species ladder, profile machinery, query execution, server — can
 /// open trace spans and feed the shared latency histograms through one TLS
 /// surface.

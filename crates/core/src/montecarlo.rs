@@ -11,9 +11,9 @@
 //! minimised to pick `N̂_MC`; the final Δ uses mean substitution with that
 //! count (§3.4.2: "we use our naïve estimation technique with N̂_MC").
 //!
-//! The grid search is embarrassingly parallel: cells are scored on the
-//! shared work-stealing executor ([`crate::exec`]), with per-cell seeds
-//! derived deterministically so results are identical to the serial path.
+//! Each grid cell draws from its own seed, derived from the cell's
+//! coordinates, so a cell's score never depends on the order cells are
+//! scored in.
 
 use crate::estimate::{DeltaEstimate, SumEstimator};
 use crate::naive::NaiveEstimator;
@@ -46,10 +46,6 @@ pub struct MonteCarloConfig {
     pub surface_resolution: usize,
     /// Seed for the simulation streams (the estimator is deterministic).
     pub seed: u64,
-    /// Score grid cells on the shared executor (a no-op unless a pool worker
-    /// is free). Results are identical either way — per-cell seeds are
-    /// derived from the cell coordinates.
-    pub parallel: bool,
 }
 
 impl Default for MonteCarloConfig {
@@ -63,7 +59,6 @@ impl Default for MonteCarloConfig {
             smoothing_epsilon: 1e-4,
             surface_resolution: 101,
             seed: 0x4D43_5345, // "MCSE"
-            parallel: true,
         }
     }
 }
@@ -170,13 +165,15 @@ impl MonteCarloEstimator {
             .filter(|&s| s > 0)
             .collect();
 
-        // Score every cell (deterministically seeded, so the parallel and
-        // serial paths agree bit-for-bit).
+        // Score every cell (each deterministically seeded by its coordinates).
         let cells: Vec<(f64, f64)> = theta_n
             .iter()
             .flat_map(|&tn| theta_lambda.iter().map(move |&tl| (tn, tl)))
             .collect();
-        let scores = self.score_cells(&cells, observed_ranks, &source_sizes);
+        let scores: Vec<f64> = cells
+            .iter()
+            .map(|&(tn, tl)| self.average_distance(tn, tl, observed_ranks, &source_sizes))
+            .collect();
 
         let points: Vec<(f64, f64, f64)> = cells
             .iter()
@@ -203,29 +200,6 @@ impl MonteCarloEstimator {
         }
     }
 
-    /// Scores cells on the shared executor ([`crate::exec`]) when
-    /// `config.parallel` is set; serially otherwise. Per-cell deterministic
-    /// seeding makes both paths bit-for-bit identical.
-    fn score_cells(
-        &self,
-        cells: &[(f64, f64)],
-        observed_ranks: &[u64],
-        source_sizes: &[usize],
-    ) -> Vec<f64> {
-        if self.config.parallel {
-            let mut scores = vec![0.0f64; cells.len()];
-            crate::exec::global().for_each_indexed(&mut scores, |i, out| {
-                let (tn, tl) = cells[i];
-                *out = self.average_distance(tn, tl, observed_ranks, source_sizes);
-            });
-            return scores;
-        }
-        cells
-            .iter()
-            .map(|&(tn, tl)| self.average_distance(tn, tl, observed_ranks, source_sizes))
-            .collect()
-    }
-
     /// Algorithm 2: the average KL distance between the observed sample and
     /// `nb_runs` simulated integrations under `(θ_N, θ_λ)`.
     fn average_distance(
@@ -248,7 +222,7 @@ impl MonteCarloEstimator {
             .collect();
 
         // Cell-specific deterministic stream: mix the grid coordinates into
-        // the seed so parallel scheduling cannot change results.
+        // the seed so the order cells are scored in cannot change results.
         let cell_tag = (n_items as u64) << 20 ^ ((theta_lambda * 1e6) as i64 as u64);
         let mut rng = Rng::new(self.config.seed ^ cell_tag.wrapping_mul(0x9E37_79B9));
 
@@ -431,25 +405,6 @@ mod tests {
         assert!(
             (n_mc - c).abs() < (n_chao - c).abs(),
             "MC ({n_mc}) should sit closer to c ({c}) than Chao92 ({n_chao})"
-        );
-    }
-
-    #[test]
-    fn parallel_and_serial_grids_agree_exactly() {
-        let (pop, stream) = skewed_scenario(12, 20, 7);
-        let view = accumulate(&pop, &stream, 240);
-        let serial = MonteCarloEstimator::new(MonteCarloConfig {
-            parallel: false,
-            ..MonteCarloConfig::fast()
-        });
-        let parallel = MonteCarloEstimator::new(MonteCarloConfig {
-            parallel: true,
-            ..MonteCarloConfig::fast()
-        });
-        assert_eq!(
-            serial.estimate_count(&view),
-            parallel.estimate_count(&view),
-            "per-cell seeding must make scheduling irrelevant"
         );
     }
 

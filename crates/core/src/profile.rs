@@ -13,9 +13,8 @@
 //! statistics, computed **at most once per [`SampleView`]** and shared by
 //! every estimator through [`crate::estimate::SumEstimator`]'s `*_profiled`
 //! methods. [`crate::engine::EstimationSession::run`] builds one profile per
-//! view and fans all estimator kinds out over it (in parallel on the shared
-//! executor); the query executor builds one profile per estimation
-//! universe (per group in a `GROUP BY`).
+//! view and runs all estimator kinds over it; the query executor builds one
+//! profile per estimation universe (per group in a `GROUP BY`).
 //!
 //! Profiled and direct paths are **bit-for-bit identical** — the profile only
 //! memoizes, it never approximates. Parity is pinned for every registry kind
@@ -31,13 +30,13 @@
 //! A `ViewProfile` borrows its view, so it cannot outlive one query. For the
 //! repeated-query workloads of a server frontend, [`ProfileSnapshot`] freezes
 //! a fully-warmed profile together with an owned copy of its view
-//! ([`ViewProfile::warm`] computes every statistic eagerly, fanning out on
-//! the shared executor), and [`ProfileCache`] is the bounded LRU map the
-//! query executor consults — keyed by [`ProfileKey`] (table version,
-//! predicate fingerprint, group key) — before building a profile from
-//! scratch. Thawing a snapshot ([`ProfileSnapshot::profile`]) pre-fills every
-//! memo slot, so a cache hit performs **zero** statistics builds
-//! (counter-asserted by the cache tests). Entries are invalidated naturally
+//! ([`ViewProfile::warm`] computes every statistic eagerly), and
+//! [`ProfileCache`] is the bounded LRU map the query executor consults —
+//! keyed by [`ProfileKey`] (table version, predicate fingerprint, group
+//! key) — before building a profile from scratch. Thawing a snapshot
+//! ([`ProfileSnapshot::profile`]) pre-fills every memo slot, so a cache
+//! hit performs **zero** statistics builds (counter-asserted by the cache
+//! tests). Entries are invalidated naturally
 //! by the table version in the key and explicitly via
 //! [`ProfileCache::invalidate_table`] on catalog mutation.
 //!
@@ -270,26 +269,17 @@ impl<'a> ViewProfile<'a> {
         }
     }
 
-    /// Eagerly computes **every** statistic of the profile, fanning the four
-    /// independent groups (sort + buckets, diagnostics + recommendation, rank
-    /// multiplicities, the species ladder) out on the shared executor
-    /// ([`crate::exec`]). Inside another parallel region the warm-up runs
-    /// inline. Values are identical to lazy computation — warming only moves
-    /// the cost; it is the preparation step for [`ProfileSnapshot::capture`]
-    /// and for server-style pre-materialisation.
+    /// Eagerly computes **every** statistic of the profile, in order on the
+    /// calling thread: sort + buckets, diagnostics + recommendation, rank
+    /// multiplicities, the species ladder. Values are identical to lazy
+    /// computation — warming only moves the cost; it is the preparation step
+    /// for [`ProfileSnapshot::capture`] and for server-style
+    /// pre-materialisation.
     pub fn warm(&self) -> &Self {
-        let buckets = || {
-            let _ = self.bucket_delta();
-        };
-        let recommendation = || {
-            let _ = self.recommendation();
-        };
-        let ranks = || {
-            let _ = self.rank_multiplicities();
-        };
-        let ladder = || self.species.warm();
-        let mut stages: [&(dyn Fn() + Sync); 4] = [&buckets, &recommendation, &ranks, &ladder];
-        crate::exec::global().for_each_indexed(&mut stages, |_, stage| stage());
+        let _ = self.bucket_delta();
+        let _ = self.recommendation();
+        let _ = self.rank_multiplicities();
+        self.species.warm();
         self
     }
 
@@ -340,8 +330,8 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    /// Consumes a view, computes every profile statistic (eagerly, on the
-    /// shared executor) and freezes the result.
+    /// Consumes a view, computes every profile statistic eagerly and freezes
+    /// the result.
     pub fn capture(view: SampleView) -> Self {
         let _span = crate::obs::span(crate::obs::Stage::Freeze);
         let (species, sorted_idx, buckets, bucket_delta, diagnostics, recommendation, ranks) = {
@@ -956,13 +946,15 @@ mod tests {
     fn concurrent_access_builds_each_statistic_once() {
         let v = lineage_sample();
         let p = ViewProfile::new(&v);
-        let exec = crate::exec::Executor::with_threads(4);
-        let mut lanes = [0u8; 4];
-        exec.for_each_indexed(&mut lanes, |_, _| {
-            let _ = p.bucket_delta();
-            let _ = p.species(SpeciesEstimator::Chao92);
-            let _ = p.recommendation();
-            let _ = p.rank_multiplicities();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let _ = p.bucket_delta();
+                    let _ = p.species(SpeciesEstimator::Chao92);
+                    let _ = p.recommendation();
+                    let _ = p.rank_multiplicities();
+                });
+            }
         });
         let m = p.metrics();
         assert_eq!(m.sort_builds, 1);

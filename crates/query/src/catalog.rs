@@ -335,7 +335,7 @@ impl Catalog {
     /// Pre-warms the embedded cache for `sql` without computing an
     /// aggregate: the aggregate column's sort permutation is built first,
     /// then the selection's per-universe statistics are captured (eagerly,
-    /// via `ViewProfile::warm` on the shared executor) and frozen — so the
+    /// via `ViewProfile::warm`) and frozen — so the
     /// next execution of the same query is a pure cache hit, and a
     /// *different* query over the same table still finds the sort ready.
     /// Returns `(universes warmed, was already cached)`.

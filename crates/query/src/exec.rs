@@ -19,12 +19,9 @@
 //!   miss — the route of `Catalog::execute_sql` and of cached and prepared
 //!   server queries.
 //!
-//! Universes are frozen and answered on the shared work-stealing executor
-//! (`uu_core::exec`); results come back in group order regardless of
-//! scheduling, and nested parallel work inside a universe — the session
-//! fan-out, the Monte-Carlo grid — runs inline on the universe's worker, so
-//! a grouped Monte-Carlo workload never exceeds the executor's thread
-//! budget.
+//! Universes are frozen and answered one after another on the calling
+//! thread, in group order. A server gets its concurrency from its worker
+//! pool, one request per worker, not from inside a query.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -377,8 +374,8 @@ pub fn selection(
 }
 
 /// Builds the query's estimation universes from the table and freezes them
-/// (one fully-warmed [`ProfileSnapshot`] per universe, captured on the
-/// shared executor) without consulting any cache — the miss body of
+/// (one fully-warmed [`ProfileSnapshot`] per universe, in group order)
+/// without consulting any cache — the miss body of
 /// [`selection`], and the whole of an uncached server query.
 pub fn freeze_selection(
     table: &IntegratedTable,
@@ -403,9 +400,10 @@ pub fn freeze_selection(
             (vec![(crate::value::Value::Null, view, sorted)], mask)
         }
     };
-    let snapshots = uu_core::exec::global().map_indexed(universes, |_, (group, view, sorted)| {
-        (group, ProfileSnapshot::capture_presorted(view, sorted))
-    });
+    let snapshots = universes
+        .into_iter()
+        .map(|(group, view, sorted)| (group, ProfileSnapshot::capture_presorted(view, sorted)))
+        .collect();
     Ok(Arc::new(CachedSelection {
         column: query.column.clone(),
         predicate: query.predicate.clone(),
@@ -593,19 +591,20 @@ pub fn results_from_selection(
     method: CorrectionMethod,
 ) -> Vec<GroupResult> {
     let group_column = query.group_by.as_deref();
-    let indices: Vec<usize> = (0..snapshots.len()).collect();
-    uu_core::exec::global().map_indexed(indices, |_, i| {
-        let (key, snapshot) = &snapshots[i];
-        let label = match group_column {
-            Some(group_column) => format!("{query} [{group_column} = {key}]"),
-            None => query.to_string(),
-        };
-        let result = universe_result(label, query.agg, &snapshot.profile(), method);
-        GroupResult {
-            key: key.clone(),
-            result,
-        }
-    })
+    snapshots
+        .iter()
+        .map(|(key, snapshot)| {
+            let label = match group_column {
+                Some(group_column) => format!("{query} [{group_column} = {key}]"),
+                None => query.to_string(),
+            };
+            let result = universe_result(label, query.agg, &snapshot.profile(), method);
+            GroupResult {
+                key: key.clone(),
+                result,
+            }
+        })
+        .collect()
 }
 
 /// Computes the dual answer for one estimation universe from its thawed

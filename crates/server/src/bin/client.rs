@@ -557,14 +557,13 @@ fn demo(args: &Args) -> Result<(), String> {
     )?;
     check(stats.errors >= 2, "both provoked errors were counted")?;
     println!(
-        "stats: requests={} connections={} cache hits={} misses={} evictions={} exec threads={} peak_workers={}",
+        "stats: requests={} connections={} cache hits={} misses={} evictions={} workers={}",
         stats.requests,
         stats.connections,
         stats.cache.hits,
         stats.cache.misses,
         stats.cache.evictions,
-        stats.exec.threads,
-        stats.exec.peak_workers,
+        stats.workers,
     );
 
     // 10. Incremental append: new entity arrives via `append_stream`, warm

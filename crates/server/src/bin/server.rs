@@ -49,10 +49,12 @@ fn usage() -> &'static str {
      --fsync picks the WAL sync policy (always | batch | off; default batch);\n\
      --checkpoint-rows / --checkpoint-bytes tune the automatic checkpoint\n\
      triggers (defaults: 50000 rows, 16 MiB of WAL).\n\
+     --workers N sizes the request-worker pool, the server's only\n\
+     concurrency: each worker computes one request at a time on its own\n\
+     thread (0 means one worker per core).\n\
      Defaults: --addr 127.0.0.1:7878, pgwire off, metrics off, no slow-query\n\
-     log, workers = UU_THREADS (or detected cores), 16 MiB frame bound, no\n\
-     idle timeout, cache capacity 128 entries, no byte budget, no TTL,\n\
-     durability off."
+     log, one worker per core, 16 MiB frame bound, no idle timeout, cache\n\
+     capacity 128 entries, no byte budget, no TTL, durability off."
 }
 
 struct Parsed {

@@ -14,9 +14,8 @@
 //! * [`protocol`] — the typed request/response structs and their wire
 //!   encoding, shared by server, client, tests and benches.
 //! * [`server`] — the transport layer: listener setup, the reactor thread,
-//!   and the executor-backed worker pool (sized to the shared executor
-//!   budget; no per-connection spawn) that runs dispatches for complete
-//!   frames only.
+//!   and the worker pool (one worker per core by default; no
+//!   per-connection spawn) that runs dispatches for complete frames only.
 //! * [`reactor`] — the readiness-driven I/O core: one thread owns every
 //!   socket in non-blocking mode (epoll on Linux, poll fallback), assembles
 //!   frames incrementally in per-connection buffers, and applies write

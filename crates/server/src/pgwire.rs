@@ -26,8 +26,8 @@
 //! per-connection read buffer as bytes arrive (no blocking `read_exact`),
 //! and each `PgStep` it yields is either protocol bytes to queue
 //! (handshake, declines, errors) or one complete simple query to hand to
-//! the worker pool. `peak_workers ≤ UU_THREADS` holds with both fronts live
-//! and any number of idle connections parked.
+//! the worker pool. Idle connections parked on either front never reach the
+//! pool.
 //!
 //! The module also carries [`PgClient`], a minimal raw-socket driver for the
 //! protocol (startup + simple query) used by the loopback tests, the

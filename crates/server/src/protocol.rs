@@ -48,7 +48,11 @@ pub use uu_store::StorageStats as WireStorageStats;
 /// with its `checkpointed` response, the `storage` counter block
 /// (WAL/checkpoint/recovery) in `stats`, the `storage` error code, and the
 /// `data_dir`/`durability`/`last_checkpoint_age_ms` fields in `server_info`.
-pub const PROTOCOL_VERSION: u64 = 7;
+/// Revision 8 removed the `exec` counter block from `stats`: the server
+/// computes every request on its worker thread and opens no parallel
+/// regions, so those counters had nothing left to count; `workers` reports
+/// the pool size.
+pub const PROTOCOL_VERSION: u64 = 8;
 
 /// Decode failure for a request or response line.
 #[derive(Debug, Clone, PartialEq)]
@@ -481,7 +485,7 @@ wire_record! {
         } = "deallocate",
         /// Server identity: version, uptime, active sessions, enabled fronts.
         ServerInfo = "server_info",
-        /// Server / cache / executor counters.
+        /// Server, cache, connection and storage counters.
         Stats = "stats",
         /// Latency-histogram summary: p50/p90/p99/max per `(verb, stage)`
         /// (protocol v6). The full bucket data is served by the Prometheus
@@ -863,23 +867,6 @@ wire_record! {
         pub ttl_ms: Option<f64>,
     }
 
-    /// Executor counters in a `stats` response.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct WireExecStats {
-        /// Worker budget.
-        pub threads: u64,
-        /// Regions entered.
-        pub regions: u64,
-        /// Regions that spawned helpers.
-        pub parallel_regions: u64,
-        /// Tasks executed.
-        pub tasks: u64,
-        /// Steal operations.
-        pub steals: u64,
-        /// Peak live workers.
-        pub peak_workers: u64,
-    }
-
     /// Column-store counters in a `stats` response, aggregated over every
     /// registered table. The columns are each table's only storage; the
     /// wire keeps the `projection` spelling of protocol revision 3.
@@ -965,8 +952,6 @@ wire_record! {
         pub cache: WireCacheStats,
         /// Columnar-projection counters.
         pub projection: WireProjectionStats,
-        /// Shared-executor counters.
-        pub exec: WireExecStats,
         /// Connection-layer (reactor) counters.
         pub conn: WireConnStats,
         /// Incremental-maintenance counters.
@@ -1588,14 +1573,6 @@ mod tests {
                 reuses: 17,
                 bytes: 65_536,
             },
-            exec: WireExecStats {
-                threads: 8,
-                regions: 100,
-                parallel_regions: 20,
-                tasks: 500,
-                steals: 9,
-                peak_workers: 8,
-            },
             conn: WireConnStats {
                 open: 1003,
                 peak_open: 1005,
@@ -1669,14 +1646,6 @@ mod tests {
                     reuses: 0,
                     bytes: 0,
                 },
-                exec: WireExecStats {
-                    threads: 0,
-                    regions: 0,
-                    parallel_regions: 0,
-                    tasks: 0,
-                    steals: 0,
-                    peak_workers: 0,
-                },
                 conn: WireConnStats {
                     open: 0,
                     peak_open: 0,
@@ -1705,7 +1674,7 @@ mod tests {
         .unwrap() else {
             panic!("expected stats reply");
         };
-        let gutted = r#"{"ok":true,"op":"stats","protocol":7,"tables":[],"workers":1,"connections":0,"requests":0,"errors":0,"uptime_ms":0,"sessions":[],"cache":{"hits":0,"misses":0,"insertions":0,"evictions":0,"invalidations":0,"expirations":0,"len":0,"bytes":0,"capacity":0,"byte_budget":null,"ttl_ms":null},"projection":{"builds":0,"reuses":0,"bytes":0},"exec":{"threads":0,"regions":0,"parallel_regions":0,"tasks":0,"steals":0,"peak_workers":0},"conn":{"open":0,"peak_open":0,"frames_in":0,"frames_out":0,"bytes_in":0,"bytes_out":0,"idle_reaped":0,"backpressure":0,"queue_depth_peak":0,"queue_wait_us_total":0,"queue_wait_us_max":0,"backend":"poll"},"incremental":{"delta_batches":0,"rows_appended":0,"permutation_merges":0,"snapshots_refrozen":0,"fallback_rebuilds":0},"storage":{"wal_records":0,"wal_bytes":0,"fsyncs":0,"checkpoints":0,"recovered_tables":0,"replayed_records":0}}"#;
+        let gutted = r#"{"ok":true,"op":"stats","protocol":8,"tables":[],"workers":1,"connections":0,"requests":0,"errors":0,"uptime_ms":0,"sessions":[],"cache":{"hits":0,"misses":0,"insertions":0,"evictions":0,"invalidations":0,"expirations":0,"len":0,"bytes":0,"capacity":0,"byte_budget":null,"ttl_ms":null},"projection":{"builds":0,"reuses":0,"bytes":0},"conn":{"open":0,"peak_open":0,"frames_in":0,"frames_out":0,"bytes_in":0,"bytes_out":0,"idle_reaped":0,"backpressure":0,"queue_depth_peak":0,"queue_wait_us_total":0,"queue_wait_us_max":0,"backend":"poll"},"incremental":{"delta_batches":0,"rows_appended":0,"permutation_merges":0,"snapshots_refrozen":0,"fallback_rebuilds":0},"storage":{"wal_records":0,"wal_bytes":0,"fsyncs":0,"checkpoints":0,"recovered_tables":0,"replayed_records":0}}"#;
         assert!(
             Response::decode(gutted).is_err(),
             "storage block missing truncated_tail_bytes must fail decode"

@@ -6,13 +6,13 @@
 //! incremental frame assembly — the line-JSON and pgwire framings are
 //! resumable state machines over per-connection read/write buffers, never
 //! blocking `read_line`/`read_exact` — and hands only *complete* requests to
-//! the executor-backed worker pool in [`crate::server`]. Responses come back
+//! the worker pool in [`crate::server`]. Responses come back
 //! as `Completion`s through a wakeup pipe and are flushed under
 //! `EPOLLOUT`-driven write backpressure.
 //!
 //! Scalability contract: 10,000+ mostly-idle connections cost one registered
-//! fd each and **zero** worker or executor activity (`peak_workers ≤
-//! UU_THREADS` keeps holding — pinned by `server_concurrency`). Per-request
+//! fd each and **zero** worker activity: no frame, no request (pinned by
+//! `server_concurrency`). Per-request
 //! allocation churn is avoided by moving each connection's [`SessionCtx`]
 //! and scratch buffer *into* the `Work` item and back out of its
 //! `Completion` — buffers are reused across frames, never reallocated per

@@ -1,5 +1,5 @@
 //! The transport layer: the readiness-driven reactor thread plus the
-//! executor-backed worker pool.
+//! worker pool.
 //!
 //! Everything the server *means* lives in [`crate::service`] — this module
 //! only owns threads and queues; the sockets themselves live in
@@ -7,14 +7,13 @@
 //! of both fronts in non-blocking mode (epoll on Linux, `poll(2)` fallback),
 //! performs buffered reads with incremental frame assembly, and pushes only
 //! *complete* requests onto the work queue drained by a fixed pool of worker
-//! threads sized to the shared executor budget (`UU_THREADS`). Each worker
-//! runs its request inside [`Executor::run_inline`], so the statistics work
-//! it triggers runs inline on the worker itself instead of borrowing pool
-//! helpers: any number of connections — including 10,000+ mostly-idle ones —
-//! never sees more than the executor budget of compute threads, which the
-//! concurrent-connection integration test pins via
-//! `exec::global().metrics().peak_workers`. Idle connections cost one
-//! registered fd and **zero** worker or executor activity.
+//! threads (`--workers`, default one per core). Each worker computes its
+//! request start to finish on its own thread — no query opens further
+//! threads — so any number of connections, including 10,000+ mostly-idle
+//! ones, never sees more than `workers` compute threads. Idle connections
+//! cost one registered fd and **zero** worker activity: they never reach
+//! the work queue, which the concurrent-connection integration test pins
+//! through the `stats` request and frame counters.
 //!
 //! Responses travel back as `Completion`s: a worker pushes the encoded
 //! bytes plus the connection's reclaimed `SessionCtx`/scratch buffer and
@@ -38,7 +37,6 @@ use crate::reactor::{Completion, FrontKind, Payload, Reactor, Work};
 use crate::service::Service;
 use uu_query::catalog::Catalog;
 use uu_query::exec::QueryProfileCache;
-use uu_stats::exec::Executor;
 use uu_store::{FsyncPolicy, Store};
 
 /// How long a worker blocked on the work queue waits before re-checking the
@@ -54,8 +52,8 @@ pub struct ServerConfig {
     /// Optional bind address for the pgwire-lite front (`--pgwire-port`);
     /// `None` leaves it disabled.
     pub pgwire_addr: Option<String>,
-    /// Request-worker pool size; 0 means the shared executor budget
-    /// (`UU_THREADS` / detected cores).
+    /// Request-worker pool size; 0 means one worker per available core
+    /// ([`std::thread::available_parallelism`]).
     pub workers: usize,
     /// Bound on one inbound frame (a JSON request line or a pgwire message);
     /// 0 means [`crate::service::DEFAULT_MAX_FRAME_BYTES`]. Oversized frames
@@ -141,17 +139,13 @@ impl ServerConfig {
         cache
     }
 
-    /// The effective worker-pool size: the configured value, **clamped to
-    /// the shared executor budget**. Workers compute inline, so a pool
-    /// larger than `UU_THREADS` would silently oversubscribe the very budget
-    /// the executor exists to enforce (and invisibly to `peak_workers`,
-    /// which only counts executor-spawned work).
+    /// The effective worker-pool size: the configured value, or one worker
+    /// per available core when it is 0.
     pub fn effective_workers(&self) -> usize {
-        let budget = uu_core::exec::global().threads();
         if self.workers == 0 {
-            budget
+            std::thread::available_parallelism().map_or(1, |p| p.get())
         } else {
-            self.workers.min(budget)
+            self.workers
         }
     }
 }
@@ -342,7 +336,7 @@ pub fn spawn_with_catalog(config: ServerConfig, mut catalog: Catalog) -> io::Res
         .map(|l| l.local_addr())
         .transpose()?;
 
-    let workers = config.effective_workers().max(1);
+    let workers = config.effective_workers();
     let service = Arc::new(Service::new(catalog, config.max_frame_bytes));
     if let Some(store) = &store {
         service.set_store(Arc::clone(store));
@@ -439,7 +433,7 @@ fn bind(addr: &str) -> io::Result<TcpListener> {
 }
 
 /// One resident worker: pop a complete request (either front), serve it
-/// inside the executor's inline scope, push the completion, repeat. Workers
+/// on this thread, push the completion, repeat. Workers
 /// never touch sockets; idle connections never reach the queue — the pool's
 /// size bounds *compute*, not connection count.
 fn worker_loop(state: &Arc<ServerState>) {
@@ -463,10 +457,7 @@ fn worker_loop(state: &Arc<ServerState>) {
         let Some(work) = work else {
             return;
         };
-        // The worker *is* the executor worker: statistics regions triggered
-        // by this request run inline rather than borrowing executor helpers,
-        // so `workers` threads never exceed the executor's thread budget.
-        let completion = Executor::run_inline(|| execute(state, work));
+        let completion = execute(state, work);
         let shutdown = completion.shutdown;
         // Push before initiating shutdown so the reactor's drain still
         // flushes this response (the `shutdown` verb's `Bye`).
@@ -538,18 +529,17 @@ mod tests {
     }
 
     #[test]
-    fn workers_clamp_to_the_executor_budget() {
-        let budget = uu_core::exec::global().threads();
-        let config = ServerConfig {
-            workers: budget + 100,
-            ..ServerConfig::default()
-        };
-        assert_eq!(config.effective_workers(), budget);
-        let config = ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        };
-        assert_eq!(config.effective_workers(), 1);
+    fn zero_workers_means_one_per_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(ServerConfig::default().workers, 0);
+        assert_eq!(ServerConfig::default().effective_workers(), cores);
+        for workers in [1, cores + 100] {
+            let config = ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            };
+            assert_eq!(config.effective_workers(), workers);
+        }
     }
 
     #[test]

@@ -38,8 +38,8 @@ use crate::json::Json;
 use crate::protocol::{
     ErrorCode, GroupReply, LoadCsvRequest, MetricsReply, QueryReply, QueryRequest, Request,
     Response, ServerInfoReply, StatsReply, Wire, WireCacheStats, WireConnStats, WireError,
-    WireEstimate, WireExecStats, WireProjectionStats, WireResult, WireSessionStats, WireSpan,
-    WireStageMetrics, WireValue, PROTOCOL_VERSION,
+    WireEstimate, WireProjectionStats, WireResult, WireSessionStats, WireSpan, WireStageMetrics,
+    WireValue, PROTOCOL_VERSION,
 };
 use uu_core::engine::{EstimationSession, EstimatorKind};
 use uu_core::obs;
@@ -50,7 +50,7 @@ use uu_query::exec::{CorrectionMethod, GroupResult, SelectionSnapshots};
 use uu_query::query::AggregateQuery;
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::sql::parse;
-use uu_query::table::IntegratedTable;
+use uu_query::table::{AppendDelta, IntegratedTable};
 use uu_store::Store;
 
 /// Default bound on one inbound frame (a JSON request line or a pgwire
@@ -881,28 +881,13 @@ impl Service {
             ));
         }
         if exists {
-            let table = catalog.get(&load.table).expect("checked above");
-            let schema = table.schema().clone();
-            let version_before = table.version();
-            let batch = parse_observations(&schema, &load.csv, &load.source_column)
-                .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
-            let rows = batch.len() as u64;
-            // WAL before the in-memory mutation: a crash between the two
-            // replays the batch; a crash before the write loses an
-            // unacknowledged request, never a committed one.
-            if let Some(store) = &store {
-                store
-                    .log_append(&load.table, version_before, &batch)
-                    .map_err(storage_error)?;
-            }
-            let (delta, _refrozen) = catalog
-                .append_observations(&load.table, batch)
-                .map_err(|e| WireError::from_exec(&e))?;
-            if let Some(store) = &store {
-                if let Err(e) = store.maybe_checkpoint(&catalog, rows) {
-                    eprintln!("uu-server: background checkpoint failed: {e}");
-                }
-            }
+            let (delta, _refrozen) = append_csv(
+                store.as_deref(),
+                &mut catalog,
+                &load.table,
+                &load.source_column,
+                &load.csv,
+            )?;
             return Ok(Response::Loaded {
                 table: load.table.clone(),
                 observations: delta.version_after - delta.version_before,
@@ -948,9 +933,8 @@ impl Service {
     }
 
     /// Appends an observation batch to an existing table through the
-    /// incremental-maintenance path. The batch is validated in full before
-    /// any row is applied (same staging as `load_csv`), so a failed append
-    /// leaves the table untouched.
+    /// incremental-maintenance path — `append_csv`, the same path an
+    /// appending `load_csv` takes; only the reply differs.
     fn append_stream(
         &self,
         table: &str,
@@ -959,28 +943,8 @@ impl Service {
     ) -> Result<Response, WireError> {
         let store = self.store();
         let mut catalog = self.catalog.write().expect("catalog lock");
-        let existing = catalog
-            .get(table)
-            .ok_or_else(|| WireError::new(ErrorCode::UnknownTable, table))?;
-        let schema = existing.schema().clone();
-        let version_before = existing.version();
-        let batch = parse_observations(&schema, csv, source_column)
-            .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
-        let rows = batch.len() as u64;
-        // WAL first, mutate second — see `load_csv`.
-        if let Some(store) = &store {
-            store
-                .log_append(table, version_before, &batch)
-                .map_err(storage_error)?;
-        }
-        let (delta, refrozen) = catalog
-            .append_observations(table, batch)
-            .map_err(|e| WireError::from_exec(&e))?;
-        if let Some(store) = &store {
-            if let Err(e) = store.maybe_checkpoint(&catalog, rows) {
-                eprintln!("uu-server: background checkpoint failed: {e}");
-            }
-        }
+        let (delta, refrozen) =
+            append_csv(store.as_deref(), &mut catalog, table, source_column, csv)?;
         Ok(Response::Appended {
             table: table.to_string(),
             observations: delta.version_after - delta.version_before,
@@ -1018,7 +982,6 @@ impl Service {
         let cache = catalog.cache();
         let cache_metrics = cache.metrics();
         let (projection_builds, projection_reuses, projection_bytes) = catalog.projection_stats();
-        let exec_metrics = uu_core::exec::global().metrics();
         let sessions = self
             .sessions
             .lock()
@@ -1063,14 +1026,6 @@ impl Service {
                 builds: projection_builds,
                 reuses: projection_reuses,
                 bytes: projection_bytes as u64,
-            },
-            exec: WireExecStats {
-                threads: exec_metrics.threads as u64,
-                regions: exec_metrics.regions,
-                parallel_regions: exec_metrics.parallel_regions,
-                tasks: exec_metrics.tasks,
-                steals: exec_metrics.steals,
-                peak_workers: exec_metrics.peak_workers as u64,
             },
             conn: WireConnStats {
                 open: self.conn.open.load(Ordering::Relaxed),
@@ -1198,6 +1153,46 @@ fn reply(
         groups,
         trace: None,
     }
+}
+
+/// The one append path behind both `load_csv` with `"append": true` and
+/// `append_stream`: parse the CSV against the table's schema, log the batch
+/// to the WAL, apply it through the catalog's delta path, then checkpoint
+/// if the store says one is due. The caller holds the catalog write lock.
+/// The batch is validated in full before any row is applied, so a failed
+/// append leaves the table untouched. Returns the delta and how many cached
+/// selections were re-frozen.
+fn append_csv(
+    store: Option<&Store>,
+    catalog: &mut Catalog,
+    table: &str,
+    source_column: &str,
+    csv: &str,
+) -> Result<(AppendDelta, u64), WireError> {
+    let existing = catalog
+        .get(table)
+        .ok_or_else(|| WireError::new(ErrorCode::UnknownTable, table))?;
+    let version_before = existing.version();
+    let batch = parse_observations(existing.schema(), csv, source_column)
+        .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
+    let rows = batch.len() as u64;
+    // WAL before the in-memory mutation: a crash between the two replays
+    // the batch; a crash before the write loses an unacknowledged request,
+    // never a committed one.
+    if let Some(store) = store {
+        store
+            .log_append(table, version_before, &batch)
+            .map_err(storage_error)?;
+    }
+    let appended = catalog
+        .append_observations(table, batch)
+        .map_err(|e| WireError::from_exec(&e))?;
+    if let Some(store) = store {
+        if let Err(e) = store.maybe_checkpoint(catalog, rows) {
+            eprintln!("uu-server: background checkpoint failed: {e}");
+        }
+    }
+    Ok(appended)
 }
 
 fn storage_error(e: uu_store::StoreError) -> WireError {

@@ -25,19 +25,15 @@
 //! * [`rng`] — a self-contained, seedable xoshiro256\*\* generator so results
 //!   are bit-for-bit reproducible across platforms and independent of external
 //!   crate version churn.
-//! * [`exec`] — the shared work-stealing executor behind every parallel
-//!   region of the workspace (re-exported as `uu_core::exec`). It lives here,
-//!   at the bottom of the dependency graph, so the species-ladder warm-up can
-//!   use it too; it is the **only** module allowed to spawn threads.
 //! * [`obs`] — zero-dependency observability (re-exported as
 //!   `uu_core::obs`): per-request trace spans plus mergeable log-bucketed
 //!   latency histograms. Hosted here, below every instrumented layer, so
 //!   the species ladder, the profile machinery and the server can all open
 //!   spans.
 //!
-//! Everything except [`exec`] is pure computation over `f64`/`u64`; there is
-//! no I/O and no external runtime dependency ([`obs`] reads clocks and
-//! atomics, nothing else).
+//! Everything is pure computation over `f64`/`u64` on the calling thread;
+//! there is no I/O, no thread and no external runtime dependency ([`obs`]
+//! reads clocks and atomics, nothing else).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +42,6 @@ pub mod bound;
 pub mod coverage;
 pub mod cv;
 pub mod descriptive;
-pub mod exec;
 pub mod freq;
 pub mod kl;
 pub mod linalg;

@@ -21,11 +21,10 @@
 //!
 //! Instrumentation lives at the bottom of the dependency graph (this crate)
 //! so the statistics layers, `uu-core`, `uu-query` and `uu-server` can all
-//! open spans. Parallel regions scheduled through [`crate::exec`] run inline
-//! on the calling thread when entered under `Executor::run_inline` (the
-//! server's worker mode), so a request's nested spans land in its trace;
-//! spans executed on detached helper threads degrade gracefully to
-//! histogram-only records.
+//! open spans. A request runs start to finish on one server worker thread,
+//! so every nested span lands in its trace; a span recorded on any other
+//! thread (one a library caller spawned itself) degrades gracefully to a
+//! histogram-only record.
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -308,16 +308,14 @@ impl<'a> SpeciesCache<'a> {
         self.computations.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Eagerly evaluates the whole ladder — every [`SpeciesEstimator`] — on
-    /// the shared executor (inline when already inside an executor worker or
-    /// when the executor has one thread). Afterwards every
+    /// Eagerly evaluates the whole ladder — every [`SpeciesEstimator`], in
+    /// order, on the calling thread. Afterwards every
     /// [`SpeciesCache::estimate`] call is a cache hit.
     pub fn warm(&self) {
         let _span = crate::obs::span(crate::obs::Stage::SpeciesLadder);
-        let mut ladder = SpeciesEstimator::ALL;
-        crate::exec::global().for_each_indexed(&mut ladder, |_, est| {
-            let _ = self.estimate(*est);
-        });
+        for est in SpeciesEstimator::ALL {
+            let _ = self.estimate(est);
+        }
     }
 
     /// The memoized estimates of the full ladder, in [`SpeciesEstimator::ALL`]
@@ -447,11 +445,13 @@ mod tests {
     fn cache_is_shareable_across_threads() {
         let f = FrequencyStatistics::from_multiplicities([1, 2, 2, 4, 5]);
         let cache = SpeciesCache::new(&f);
-        let exec = crate::exec::Executor::with_threads(4);
-        let mut lanes = [0u8; 4];
-        exec.for_each_indexed(&mut lanes, |_, _| {
-            for est in SpeciesEstimator::ALL {
-                assert_eq!(cache.estimate(est), est.estimate(cache.freq()));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for est in SpeciesEstimator::ALL {
+                        assert_eq!(cache.estimate(est), est.estimate(cache.freq()));
+                    }
+                });
             }
         });
         // OnceLock guarantees each slot initialises exactly once.

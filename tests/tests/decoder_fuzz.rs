@@ -18,7 +18,7 @@ const SEEDS: &[&str] = &[
     r#"{"op":"append_stream","table":"companies","source_column":"worker","csv":"worker,company,employees\n5,F,\"7\"\n"}"#,
     r#"{"op":"prepare","session":"analyst-1","name":"q1","sql":"SELECT SUM(employees) FROM companies"}"#,
     r#"{"ok":true,"op":"query","sql":"S","cache_hit":true,"elapsed_us":123,"grouped":false,"groups":[{"key":{"t":"float","v":2.5},"result":{"query":"S","observed":13300,"corrected":13950.000000000002,"method":"bucket","n_hat":5.5,"upper_bound":"inf","extreme":{"trusted":false,"observed":300,"estimated_missing":0.75},"diagnostics":{"coverage":0.8,"contributing_sources":5,"max_source_share":0.3333333333333333,"source_gini":-0},"recommendation":"bucket","estimates":[{"name":"freq","delta":"-inf","n_hat":null,"corrected":"NaN"}]}}],"trace":[{"stage":"request","parent":null,"start_ns":0,"dur_ns":870000},{"stage":"estimator_fanout","label":"bucket","parent":0,"start_ns":12500,"dur_ns":700000}]}"#,
-    r#"{"ok":true,"op":"stats","protocol":7,"tables":["t"],"workers":4,"connections":10,"requests":25,"errors":2,"uptime_ms":1234,"sessions":[{"name":"a","estimators":["bucket"],"prepared":2,"executes":40,"frozen_hits":38,"age_ms":600}],"cache":{"hits":7,"misses":3,"insertions":3,"evictions":1,"invalidations":0,"expirations":0,"len":2,"bytes":4096,"capacity":128,"byte_budget":null,"ttl_ms":null},"projection":{"builds":3,"reuses":17,"bytes":65536},"exec":{"threads":8,"regions":100,"parallel_regions":20,"tasks":500,"steals":9,"peak_workers":8},"conn":{"open":1,"peak_open":1,"frames_in":90,"frames_out":92,"bytes_in":16384,"bytes_out":65000,"idle_reaped":4,"backpressure":1,"queue_depth_peak":17,"queue_wait_us_total":4200,"queue_wait_us_max":950,"backend":"epoll"},"incremental":{"delta_batches":6,"rows_appended":600,"permutation_merges":11,"snapshots_refrozen":5,"fallback_rebuilds":1},"storage":{"wal_records":8,"wal_bytes":12288,"fsyncs":9,"checkpoints":2,"recovered_tables":1,"replayed_records":3,"truncated_tail_bytes":17}}"#,
+    r#"{"ok":true,"op":"stats","protocol":8,"tables":["t"],"workers":4,"connections":10,"requests":25,"errors":2,"uptime_ms":1234,"sessions":[{"name":"a","estimators":["bucket"],"prepared":2,"executes":40,"frozen_hits":38,"age_ms":600}],"cache":{"hits":7,"misses":3,"insertions":3,"evictions":1,"invalidations":0,"expirations":0,"len":2,"bytes":4096,"capacity":128,"byte_budget":null,"ttl_ms":null},"projection":{"builds":3,"reuses":17,"bytes":65536},"conn":{"open":1,"peak_open":1,"frames_in":90,"frames_out":92,"bytes_in":16384,"bytes_out":65000,"idle_reaped":4,"backpressure":1,"queue_depth_peak":17,"queue_wait_us_total":4200,"queue_wait_us_max":950,"backend":"epoll"},"incremental":{"delta_batches":6,"rows_appended":600,"permutation_merges":11,"snapshots_refrozen":5,"fallback_rebuilds":1},"storage":{"wal_records":8,"wal_bytes":12288,"fsyncs":9,"checkpoints":2,"recovered_tables":1,"replayed_records":3,"truncated_tail_bytes":17}}"#,
     r#"{"ok":true,"op":"server_info","version":"0.1.0","protocol":7,"uptime_ms":12,"active_sessions":0,"fronts":["json"],"workers":2,"data_dir":"/d","durability":"off","last_checkpoint_age_ms":1234.5}"#,
     r#"{"ok":true,"op":"metrics","entries":[{"verb":"query","stage":"request","count":41,"p50_us":420.5,"p90_us":1000,"p99_us":2830,"max_us":2831.25,"mean_us":600.125}]}"#,
     r#"{"ok":false,"error":{"code":"unknown_estimator","message":"unknown estimator \"x\"","accepted":["naive","bucket"]}}"#,

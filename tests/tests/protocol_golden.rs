@@ -13,8 +13,8 @@ use uu_query::value::Value;
 use uu_server::protocol::{
     ErrorCode, GroupReply, LoadCsvRequest, MetricsReply, QueryReply, QueryRequest, Request,
     Response, ServerInfoReply, StatsReply, WireCacheStats, WireConnStats, WireDiagnostics,
-    WireError, WireEstimate, WireExecStats, WireExtreme, WireIncrementalStats, WireProjectionStats,
-    WireResult, WireSessionStats, WireSpan, WireStageMetrics, WireStorageStats, WireValue,
+    WireError, WireEstimate, WireExtreme, WireIncrementalStats, WireProjectionStats, WireResult,
+    WireSessionStats, WireSpan, WireStageMetrics, WireStorageStats, WireValue,
 };
 
 fn s(text: &str) -> String {
@@ -302,7 +302,7 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
         ),
         (
             Response::Stats(Box::new(StatsReply {
-                protocol: 7,
+                protocol: 8,
                 tables: vec![s("companies"), s("t")],
                 workers: 4,
                 connections: 10,
@@ -335,14 +335,6 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                     reuses: 17,
                     bytes: 65_536,
                 },
-                exec: WireExecStats {
-                    threads: 8,
-                    regions: 100,
-                    parallel_regions: 20,
-                    tasks: 500,
-                    steals: 9,
-                    peak_workers: 6,
-                },
                 conn: WireConnStats {
                     open: 1003,
                     peak_open: 1005,
@@ -374,7 +366,7 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                     truncated_tail_bytes: 16,
                 },
             })),
-            r#"{"ok":true,"op":"stats","protocol":7,"tables":["companies","t"],"workers":4,"connections":10,"requests":25,"errors":2,"uptime_ms":1234,"sessions":[{"name":"analyst-1","estimators":["bucket"],"prepared":2,"executes":40,"frozen_hits":38,"age_ms":600}],"cache":{"hits":7,"misses":3,"insertions":3,"evictions":1,"invalidations":11,"expirations":12,"len":2,"bytes":4096,"capacity":128,"byte_budget":1000000,"ttl_ms":null},"projection":{"builds":3,"reuses":17,"bytes":65536},"exec":{"threads":8,"regions":100,"parallel_regions":20,"tasks":500,"steals":9,"peak_workers":6},"conn":{"open":1003,"peak_open":1005,"frames_in":90,"frames_out":92,"bytes_in":16384,"bytes_out":65000,"idle_reaped":4,"backpressure":1,"queue_depth_peak":17,"queue_wait_us_total":4200,"queue_wait_us_max":950,"backend":"epoll"},"incremental":{"delta_batches":6,"rows_appended":600,"permutation_merges":13,"snapshots_refrozen":5,"fallback_rebuilds":1},"storage":{"wal_records":8,"wal_bytes":12288,"fsyncs":9,"checkpoints":2,"recovered_tables":14,"replayed_records":15,"truncated_tail_bytes":16}}"#,
+            r#"{"ok":true,"op":"stats","protocol":8,"tables":["companies","t"],"workers":4,"connections":10,"requests":25,"errors":2,"uptime_ms":1234,"sessions":[{"name":"analyst-1","estimators":["bucket"],"prepared":2,"executes":40,"frozen_hits":38,"age_ms":600}],"cache":{"hits":7,"misses":3,"insertions":3,"evictions":1,"invalidations":11,"expirations":12,"len":2,"bytes":4096,"capacity":128,"byte_budget":1000000,"ttl_ms":null},"projection":{"builds":3,"reuses":17,"bytes":65536},"conn":{"open":1003,"peak_open":1005,"frames_in":90,"frames_out":92,"bytes_in":16384,"bytes_out":65000,"idle_reaped":4,"backpressure":1,"queue_depth_peak":17,"queue_wait_us_total":4200,"queue_wait_us_max":950,"backend":"epoll"},"incremental":{"delta_batches":6,"rows_appended":600,"permutation_merges":13,"snapshots_refrozen":5,"fallback_rebuilds":1},"storage":{"wal_records":8,"wal_bytes":12288,"fsyncs":9,"checkpoints":2,"recovered_tables":14,"replayed_records":15,"truncated_tail_bytes":16}}"#,
         ),
         (
             Response::Metrics(MetricsReply {

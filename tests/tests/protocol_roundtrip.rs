@@ -12,9 +12,8 @@ use uu_query::value::Value;
 use uu_server::protocol::{
     ErrorCode, GroupReply, LoadCsvRequest, MetricsReply, QueryReply, QueryRequest, Request,
     Response, ServerInfoReply, StatsReply, WireCacheStats, WireConnStats, WireDiagnostics,
-    WireError, WireEstimate, WireExecStats, WireExtreme, WireIncrementalStats, WireProjectionStats,
-    WireResult, WireSessionStats, WireSpan, WireStageMetrics, WireStorageStats, WireValue,
-    PROTOCOL_VERSION,
+    WireError, WireEstimate, WireExtreme, WireIncrementalStats, WireProjectionStats, WireResult,
+    WireSessionStats, WireSpan, WireStageMetrics, WireStorageStats, WireValue, PROTOCOL_VERSION,
 };
 
 /// An interesting `f64` from two generated numbers: finite values of many
@@ -265,14 +264,6 @@ fn response_from(selector: u64, sel: &[u64], text: &str, numbers: &[f64], flag: 
                 builds: sel[2],
                 reuses: sel[3],
                 bytes: sel[4],
-            },
-            exec: WireExecStats {
-                threads: sel[4],
-                regions: sel[5],
-                parallel_regions: sel[6],
-                tasks: sel[7],
-                steals: sel[0],
-                peak_workers: sel[1],
             },
             conn: WireConnStats {
                 open: sel[5],

@@ -8,9 +8,8 @@
 //! connection; the repeated-query path must hit the profile cache (counter
 //! asserted) and its round-trip latency is recorded to `BENCH_server.json`.
 //!
-//! The concurrent-connection test lives in `server_concurrency.rs` (its own
-//! process) so the `peak_workers` executor assertion is not perturbed by
-//! sibling tests.
+//! The concurrent-connection and idle-herd tests live in
+//! `server_concurrency.rs`.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;

@@ -1,24 +1,19 @@
-//! Concurrent-connection tests for `uu-server`, isolated in their own test
-//! binary: the assertions read the global executor's counters
-//! (`peak_workers`, `tasks`), which sibling tests running in the same
-//! process would perturb — `EXEC_GATE` serializes the tests in this binary
-//! for the same reason.
+//! Concurrent-connection tests for `uu-server`.
 //!
 //! N line-JSON clients issue interleaved cached/uncached and grouped
 //! queries concurrently **while M pgwire clients hammer the pgwire-lite
 //! front of the same server**; every reply on either front must be
-//! bit-for-bit identical to its expectation, and the executor must never
-//! exceed its `UU_THREADS` worker budget — complete frames are handed to
-//! the worker pool which serves *inside* the executor's inline scope
-//! instead of stacking helpers on top of it. A second test parks ≥1k idle
-//! connections (scalable to 10k via `UU_IDLE_CONNS`) on the reactor and
-//! pins that they cost zero executor tasks and zero worker threads; a third
-//! dribbles requests one byte per write and pins that incremental frame
-//! assembly answers bit-for-bit identically on both fronts.
+//! bit-for-bit identical to its expectation, and every request is served
+//! by the fixed worker pool the `stats` reply reports. A second test parks
+//! ≥1k idle connections (scalable to 10k via `UU_IDLE_CONNS`) on the
+//! reactor and pins that they never reach a worker: they add nothing to the
+//! server's request or frame counters. A third dribbles requests one byte
+//! per write and pins that incremental frame assembly answers bit-for-bit
+//! identically on both fronts.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uu_core::engine::{EstimationSession, EstimatorKind};
@@ -31,10 +26,6 @@ use uu_server::client::Client;
 use uu_server::pgwire::{panel_rows, PgClient, PgRow};
 use uu_server::protocol::{LoadCsvRequest, QueryRequest, Request, Response, WireEstimate};
 use uu_server::server::{spawn, ServerConfig};
-
-/// Serializes the tests in this binary: each one reads global executor
-/// counters that concurrent server traffic would perturb.
-static EXEC_GATE: Mutex<()> = Mutex::new(());
 
 const CLIENTS: usize = 8;
 const PG_CLIENTS: usize = 4;
@@ -148,7 +139,6 @@ fn expected(catalog: &Catalog, case: &Case) -> Vec<String> {
 
 #[test]
 fn concurrent_clients_get_direct_catalog_answers_within_the_thread_budget() {
-    let _gate = EXEC_GATE.lock().unwrap();
     let csv = observation_log();
     let handle = spawn(ServerConfig {
         pgwire_addr: Some("127.0.0.1:0".to_string()),
@@ -178,8 +168,7 @@ fn concurrent_clients_get_direct_catalog_answers_within_the_thread_budget() {
         response.encode()
     );
 
-    // …and build the identical local catalog + expectations up front (the
-    // only executor caller besides the server's inline handlers).
+    // …and build the identical local catalog + expectations up front.
     let mut table = IntegratedTable::new("sightings", schema(), "item").unwrap();
     load_observations(&mut table, &csv, "worker").unwrap();
     let mut catalog = Catalog::new();
@@ -268,28 +257,29 @@ fn concurrent_clients_get_direct_catalog_answers_within_the_thread_budget() {
         stats.connections
     );
     assert_eq!(stats.tables, vec!["sightings".to_string()]);
-
-    // The budget assertion: handlers run inline inside the executor scope,
-    // so even CLIENTS concurrent connections never push the live-worker
-    // high-water mark beyond the configured budget.
-    let exec = uu_core::exec::global().metrics();
+    // Every one of those requests was computed by the fixed pool of one
+    // worker per core; no query opens threads of its own (the
+    // `no_production_crate_calls_thread_scope` test pins that).
+    assert_eq!(
+        stats.workers,
+        ServerConfig::default().effective_workers() as u64
+    );
+    let served = (CLIENTS * ROUNDS * CASES.len() + PG_CLIENTS * ROUNDS * 2) as u64;
     assert!(
-        exec.peak_workers <= exec.threads,
-        "peak_workers {} exceeds the UU_THREADS budget {}",
-        exec.peak_workers,
-        exec.threads
+        stats.requests >= served,
+        "requests {} < the {served} the clients sent",
+        stats.requests
     );
 
     admin.shutdown().unwrap();
     handle.join();
 }
 
-/// ≥1k mostly-idle connections parked on the reactor must cost **zero**
-/// executor tasks and zero worker threads — the whole point of the
+/// ≥1k mostly-idle connections parked on the reactor must never reach a
+/// worker — no frame, no request — which is the whole point of the
 /// readiness-driven connection layer. Scale with `UU_IDLE_CONNS=10000`.
 #[test]
-fn a_thousand_idle_connections_cost_no_executor_tokens() {
-    let _gate = EXEC_GATE.lock().unwrap();
+fn a_thousand_idle_connections_cost_no_requests() {
     let n: usize = std::env::var("UU_IDLE_CONNS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -326,8 +316,9 @@ fn a_thousand_idle_connections_cost_no_executor_tokens() {
 
     let before = admin.stats().unwrap();
     // An active client keeps getting served promptly among the idle herd.
+    const PINGS: u64 = 20;
     let mut active = Client::connect(addr).unwrap();
-    for _ in 0..20 {
+    for _ in 0..PINGS {
         active.ping().unwrap();
     }
     std::thread::sleep(Duration::from_millis(100));
@@ -338,15 +329,19 @@ fn a_thousand_idle_connections_cost_no_executor_tokens() {
         "peak_open {} never saw the idle herd",
         after.conn.peak_open
     );
+    // The only traffic between the two snapshots is the probe's: its pings
+    // plus the `stats` request that took the second snapshot (counted as it
+    // arrives, before the reply is built). The idle herd adds nothing.
+    let probe = PINGS + 1;
     assert_eq!(
-        after.exec.tasks, before.exec.tasks,
-        "idle sockets spawned executor tasks"
+        after.requests - before.requests,
+        probe,
+        "idle sockets reached the workers"
     );
-    assert!(
-        after.exec.peak_workers <= after.exec.threads,
-        "peak_workers {} exceeds the UU_THREADS budget {} with {n} idle connections parked",
-        after.exec.peak_workers,
-        after.exec.threads
+    assert_eq!(
+        after.conn.frames_in - before.conn.frames_in,
+        probe,
+        "idle sockets delivered frames"
     );
 
     drop(idles);
@@ -421,7 +416,6 @@ fn pg_query_bytes(sql: &str) -> Vec<u8> {
 /// renders (the reply carries a wall-clock `elapsed_us`).
 #[test]
 fn byte_at_a_time_writes_assemble_identical_responses_on_both_fronts() {
-    let _gate = EXEC_GATE.lock().unwrap();
     let handle = spawn(ServerConfig {
         pgwire_addr: Some("127.0.0.1:0".to_string()),
         ..ServerConfig::default()
