@@ -1,12 +1,12 @@
 //! Grouped batched execution: `K` estimators × `G` groups.
 //!
-//! The point of the `ViewProfile` layer: a multi-estimator run over a grouped
+//! The point of the `ProfileSnapshot` layer: a multi-estimator run over a grouped
 //! workload costs **one statistics pass per group** (one sort, one bucket
 //! split, one Chao92) instead of one per estimator per group. The first group
 //! compares the direct per-estimator path against the shared-profile session
 //! path on identical group views; the second drives the same workload through
 //! the SQL executor's `GROUP BY` path. A final accounting section reads the
-//! `ViewProfile` instrumentation counters to report exactly how many
+//! `ProfileSnapshot` instrumentation counters to report exactly how many
 //! statistics builds the shared pass performed versus the unshared
 //! equivalent.
 //!
@@ -22,7 +22,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use uu_core::engine::{EstimationSession, EstimatorKind};
 use uu_core::estimate::SumEstimator;
 use uu_core::montecarlo::MonteCarloConfig;
-use uu_core::profile::ViewProfile;
+use uu_core::profile::ProfileSnapshot;
 use uu_core::sample::{SampleView, StreamAccumulator};
 use uu_query::exec::{
     execute_sql, results_from_selection, selection, CorrectionMethod, GroupResult,
@@ -56,7 +56,7 @@ fn group_views(groups: usize, per: usize, seed: u64) -> Vec<SampleView> {
 }
 
 /// `query` answered through `cache`: one lookup, then the answer step over
-/// the thawed snapshots.
+/// the cached snapshots.
 fn cached_rows(
     table: &IntegratedTable,
     query: &AggregateQuery,
@@ -122,7 +122,7 @@ fn bench_grouped(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for view in &views {
-                let profile = ViewProfile::new(view);
+                let profile = ProfileSnapshot::new(view.clone());
                 for r in session.run_profiled(&profile) {
                     if let Some(s) = r.corrected {
                         acc += s;
@@ -149,7 +149,8 @@ fn bench_grouped(c: &mut Criterion) {
         });
     }
     // The cross-query hit path: the selection's profiles are frozen once,
-    // repeated queries thaw them instead of rebuilding views + statistics.
+    // repeated queries read them in place instead of rebuilding views +
+    // statistics.
     let cache = QueryProfileCache::new(8);
     let grouped_query = parse("SELECT SUM(v) FROM t GROUP BY g").unwrap();
     let _ = cached_rows(&table, &grouped_query, &cache);
@@ -164,19 +165,18 @@ fn bench_grouped(c: &mut Criterion) {
     // Statistics-pass accounting via the profile instrumentation counters:
     // shared = one profile per group fanning out all K estimators; unshared =
     // one profile per (group, estimator), i.e. what per-estimator
-    // recomputation costs. Counted: value sorts, species-estimator
+    // recomputation costs. Counted: value sorts, species-ladder
     // evaluations and bucket splits — the expensive per-view passes.
-    let passes = |m: uu_core::profile::ProfileMetrics| {
-        m.sort_builds + m.species_computations + m.bucket_builds
-    };
+    let passes =
+        |m: uu_core::profile::ProfileMetrics| m.sort_builds + m.species_builds + m.bucket_builds;
     let mut shared_passes = 0;
     let mut unshared_passes = 0;
     for view in &views {
-        let profile = ViewProfile::new(view);
+        let profile = ProfileSnapshot::new(view.clone());
         let _ = session.run_profiled(&profile);
         shared_passes += passes(profile.metrics());
         for kind in &kinds {
-            let solo = ViewProfile::new(view);
+            let solo = ProfileSnapshot::new(view.clone());
             let _ = kind.build().estimate_delta_profiled(&solo);
             unshared_passes += passes(solo.metrics());
         }
@@ -229,7 +229,7 @@ fn bench_grouped(c: &mut Criterion) {
         Box::new(|| {
             let mut acc = 0.0;
             for view in &views {
-                let profile = ViewProfile::new(view);
+                let profile = ProfileSnapshot::new(view.clone());
                 for r in session.run_profiled(&profile) {
                     if let Some(s) = r.corrected {
                         acc += s;

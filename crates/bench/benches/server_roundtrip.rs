@@ -3,7 +3,7 @@
 //! Spawns an in-process server over a pre-loaded catalog, drives it with the
 //! protocol client over 127.0.0.1 and measures full round-trips (encode →
 //! TCP → decode → execute → respond): the cold path (selection built from
-//! the table), the `ProfileCache` hit path (selection thawed from frozen
+//! the table), the `ProfileCache` hit path (selection read from frozen
 //! snapshots — the repeated-query workload the server exists for), the
 //! **prepared-query path** (named session, parse + selection frozen at
 //! `prepare`, repeats skip both the parser and the cache lookup), the

@@ -74,9 +74,9 @@ struct RepOutcome {
     points: Vec<(usize, f64, Vec<Option<f64>>)>,
 }
 
-/// Evaluates one seeded repetition. Each checkpoint view gets one
-/// [`uu_core::profile::ViewProfile`], shared across every estimator of the
-/// harness.
+/// Evaluates one seeded repetition. Each checkpoint view moves into one
+/// lazy [`uu_core::profile::ProfileSnapshot`], shared across every
+/// estimator of the harness.
 fn run_rep(
     seed: u64,
     make: &(impl Fn(u64) -> Run + Sync),
@@ -85,14 +85,14 @@ fn run_rep(
     let run = make(seed);
     let points = run
         .views
-        .iter()
-        .map(|&(n, ref view)| {
-            let profile = uu_core::profile::ViewProfile::new(view);
+        .into_iter()
+        .map(|(n, view)| {
+            let profile = uu_core::profile::ProfileSnapshot::new(view);
             let sums = estimators
                 .iter()
                 .map(|(_, est)| est.estimate_sum_profiled(&profile))
                 .collect();
-            (n, view.observed_sum(), sums)
+            (n, profile.view().observed_sum(), sums)
         })
         .collect();
     RepOutcome {

@@ -12,7 +12,7 @@
 
 use crate::bucket::{BucketReport, DynamicBucketEstimator};
 use crate::montecarlo::MonteCarloEstimator;
-use crate::profile::ViewProfile;
+use crate::profile::ProfileSnapshot;
 use crate::sample::SampleView;
 use uu_stats::species::SpeciesEstimator;
 
@@ -58,10 +58,10 @@ pub fn avg_estimate(sample: &SampleView, buckets: &DynamicBucketEstimator) -> Op
     avg_from_reports(observed, &buckets.bucketize(sample))
 }
 
-/// [`avg_estimate`] consuming the shared statistics of a [`ViewProfile`]
+/// [`avg_estimate`] consuming the shared statistics of a [`ProfileSnapshot`]
 /// (the memoized default bucket partition). Bit-for-bit identical to the
 /// direct path with [`DynamicBucketEstimator::default`].
-pub fn avg_estimate_profiled(profile: &ViewProfile<'_>) -> Option<AvgEstimate> {
+pub fn avg_estimate_profiled(profile: &ProfileSnapshot) -> Option<AvgEstimate> {
     let observed = profile.view().mean_value()?;
     avg_from_reports(observed, profile.bucket_reports())
 }
@@ -184,13 +184,13 @@ pub fn min_report(
     extreme_report(sample, buckets, threshold, false)
 }
 
-/// [`max_report`] consuming the shared statistics of a [`ViewProfile`].
-pub fn max_report_profiled(profile: &ViewProfile<'_>, threshold: f64) -> Option<ExtremeReport> {
+/// [`max_report`] consuming the shared statistics of a [`ProfileSnapshot`].
+pub fn max_report_profiled(profile: &ProfileSnapshot, threshold: f64) -> Option<ExtremeReport> {
     extreme_from_reports(profile.view(), profile.bucket_reports(), threshold, true)
 }
 
-/// [`min_report`] consuming the shared statistics of a [`ViewProfile`].
-pub fn min_report_profiled(profile: &ViewProfile<'_>, threshold: f64) -> Option<ExtremeReport> {
+/// [`min_report`] consuming the shared statistics of a [`ProfileSnapshot`].
+pub fn min_report_profiled(profile: &ProfileSnapshot, threshold: f64) -> Option<ExtremeReport> {
     extreme_from_reports(profile.view(), profile.bucket_reports(), threshold, false)
 }
 

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 
 use crate::estimate::{DeltaEstimate, SumEstimator};
 use crate::naive::NaiveEstimator;
-use crate::profile::ViewProfile;
+use crate::profile::ProfileSnapshot;
 use crate::sample::{ObservedItem, SampleView};
 use uu_stats::species::chao92_from_counts;
 
@@ -64,7 +64,7 @@ fn subview(items: &[&ObservedItem]) -> SampleView {
 ///
 /// Any undefined bucket — or an empty partition — makes the total undefined,
 /// matching [`DynamicBucketEstimator::estimate_delta`]'s semantics. Shared by
-/// the direct path and [`ViewProfile::bucket_delta`], so the two agree
+/// the direct path and [`ProfileSnapshot::bucket_delta`], so the two agree
 /// bit-for-bit by construction.
 pub fn delta_over_buckets(buckets: &[BucketReport]) -> DeltaEstimate {
     if buckets.is_empty() {
@@ -129,7 +129,7 @@ fn report_for(items: &[&ObservedItem], estimate: DeltaEstimate) -> BucketReport 
 pub struct DynamicBucketEstimator {
     inner: Box<dyn SumEstimator + Send + Sync>,
     /// True when `inner` is the stock [`NaiveEstimator`] — the configuration
-    /// whose partition [`ViewProfile`] memoizes, letting the profiled path
+    /// whose partition [`ProfileSnapshot`] memoizes, letting the profiled path
     /// reuse it instead of re-splitting.
     inner_is_default: bool,
 }
@@ -171,7 +171,7 @@ impl DynamicBucketEstimator {
 
     /// [`Self::bucketize`] over an externally sorted item list (ascending by
     /// value) — the entry point for callers holding a memoized sort, such as
-    /// [`ViewProfile::bucket_reports`].
+    /// [`ProfileSnapshot::bucket_reports`].
     ///
     /// With the stock naïve inner estimator this runs the vectorized dense
     /// splitter (prefix counts over the presorted column, no per-candidate
@@ -481,7 +481,7 @@ impl SumEstimator for DynamicBucketEstimator {
         delta_over_buckets(&self.bucketize(sample))
     }
 
-    fn estimate_delta_profiled(&self, profile: &ViewProfile<'_>) -> DeltaEstimate {
+    fn estimate_delta_profiled(&self, profile: &ProfileSnapshot) -> DeltaEstimate {
         if self.inner_is_default {
             // The profile memoizes exactly this partition.
             return profile.bucket_delta();
@@ -491,7 +491,7 @@ impl SumEstimator for DynamicBucketEstimator {
         if profile.view().is_empty() {
             return DeltaEstimate::UNDEFINED;
         }
-        delta_over_buckets(&self.bucketize_sorted(profile.sorted_items()))
+        delta_over_buckets(&self.bucketize_sorted(&profile.sorted_items()))
     }
 }
 

@@ -15,7 +15,7 @@
 //!   name↔kind registry (with the historical aliases accepted on input).
 //! * [`EstimationSession`] — builds a set of kinds once and runs sample
 //!   views through all of them, returning named [`DeltaEstimate`]s. Each run
-//!   builds one [`ViewProfile`] and runs every estimator over its shared
+//!   builds one [`ProfileSnapshot`] and runs every estimator over its shared
 //!   statistics, so a session of `K` estimators costs one statistics pass
 //!   per view instead of `K`.
 //!
@@ -43,7 +43,7 @@ use crate::frequency::FrequencyEstimator;
 use crate::montecarlo::{MonteCarloConfig, MonteCarloEstimator};
 use crate::naive::NaiveEstimator;
 use crate::policy::PolicyEstimator;
-use crate::profile::ViewProfile;
+use crate::profile::ProfileSnapshot;
 use crate::recommend::Recommendation;
 use crate::sample::SampleView;
 use uu_stats::species::SpeciesEstimator;
@@ -157,14 +157,14 @@ impl EstimatorKind {
     /// Delegates to [`Self::estimate_count_profiled`] over a fresh profile —
     /// one dispatch body serves both paths, so they cannot diverge.
     pub fn estimate_count(&self, sample: &SampleView) -> Option<f64> {
-        self.estimate_count_profiled(&ViewProfile::new(sample))
+        self.estimate_count_profiled(&ProfileSnapshot::new(sample.clone()))
     }
 
     /// [`Self::estimate_count`] consuming the shared statistics of a
-    /// [`ViewProfile`] — the memoized Chao92 estimate, bucket partition,
+    /// [`ProfileSnapshot`] — the memoized Chao92 estimate, bucket partition,
     /// rank multiplicities and §6.5 recommendation. Bit-for-bit identical to
     /// the direct path.
-    pub fn estimate_count_profiled(&self, profile: &ViewProfile<'_>) -> Option<f64> {
+    pub fn estimate_count_profiled(&self, profile: &ProfileSnapshot) -> Option<f64> {
         match *self {
             // The closed-form value estimators share the Chao92 count.
             EstimatorKind::Naive | EstimatorKind::Frequency => {
@@ -253,19 +253,19 @@ impl EstimationSession {
 
     /// Runs the sample through every estimator of the session.
     ///
-    /// Builds one [`ViewProfile`] for the view and shares it across all
-    /// estimators — the frequency ladder's species estimates, the value sort
-    /// and the bucket partition are each computed at most once, no matter how
-    /// many estimators the session holds. Results are identical to running
+    /// Builds one lazy [`ProfileSnapshot`] over a copy of the view and shares
+    /// it across all estimators — the frequency ladder's species estimates,
+    /// the value sort and the bucket partition are each computed at most
+    /// once, no matter how many estimators the session holds. Results are identical to running
     /// each estimator directly (pinned by the registry parity tests).
     pub fn run(&self, sample: &SampleView) -> Vec<NamedEstimate> {
-        self.run_profiled(&ViewProfile::new(sample))
+        self.run_profiled(&ProfileSnapshot::new(sample.clone()))
     }
 
     /// [`Self::run`] over a caller-supplied profile, so repeated sessions (or
     /// other consumers, e.g. the query executor) can share one statistics
     /// pass per view. Results are in session order.
-    pub fn run_profiled(&self, profile: &ViewProfile<'_>) -> Vec<NamedEstimate> {
+    pub fn run_profiled(&self, profile: &ProfileSnapshot) -> Vec<NamedEstimate> {
         let observed = profile.view().observed_sum();
         self.entries
             .iter()
@@ -280,7 +280,7 @@ impl EstimationSession {
     }
 
     /// Each session estimator's Δ over the shared profile, in session order.
-    fn deltas_profiled(&self, profile: &ViewProfile<'_>) -> Vec<DeltaEstimate> {
+    fn deltas_profiled(&self, profile: &ProfileSnapshot) -> Vec<DeltaEstimate> {
         let _span = crate::obs::span(crate::obs::Stage::EstimatorFanout);
         self.entries
             .iter()

@@ -19,7 +19,7 @@
 //! | `γ` | coefficient of variation (skew) | [`uu_stats::cv`] |
 //! | `C` | sample coverage (`1 − M0`) | [`uu_stats::coverage`] |
 
-use crate::profile::ViewProfile;
+use crate::profile::ProfileSnapshot;
 use crate::sample::SampleView;
 
 /// Result of a SUM-impact estimation.
@@ -90,7 +90,7 @@ pub trait SumEstimator {
             .unwrap_or_else(|| sample.observed_sum())
     }
 
-    /// Estimates `Δ̂` consuming the shared statistics of a [`ViewProfile`].
+    /// Estimates `Δ̂` consuming the shared statistics of a [`ProfileSnapshot`].
     ///
     /// The default implementation ignores the memo and runs the direct path;
     /// estimators whose statistics the profile caches (naïve, frequency,
@@ -98,14 +98,14 @@ pub trait SumEstimator {
     /// return bit-for-bit the same result as
     /// `self.estimate_delta(profile.view())` — the profile memoizes, it never
     /// approximates.
-    fn estimate_delta_profiled(&self, profile: &ViewProfile<'_>) -> DeltaEstimate {
+    fn estimate_delta_profiled(&self, profile: &ProfileSnapshot) -> DeltaEstimate {
         self.estimate_delta(profile.view())
     }
 
     /// Profile-aware convenience: the corrected answer `φ̂_D = φ_K + Δ̂`
     /// computed from shared statistics. `None` when the estimator is
     /// undefined for the profiled view.
-    fn estimate_sum_profiled(&self, profile: &ViewProfile<'_>) -> Option<f64> {
+    fn estimate_sum_profiled(&self, profile: &ProfileSnapshot) -> Option<f64> {
         self.estimate_delta_profiled(profile)
             .delta
             .map(|d| profile.view().observed_sum() + d)
@@ -121,7 +121,7 @@ impl<T: SumEstimator + ?Sized> SumEstimator for &T {
         (**self).estimate_delta(sample)
     }
 
-    fn estimate_delta_profiled(&self, profile: &ViewProfile<'_>) -> DeltaEstimate {
+    fn estimate_delta_profiled(&self, profile: &ProfileSnapshot) -> DeltaEstimate {
         (**self).estimate_delta_profiled(profile)
     }
 }
@@ -135,7 +135,7 @@ impl<T: SumEstimator + ?Sized> SumEstimator for Box<T> {
         (**self).estimate_delta(sample)
     }
 
-    fn estimate_delta_profiled(&self, profile: &ViewProfile<'_>) -> DeltaEstimate {
+    fn estimate_delta_profiled(&self, profile: &ProfileSnapshot) -> DeltaEstimate {
         (**self).estimate_delta_profiled(profile)
     }
 }

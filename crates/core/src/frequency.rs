@@ -14,7 +14,7 @@
 //! [`FrequencyEstimator::good_turing`].
 
 use crate::estimate::{DeltaEstimate, SumEstimator};
-use crate::profile::ViewProfile;
+use crate::profile::ProfileSnapshot;
 use crate::sample::SampleView;
 use uu_stats::species::{chao92, coverage_only, CountEstimate, SpeciesEstimator};
 
@@ -93,7 +93,7 @@ impl SumEstimator for FrequencyEstimator {
         FrequencyEstimator::delta_with_count(sample, count)
     }
 
-    fn estimate_delta_profiled(&self, profile: &ViewProfile<'_>) -> DeltaEstimate {
+    fn estimate_delta_profiled(&self, profile: &ProfileSnapshot) -> DeltaEstimate {
         let count = profile.species(self.count_estimator());
         FrequencyEstimator::delta_with_count(profile.view(), count)
     }

@@ -19,7 +19,7 @@
 //! | [`aggregates`] | §5 | COUNT, AVG, MIN/MAX strategies |
 //! | [`combined`] | §3.5, App. D | frequency-in-bucket, Monte-Carlo-in-bucket |
 //! | [`engine`] | infrastructure | the estimator registry: [`engine::EstimatorKind`], [`engine::EstimationSession`] |
-//! | [`profile`] | infrastructure | [`profile::ViewProfile`]: shared, lazily-memoized per-view statistics for batched estimation; [`profile::ProfileCache`]: cross-query reuse |
+//! | [`profile`] | infrastructure | [`profile::ProfileSnapshot`]: one owned view with its lazily-memoized statistics, shared by every estimator; [`profile::ProfileCache`]: cross-query reuse |
 //! | [`recommend`] | §6.5 | estimator-selection policy (coverage gate, streaker detection) |
 //! | [`policy`] | §6.5 (extension) | the policy packaged as a self-selecting estimator |
 //! | [`capture`] | related work | capture–recapture COUNT baselines over source lineage |
@@ -82,5 +82,5 @@ pub use frequency::FrequencyEstimator;
 pub use montecarlo::{MonteCarloConfig, MonteCarloEstimator};
 pub use naive::NaiveEstimator;
 pub use policy::PolicyEstimator;
-pub use profile::ViewProfile;
+pub use profile::ProfileSnapshot;
 pub use sample::SampleView;

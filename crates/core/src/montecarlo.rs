@@ -17,7 +17,7 @@
 
 use crate::estimate::{DeltaEstimate, SumEstimator};
 use crate::naive::NaiveEstimator;
-use crate::profile::ViewProfile;
+use crate::profile::ProfileSnapshot;
 use crate::sample::SampleView;
 use uu_stats::kl::smoothed_rank_divergence;
 use uu_stats::rng::Rng;
@@ -132,9 +132,9 @@ impl MonteCarloEstimator {
     }
 
     /// [`Self::estimate_count`] consuming the shared statistics of a
-    /// [`ViewProfile`] (memoized Chao92 and rank multiplicities). Bit-for-bit
+    /// [`ProfileSnapshot`] (memoized Chao92 and rank multiplicities). Bit-for-bit
     /// identical to the direct path.
-    pub fn estimate_count_profiled(&self, profile: &ViewProfile<'_>) -> Option<f64> {
+    pub fn estimate_count_profiled(&self, profile: &ProfileSnapshot) -> Option<f64> {
         let sample = profile.view();
         if sample.is_empty() || !sample.has_lineage() {
             return None;
@@ -263,7 +263,7 @@ impl SumEstimator for MonteCarloEstimator {
         }
     }
 
-    fn estimate_delta_profiled(&self, profile: &ViewProfile<'_>) -> DeltaEstimate {
+    fn estimate_delta_profiled(&self, profile: &ProfileSnapshot) -> DeltaEstimate {
         match self.estimate_count_profiled(profile) {
             Some(n_mc) => NaiveEstimator::delta_for_count(profile.view(), n_mc),
             None => DeltaEstimate::UNDEFINED,

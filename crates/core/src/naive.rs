@@ -14,7 +14,7 @@
 //! large (§6.1) — exactly the failure mode the later estimators address.
 
 use crate::estimate::{DeltaEstimate, SumEstimator};
-use crate::profile::ViewProfile;
+use crate::profile::ProfileSnapshot;
 use crate::sample::SampleView;
 use uu_stats::species::SpeciesEstimator;
 
@@ -89,7 +89,7 @@ impl SumEstimator for NaiveEstimator {
         }
     }
 
-    fn estimate_delta_profiled(&self, profile: &ViewProfile<'_>) -> DeltaEstimate {
+    fn estimate_delta_profiled(&self, profile: &ProfileSnapshot) -> DeltaEstimate {
         match profile.species(self.species).value() {
             Some(n_hat) => NaiveEstimator::delta_for_count(profile.view(), n_hat),
             None => DeltaEstimate::UNDEFINED,

@@ -12,7 +12,7 @@
 use crate::bucket::DynamicBucketEstimator;
 use crate::estimate::{DeltaEstimate, SumEstimator};
 use crate::montecarlo::{MonteCarloConfig, MonteCarloEstimator};
-use crate::profile::ViewProfile;
+use crate::profile::ProfileSnapshot;
 use crate::recommend::{recommend, Recommendation};
 use crate::sample::SampleView;
 
@@ -70,10 +70,10 @@ impl SumEstimator for PolicyEstimator {
     fn estimate_delta(&self, sample: &SampleView) -> DeltaEstimate {
         // One routing body serves both paths (so they cannot diverge): the
         // direct path is the profiled path over a fresh profile.
-        self.estimate_delta_profiled(&ViewProfile::new(sample))
+        self.estimate_delta_profiled(&ProfileSnapshot::new(sample.clone()))
     }
 
-    fn estimate_delta_profiled(&self, profile: &ViewProfile<'_>) -> DeltaEstimate {
+    fn estimate_delta_profiled(&self, profile: &ProfileSnapshot) -> DeltaEstimate {
         match profile.recommendation() {
             Recommendation::Bucket => self.bucket.estimate_delta_profiled(profile),
             Recommendation::MonteCarlo => {

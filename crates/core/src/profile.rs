@@ -1,56 +1,54 @@
-//! Shared per-view derived statistics ([`ViewProfile`]).
+//! Shared per-view derived statistics ([`ProfileSnapshot`]).
 //!
 //! Every estimator in the suite derives its answer from the same handful of
 //! per-sample statistics: the frequency ladder's species estimates (naïve,
-//! frequency, Monte-Carlo's search box), the value-sorted item list and the
+//! frequency, Monte-Carlo's search box), the value-sorted item order and the
 //! bucket partition (bucket, policy, AVG/MIN/MAX), the §6.5 diagnostics and
 //! recommendation (policy, the query executor), and the rank-aligned
-//! multiplicities (Monte-Carlo). Before this module each consumer recomputed
-//! them independently — a session over `K` estimators paid `K` sorts, `K`
-//! Chao92 evaluations and up to `K` bucket splits per view.
+//! multiplicities (Monte-Carlo). Computed per estimator, a session over `K`
+//! estimators would pay `K` sorts, `K` Chao92 evaluations and up to `K`
+//! bucket splits per view.
 //!
-//! A [`ViewProfile`] is a lazily-memoized, thread-safe bundle of those
-//! statistics, computed **at most once per [`SampleView`]** and shared by
-//! every estimator through [`crate::estimate::SumEstimator`]'s `*_profiled`
-//! methods. [`crate::engine::EstimationSession::run`] builds one profile per
-//! view and runs all estimator kinds over it; the query executor builds one
-//! profile per estimation universe (per group in a `GROUP BY`).
+//! A [`ProfileSnapshot`] owns one [`SampleView`] and memoizes those
+//! statistics in thread-safe slots, each computed **at most once** on first
+//! read and shared by every estimator through
+//! [`crate::estimate::SumEstimator`]'s `*_profiled` methods.
+//! [`ProfileSnapshot::new`] computes nothing up front, so a one-shot caller
+//! pays only for what its estimators read;
+//! [`ProfileSnapshot::capture`] fills every slot eagerly, which is how the
+//! query executor freezes one snapshot per estimation universe (per group in
+//! a `GROUP BY`).
 //!
 //! Profiled and direct paths are **bit-for-bit identical** — the profile only
 //! memoizes, it never approximates. Parity is pinned for every registry kind
 //! by `tests/tests/engine_registry.rs` and a property test.
 //!
-//! [`ViewProfile::metrics`] exposes instrumentation counters (how many times
-//! each statistic was *built* versus *read*), which is how the grouped-batch
-//! benchmark demonstrates that `K` estimators × `G` groups now cost `G`
-//! statistics passes instead of `K × G`.
+//! [`ProfileSnapshot::metrics`] exposes how many times each statistic was
+//! *built*, which is how the grouped-batch benchmark demonstrates that `K`
+//! estimators × `G` groups cost `G` statistics passes instead of `K × G`.
 //!
 //! # Cross-query reuse
 //!
-//! A `ViewProfile` borrows its view, so it cannot outlive one query. For the
-//! repeated-query workloads of a server frontend, [`ProfileSnapshot`] freezes
-//! a fully-warmed profile together with an owned copy of its view
-//! ([`ViewProfile::warm`] computes every statistic eagerly), and
+//! Because a snapshot owns its view, it outlives the query that built it.
 //! [`ProfileCache`] is the bounded LRU map the query executor consults —
 //! keyed by [`ProfileKey`] (table version, predicate fingerprint, group
-//! key) — before building a profile from scratch. Thawing a snapshot
-//! ([`ProfileSnapshot::profile`]) pre-fills every memo slot, so a cache
-//! hit performs **zero** statistics builds (counter-asserted by the cache
-//! tests). Entries are invalidated naturally
-//! by the table version in the key and explicitly via
+//! key) — before freezing a selection from scratch. A cache hit reads the
+//! captured snapshot in place: no statistic is rebuilt and nothing is
+//! copied (counter-asserted by the cache tests). Entries are invalidated
+//! naturally by the table version in the key and explicitly via
 //! [`ProfileCache::invalidate_table`] on catalog mutation.
 //!
 //! # Examples
 //!
 //! ```
 //! use uu_core::engine::EstimationSession;
-//! use uu_core::profile::ViewProfile;
+//! use uu_core::profile::ProfileSnapshot;
 //! use uu_core::sample::SampleView;
 //!
 //! let sample = SampleView::from_value_multiplicities([
 //!     (1000.0, 1), (2000.0, 2), (10_000.0, 4),
 //! ]);
-//! let profile = ViewProfile::new(&sample);
+//! let profile = ProfileSnapshot::new(sample);
 //! let results = EstimationSession::all().run_profiled(&profile);
 //! assert_eq!(results.len(), 5);
 //! // All five estimators shared ONE sort and ONE bucket split.
@@ -75,13 +73,12 @@ const LADDER: usize = SpeciesEstimator::ALL.len();
 
 /// A point-in-time snapshot of a profile's instrumentation counters.
 ///
-/// `*_builds` count how many times the corresponding statistic was actually
-/// computed (at most 1 each, by construction); `species_computations` counts
-/// distinct species estimators evaluated (at most 6); `reads` counts every
-/// accessor call. `reads ≫ builds` is the signature of successful sharing.
+/// Each field counts how many times the corresponding statistic was actually
+/// computed — at most 1, by construction. A cache hit leaves them all
+/// unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileMetrics {
-    /// Value-sorts of the item list performed (0 or 1).
+    /// Value-sorts of the item order performed (0 or 1).
     pub sort_builds: u64,
     /// Dynamic bucket partitions computed (0 or 1).
     pub bucket_builds: u64,
@@ -89,281 +86,102 @@ pub struct ProfileMetrics {
     pub diagnostics_builds: u64,
     /// Rank-multiplicity vectors materialised (0 or 1).
     pub rank_builds: u64,
-    /// Species estimators evaluated on the ladder (≤ 6).
-    pub species_computations: u64,
-    /// Total accessor calls served (builds + cache hits).
-    pub reads: u64,
+    /// Species ladders evaluated (0 or 1; one evaluation covers every
+    /// [`SpeciesEstimator`]).
+    pub species_builds: u64,
 }
 
 impl ProfileMetrics {
-    /// Total statistics builds across all kinds (sorts + buckets +
-    /// diagnostics + ranks + species evaluations).
+    /// Total statistics builds across all kinds.
     pub fn total_builds(&self) -> u64 {
         self.sort_builds
             + self.bucket_builds
             + self.diagnostics_builds
             + self.rank_builds
-            + self.species_computations
+            + self.species_builds
     }
 }
 
-/// Lazily-memoized, thread-safe bundle of derived statistics for one
-/// [`SampleView`].
-///
-/// Construction is free; each statistic is computed on first access (from any
-/// thread — initialisation is serialised per statistic) and memoized for the
-/// profile's lifetime. The profile borrows the view, so it is naturally
-/// invalidated when the view changes: build a new profile per materialised
-/// view.
-#[derive(Debug)]
-pub struct ViewProfile<'a> {
-    view: &'a SampleView,
-    species: SpeciesCache<'a>,
-    sorted: OnceLock<Vec<&'a ObservedItem>>,
-    buckets: OnceLock<Vec<BucketReport>>,
-    bucket_delta: OnceLock<DeltaEstimate>,
-    diagnostics: OnceLock<Diagnostics>,
-    recommendation: OnceLock<Recommendation>,
-    ranks: OnceLock<Vec<u64>>,
-    sort_builds: AtomicU64,
-    bucket_builds: AtomicU64,
-    diagnostics_builds: AtomicU64,
-    rank_builds: AtomicU64,
-    reads: AtomicU64,
-}
-
-impl<'a> ViewProfile<'a> {
-    /// An empty profile over `view`; nothing is computed yet.
-    pub fn new(view: &'a SampleView) -> Self {
-        ViewProfile {
-            view,
-            species: SpeciesCache::new(view.freq()),
-            sorted: OnceLock::new(),
-            buckets: OnceLock::new(),
-            bucket_delta: OnceLock::new(),
-            diagnostics: OnceLock::new(),
-            recommendation: OnceLock::new(),
-            ranks: OnceLock::new(),
-            sort_builds: AtomicU64::new(0),
-            bucket_builds: AtomicU64::new(0),
-            diagnostics_builds: AtomicU64::new(0),
-            rank_builds: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-        }
-    }
-
-    /// A profile over `view` whose value sort is pre-filled from an
-    /// externally computed permutation: `sorted_idx` holds indices into
-    /// `view.items()` in ascending-value order, exactly as a stable
-    /// `total_cmp` sort (= [`SampleView::items_sorted_by_value`]) would
-    /// produce them. This is the sort-permutation-reuse entry point for
-    /// columnar tables, which memoize one full-column sort per
-    /// `(column, version)` and derive each selection's order by filtering
-    /// that permutation instead of re-sorting. Every other statistic is
-    /// computed lazily as usual; `sort_builds` stays 0.
-    pub fn with_sorted_indices(view: &'a SampleView, sorted_idx: &[u32]) -> Self {
-        let profile = ViewProfile::new(view);
-        let items = view.items();
-        debug_assert_eq!(sorted_idx.len(), items.len(), "permutation covers the view");
-        let _ = profile
-            .sorted
-            .set(sorted_idx.iter().map(|&i| &items[i as usize]).collect());
-        profile
-    }
-
-    /// The profiled view.
-    pub fn view(&self) -> &'a SampleView {
-        self.view
-    }
-
-    fn read(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The memoized estimate of `estimator` over the view's frequency ladder
-    /// (identical to `estimator.estimate(view.freq())`).
-    pub fn species(&self, estimator: SpeciesEstimator) -> CountEstimate {
-        self.read();
-        self.species.estimate(estimator)
-    }
-
-    /// Items sorted ascending by value — the working order of the bucket
-    /// estimators; sorted at most once per profile.
-    pub fn sorted_items(&self) -> &[&'a ObservedItem] {
-        self.read();
-        self.sorted.get_or_init(|| {
-            self.sort_builds.fetch_add(1, Ordering::Relaxed);
-            let _span = crate::obs::span(crate::obs::Stage::ValueSort);
-            self.view.items_sorted_by_value()
-        })
-    }
-
-    /// The default dynamic bucket partition (Algorithm 1 with the naïve inner
-    /// estimator — exactly what [`DynamicBucketEstimator::default`]
-    /// produces), computed at most once per profile.
-    pub fn bucket_reports(&self) -> &[BucketReport] {
-        self.read();
-        self.buckets.get_or_init(|| {
-            self.bucket_builds.fetch_add(1, Ordering::Relaxed);
-            if self.view.is_empty() {
-                Vec::new()
-            } else {
-                let sorted = self.sorted_items();
-                let _span = crate::obs::span(crate::obs::Stage::BucketPartition);
-                DynamicBucketEstimator::default().bucketize_sorted(sorted)
-            }
-        })
-    }
-
-    /// The default bucket estimator's Δ (identical to
-    /// `DynamicBucketEstimator::default().estimate_delta(view)`), derived
-    /// from the memoized partition.
-    pub fn bucket_delta(&self) -> DeltaEstimate {
-        self.read();
-        *self.bucket_delta.get_or_init(|| {
-            if self.view.is_empty() {
-                DeltaEstimate::UNDEFINED
-            } else {
-                delta_over_buckets(self.bucket_reports())
-            }
-        })
-    }
-
-    /// Memoized §6.5 selection signals (identical to `diagnose(view)`).
-    pub fn diagnostics(&self) -> Diagnostics {
-        self.read();
-        *self.diagnostics.get_or_init(|| {
-            self.diagnostics_builds.fetch_add(1, Ordering::Relaxed);
-            diagnose(self.view)
-        })
-    }
-
-    /// Memoized §6.5 estimator recommendation (identical to
-    /// `recommend(view)`), derived from the memoized diagnostics.
-    pub fn recommendation(&self) -> Recommendation {
-        self.read();
-        *self
-            .recommendation
-            .get_or_init(|| recommendation_for(self.view, &self.diagnostics()))
-    }
-
-    /// Memoized rank-aligned multiplicities (descending), the Monte-Carlo
-    /// indexing of the observed sample.
-    pub fn rank_multiplicities(&self) -> &[u64] {
-        self.read();
-        self.ranks.get_or_init(|| {
-            self.rank_builds.fetch_add(1, Ordering::Relaxed);
-            self.view.rank_multiplicities()
-        })
-    }
-
-    /// A snapshot of the instrumentation counters.
-    pub fn metrics(&self) -> ProfileMetrics {
-        ProfileMetrics {
-            sort_builds: self.sort_builds.load(Ordering::Relaxed),
-            bucket_builds: self.bucket_builds.load(Ordering::Relaxed),
-            diagnostics_builds: self.diagnostics_builds.load(Ordering::Relaxed),
-            rank_builds: self.rank_builds.load(Ordering::Relaxed),
-            species_computations: self.species.computations(),
-            reads: self.reads.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Eagerly computes **every** statistic of the profile, in order on the
-    /// calling thread: sort + buckets, diagnostics + recommendation, rank
-    /// multiplicities, the species ladder. Values are identical to lazy
-    /// computation — warming only moves the cost; it is the preparation step
-    /// for [`ProfileSnapshot::capture`] and for server-style
-    /// pre-materialisation.
-    pub fn warm(&self) -> &Self {
-        let _ = self.bucket_delta();
-        let _ = self.recommendation();
-        let _ = self.rank_multiplicities();
-        self.species.warm();
-        self
-    }
-
-    /// Rebuilds a profile over a snapshot's view with every memo slot
-    /// pre-filled: no statistic is ever rebuilt (`total_builds` stays 0).
-    fn thaw(snapshot: &'a ProfileSnapshot) -> Self {
-        let profile = ViewProfile::new(&snapshot.view);
-        for (est, value) in SpeciesEstimator::ALL.iter().zip(snapshot.species) {
-            profile.species.preload(*est, value);
-        }
-        let items = snapshot.view.items();
-        let _ = profile.sorted.set(
-            snapshot
-                .sorted_idx
-                .iter()
-                .map(|&i| &items[i as usize])
-                .collect(),
-        );
-        let _ = profile.buckets.set(snapshot.buckets.clone());
-        let _ = profile.bucket_delta.set(snapshot.bucket_delta);
-        let _ = profile.diagnostics.set(snapshot.diagnostics);
-        let _ = profile.recommendation.set(snapshot.recommendation);
-        let _ = profile.ranks.set(snapshot.ranks.clone());
-        profile
-    }
-}
-
-/// A fully-warmed, owned freeze of a [`ViewProfile`] — the unit the
+/// One owned [`SampleView`] with its lazily memoized derived statistics —
+/// the profile every `*_profiled` estimator reads, and the unit the
 /// cross-query [`ProfileCache`] stores.
 ///
-/// Unlike `ViewProfile` it owns its [`SampleView`], so it can outlive the
-/// query that built it. [`ProfileSnapshot::profile`] thaws it back into a
-/// `ViewProfile` whose memo slots are all pre-filled; estimators consuming a
-/// thawed profile perform zero statistics builds and return bit-for-bit the
-/// results they would compute from scratch.
+/// Each statistic is computed on first read (from any thread —
+/// initialisation is serialised per statistic) and kept for the snapshot's
+/// lifetime, so a shared snapshot is read in place by any number of
+/// concurrent queries. Reading a built statistic writes nothing.
 #[derive(Debug, Clone)]
 pub struct ProfileSnapshot {
     view: SampleView,
-    species: [CountEstimate; LADDER],
-    /// Indices into `view.items()` in ascending-value order (the memoized
-    /// sort, stored positionally so the snapshot stays self-contained).
-    sorted_idx: Vec<u32>,
-    buckets: Vec<BucketReport>,
-    bucket_delta: DeltaEstimate,
-    diagnostics: Diagnostics,
-    recommendation: Recommendation,
-    ranks: Vec<u64>,
+    species: OnceLock<[CountEstimate; LADDER]>,
+    /// Indices into `view.items()` in ascending-value order (stable
+    /// `total_cmp`, exactly [`SampleView::items_sorted_by_value`]'s order).
+    sorted_idx: OnceLock<Vec<u32>>,
+    buckets: OnceLock<Vec<BucketReport>>,
+    diagnostics: OnceLock<Diagnostics>,
+    ranks: OnceLock<Vec<u64>>,
+    sort_builds: Builds,
+    bucket_builds: Builds,
+    diagnostics_builds: Builds,
+    rank_builds: Builds,
+    species_builds: Builds,
+}
+
+/// Heap bytes of a memoized vector (0 while the slot is empty).
+fn slot_bytes<T>(slot: &OnceLock<Vec<T>>) -> usize {
+    slot.get()
+        .map_or(0, |v| std::mem::size_of_val(v.as_slice()))
+}
+
+/// How many times one memo slot was built. A clone carries the count, so
+/// a cloned snapshot reports the builds behind the statistics it holds.
+#[derive(Debug, Default)]
+struct Builds(AtomicU64);
+
+impl Builds {
+    /// Runs `build` and counts it: the body of every memo slot's
+    /// initialiser.
+    fn count<T>(&self, build: impl FnOnce() -> T) -> T {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        build()
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl Clone for Builds {
+    fn clone(&self) -> Self {
+        Builds(AtomicU64::new(self.get()))
+    }
 }
 
 impl ProfileSnapshot {
-    /// Consumes a view, computes every profile statistic eagerly and freezes
-    /// the result.
-    pub fn capture(view: SampleView) -> Self {
-        let _span = crate::obs::span(crate::obs::Stage::Freeze);
-        let (species, sorted_idx, buckets, bucket_delta, diagnostics, recommendation, ranks) = {
-            let profile = ViewProfile::new(&view);
-            profile.warm();
-            let items = view.items();
-            // Recover the sorted permutation positionally: stable-sorting
-            // indices with the same `total_cmp` comparator reproduces
-            // `items_sorted_by_value`'s order exactly.
-            let mut sorted_idx: Vec<u32> = (0..items.len() as u32).collect();
-            sorted_idx
-                .sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
-            (
-                profile.species.all_estimates(),
-                sorted_idx,
-                profile.bucket_reports().to_vec(),
-                profile.bucket_delta(),
-                profile.diagnostics(),
-                profile.recommendation(),
-                profile.rank_multiplicities().to_vec(),
-            )
-        };
+    /// A profile over `view` with nothing computed yet.
+    pub fn new(view: SampleView) -> Self {
+        ProfileSnapshot::with_order(view, OnceLock::new())
+    }
+
+    fn with_order(view: SampleView, sorted_idx: OnceLock<Vec<u32>>) -> Self {
         ProfileSnapshot {
             view,
-            species,
+            species: OnceLock::new(),
             sorted_idx,
-            buckets,
-            bucket_delta,
-            diagnostics,
-            recommendation,
-            ranks,
+            buckets: OnceLock::new(),
+            diagnostics: OnceLock::new(),
+            ranks: OnceLock::new(),
+            sort_builds: Builds::default(),
+            bucket_builds: Builds::default(),
+            diagnostics_builds: Builds::default(),
+            rank_builds: Builds::default(),
+            species_builds: Builds::default(),
         }
+    }
+
+    /// Consumes a view and computes every statistic eagerly.
+    pub fn capture(view: SampleView) -> Self {
+        ProfileSnapshot::freeze(view, OnceLock::new())
     }
 
     /// [`ProfileSnapshot::capture`] with the value-sort permutation supplied
@@ -373,44 +191,132 @@ impl ProfileSnapshot {
     /// indices into `view.items()` in ascending-value order exactly as a
     /// stable `total_cmp` sort would produce them (the invariant the
     /// `columnar_parity` suite pins); statistics are bit-for-bit those of
-    /// `capture`.
+    /// `capture`, and `sort_builds` stays 0.
     pub fn capture_presorted(view: SampleView, sorted_idx: Vec<u32>) -> Self {
-        let _span = crate::obs::span(crate::obs::Stage::Freeze);
-        let (species, buckets, bucket_delta, diagnostics, recommendation, ranks) = {
-            let profile = ViewProfile::with_sorted_indices(&view, &sorted_idx);
-            profile.warm();
-            (
-                profile.species.all_estimates(),
-                profile.bucket_reports().to_vec(),
-                profile.bucket_delta(),
-                profile.diagnostics(),
-                profile.recommendation(),
-                profile.rank_multiplicities().to_vec(),
-            )
-        };
-        ProfileSnapshot {
-            view,
-            species,
-            sorted_idx,
-            buckets,
-            bucket_delta,
-            diagnostics,
-            recommendation,
-            ranks,
-        }
+        debug_assert_eq!(
+            sorted_idx.len(),
+            view.items().len(),
+            "permutation covers the view"
+        );
+        ProfileSnapshot::freeze(view, OnceLock::from(sorted_idx))
     }
 
-    /// The frozen view.
+    /// Builds a profile, then warms it: every statistic in order on the
+    /// calling thread — sort and bucket partition, diagnostics, rank
+    /// multiplicities, the species ladder. Values are identical to lazy
+    /// computation; warming only moves the cost.
+    fn freeze(view: SampleView, sorted_idx: OnceLock<Vec<u32>>) -> Self {
+        let _span = crate::obs::span(crate::obs::Stage::Freeze);
+        let profile = ProfileSnapshot::with_order(view, sorted_idx);
+        let _ = profile.bucket_reports();
+        let _ = profile.diagnostics();
+        let _ = profile.rank_multiplicities();
+        let _ = profile.species_ladder();
+        profile
+    }
+
+    /// The profiled view.
     pub fn view(&self) -> &SampleView {
         &self.view
     }
 
-    /// The frozen value-sort permutation (indices into the view's items,
-    /// ascending by value). Persisting it alongside the items lets a
-    /// durable-storage layer re-freeze the snapshot bit-for-bit through
-    /// [`ProfileSnapshot::capture_presorted`] without re-sorting.
+    /// Returns `self`: the snapshot is its own profile. The accessor stays
+    /// because callers outside this workspace (the perfbench harness) spell
+    /// the cache-hit fan-out `session.run_profiled(&snapshot.profile())`.
+    pub fn profile(&self) -> &Self {
+        self
+    }
+
+    fn species_ladder(&self) -> &[CountEstimate; LADDER] {
+        self.species.get_or_init(|| {
+            self.species_builds
+                .count(|| SpeciesCache::new(self.view.freq()).all_estimates())
+        })
+    }
+
+    /// The memoized estimate of `estimator` over the view's frequency ladder
+    /// (identical to `estimator.estimate(view.freq())`). The first read
+    /// evaluates the whole ladder.
+    pub fn species(&self, estimator: SpeciesEstimator) -> CountEstimate {
+        self.species_ladder()[estimator.index()]
+    }
+
+    /// The value-sort permutation: indices into the view's items, ascending
+    /// by value (stable `total_cmp`), sorted at most once. Persisting it
+    /// alongside the items lets a durable-storage layer re-freeze the
+    /// snapshot bit-for-bit through [`ProfileSnapshot::capture_presorted`]
+    /// without re-sorting.
     pub fn sorted_indices(&self) -> &[u32] {
-        &self.sorted_idx
+        self.sorted_idx.get_or_init(|| {
+            self.sort_builds.count(|| {
+                let _span = crate::obs::span(crate::obs::Stage::ValueSort);
+                let items = self.view.items();
+                let mut idx: Vec<u32> = (0..items.len() as u32).collect();
+                idx.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
+                idx
+            })
+        })
+    }
+
+    /// The view's items in ascending-value order — the working order of the
+    /// bucket estimators, materialised from [`Self::sorted_indices`].
+    pub fn sorted_items(&self) -> Vec<&ObservedItem> {
+        let items = self.view.items();
+        self.sorted_indices()
+            .iter()
+            .map(|&i| &items[i as usize])
+            .collect()
+    }
+
+    /// The default dynamic bucket partition (Algorithm 1 with the naïve inner
+    /// estimator — exactly what [`DynamicBucketEstimator::default`]
+    /// produces), computed at most once.
+    pub fn bucket_reports(&self) -> &[BucketReport] {
+        self.buckets.get_or_init(|| {
+            self.bucket_builds.count(|| {
+                let sorted = self.sorted_items();
+                let _span = crate::obs::span(crate::obs::Stage::BucketPartition);
+                DynamicBucketEstimator::default().bucketize_sorted(&sorted)
+            })
+        })
+    }
+
+    /// The default bucket estimator's Δ (identical to
+    /// `DynamicBucketEstimator::default().estimate_delta(view)`), summed over
+    /// the memoized partition.
+    pub fn bucket_delta(&self) -> DeltaEstimate {
+        delta_over_buckets(self.bucket_reports())
+    }
+
+    /// Memoized §6.5 selection signals (identical to `diagnose(view)`).
+    pub fn diagnostics(&self) -> Diagnostics {
+        *self
+            .diagnostics
+            .get_or_init(|| self.diagnostics_builds.count(|| diagnose(&self.view)))
+    }
+
+    /// The §6.5 estimator recommendation (identical to `recommend(view)`),
+    /// derived from the memoized diagnostics.
+    pub fn recommendation(&self) -> Recommendation {
+        recommendation_for(&self.view, &self.diagnostics())
+    }
+
+    /// Memoized rank-aligned multiplicities (descending), the Monte-Carlo
+    /// indexing of the observed sample.
+    pub fn rank_multiplicities(&self) -> &[u64] {
+        self.ranks
+            .get_or_init(|| self.rank_builds.count(|| self.view.rank_multiplicities()))
+    }
+
+    /// A snapshot of the instrumentation counters.
+    pub fn metrics(&self) -> ProfileMetrics {
+        ProfileMetrics {
+            sort_builds: self.sort_builds.get(),
+            bucket_builds: self.bucket_builds.get(),
+            diagnostics_builds: self.diagnostics_builds.get(),
+            rank_builds: self.rank_builds.get(),
+            species_builds: self.species_builds.get(),
+        }
     }
 
     /// Delta-maintains the snapshot under an append: `bumps` are
@@ -438,7 +344,7 @@ impl ProfileSnapshot {
         let mut delta_idx: Vec<u32> = (old_len..old_len + appended_len).collect();
         delta_idx.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
         let mut merged = Vec::with_capacity(items.len());
-        let mut old_iter = self.sorted_idx.iter().copied().peekable();
+        let mut old_iter = self.sorted_indices().iter().copied().peekable();
         let mut new_iter = delta_idx.into_iter().peekable();
         loop {
             match (old_iter.peek(), new_iter.peek()) {
@@ -470,7 +376,7 @@ impl ProfileSnapshot {
     }
 
     /// Approximate heap footprint of the snapshot in bytes: the owned view's
-    /// items (with their lineage vectors) plus the frozen statistics. The
+    /// items (with their lineage vectors) plus the statistics built so far. The
     /// figure backs [`ProfileCache`]'s byte-budget mode, so it only needs to
     /// scale faithfully with the view size, not account for every allocator
     /// header.
@@ -489,15 +395,9 @@ impl ProfileSnapshot {
             + item_bytes
             + size_of_val(self.view.source_sizes())
             + ladder_bytes
-            + size_of_val(self.sorted_idx.as_slice())
-            + size_of_val(self.buckets.as_slice())
-            + size_of_val(self.ranks.as_slice())
-    }
-
-    /// Thaws the snapshot into a fully pre-filled [`ViewProfile`] borrowing
-    /// it.
-    pub fn profile(&self) -> ViewProfile<'_> {
-        ViewProfile::thaw(self)
+            + slot_bytes(&self.sorted_idx)
+            + slot_bytes(&self.buckets)
+            + slot_bytes(&self.ranks)
     }
 }
 
@@ -871,7 +771,7 @@ mod tests {
     #[test]
     fn statistics_match_their_direct_counterparts() {
         let v = lineage_sample();
-        let p = ViewProfile::new(&v);
+        let p = ProfileSnapshot::new(v.clone());
         for est in SpeciesEstimator::ALL {
             assert_eq!(p.species(est), est.estimate(v.freq()), "{}", est.name());
         }
@@ -893,8 +793,7 @@ mod tests {
 
     #[test]
     fn each_statistic_builds_at_most_once() {
-        let v = toy();
-        let p = ViewProfile::new(&v);
+        let p = ProfileSnapshot::new(toy());
         for _ in 0..3 {
             let _ = p.sorted_items();
             let _ = p.bucket_reports();
@@ -903,20 +802,27 @@ mod tests {
             let _ = p.recommendation();
             let _ = p.rank_multiplicities();
             let _ = p.species(SpeciesEstimator::Chao92);
+            let _ = p.species(SpeciesEstimator::Bootstrap);
         }
         let m = p.metrics();
         assert_eq!(m.sort_builds, 1);
         assert_eq!(m.bucket_builds, 1);
         assert_eq!(m.diagnostics_builds, 1);
         assert_eq!(m.rank_builds, 1);
-        assert_eq!(m.species_computations, 1);
-        assert!(m.reads > m.total_builds());
+        assert_eq!(m.species_builds, 1);
+    }
+
+    #[test]
+    fn a_lazy_profile_builds_only_what_is_read() {
+        let p = ProfileSnapshot::new(lineage_sample());
+        let _ = p.species(SpeciesEstimator::Chao92);
+        assert_eq!(p.metrics().total_builds(), 1, "only the species ladder");
+        assert_eq!(p.metrics().species_builds, 1);
     }
 
     #[test]
     fn repeated_reads_return_identical_values() {
-        let v = toy();
-        let p = ViewProfile::new(&v);
+        let p = ProfileSnapshot::new(toy());
         assert_eq!(p.bucket_delta(), p.bucket_delta());
         assert_eq!(p.recommendation(), p.recommendation());
         assert_eq!(
@@ -925,6 +831,7 @@ mod tests {
         );
         // Slice accessors hand out the same memoized allocation.
         assert!(std::ptr::eq(p.bucket_reports(), p.bucket_reports()));
+        assert!(std::ptr::eq(p.sorted_indices(), p.sorted_indices()));
         assert!(std::ptr::eq(
             p.rank_multiplicities(),
             p.rank_multiplicities()
@@ -933,8 +840,7 @@ mod tests {
 
     #[test]
     fn empty_view_profile_is_well_defined() {
-        let v = SampleView::from_value_multiplicities(std::iter::empty());
-        let p = ViewProfile::new(&v);
+        let p = ProfileSnapshot::new(SampleView::from_value_multiplicities(std::iter::empty()));
         assert!(p.bucket_reports().is_empty());
         assert_eq!(p.bucket_delta(), DeltaEstimate::UNDEFINED);
         assert_eq!(p.recommendation(), Recommendation::CollectMoreData);
@@ -944,8 +850,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_builds_each_statistic_once() {
-        let v = lineage_sample();
-        let p = ViewProfile::new(&v);
+        let p = ProfileSnapshot::new(lineage_sample());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -959,68 +864,69 @@ mod tests {
         let m = p.metrics();
         assert_eq!(m.sort_builds, 1);
         assert_eq!(m.bucket_builds, 1);
-        assert_eq!(m.species_computations, 1);
+        assert_eq!(m.species_builds, 1);
     }
+
+    /// What a capture builds: every statistic exactly once.
+    const CAPTURED: ProfileMetrics = ProfileMetrics {
+        sort_builds: 1,
+        bucket_builds: 1,
+        diagnostics_builds: 1,
+        rank_builds: 1,
+        species_builds: 1,
+    };
 
     #[test]
     fn warm_builds_everything_once_and_changes_nothing() {
         let v = lineage_sample();
-        let lazy = ViewProfile::new(&v);
-        let warmed = ViewProfile::new(&v);
-        warmed.warm();
-        let m = warmed.metrics();
-        assert_eq!(m.sort_builds, 1);
-        assert_eq!(m.bucket_builds, 1);
-        assert_eq!(m.diagnostics_builds, 1);
-        assert_eq!(m.rank_builds, 1);
-        assert_eq!(m.species_computations, SpeciesEstimator::ALL.len() as u64);
+        let lazy = ProfileSnapshot::new(v.clone());
+        let captured = ProfileSnapshot::capture(v);
+        assert_eq!(captured.metrics(), CAPTURED);
         // Warming is transparent: every statistic equals the lazy value.
-        assert_eq!(warmed.bucket_delta(), lazy.bucket_delta());
-        assert_eq!(warmed.diagnostics(), lazy.diagnostics());
-        assert_eq!(warmed.recommendation(), lazy.recommendation());
-        assert_eq!(warmed.rank_multiplicities(), lazy.rank_multiplicities());
         for est in SpeciesEstimator::ALL {
-            assert_eq!(warmed.species(est), lazy.species(est));
+            assert_eq!(captured.species(est), lazy.species(est));
         }
-        // Re-warming is free.
-        let builds = warmed.metrics().total_builds();
-        warmed.warm();
-        assert_eq!(warmed.metrics().total_builds(), builds);
+        assert_eq!(captured.sorted_indices(), lazy.sorted_indices());
+        assert_eq!(captured.bucket_reports(), lazy.bucket_reports());
+        assert_eq!(captured.bucket_delta(), lazy.bucket_delta());
+        assert_eq!(captured.diagnostics(), lazy.diagnostics());
+        assert_eq!(captured.recommendation(), lazy.recommendation());
+        assert_eq!(captured.rank_multiplicities(), lazy.rank_multiplicities());
     }
 
     #[test]
-    fn snapshot_thaw_is_bit_for_bit_and_build_free() {
+    fn snapshot_reads_are_bit_for_bit_and_build_free() {
         let v = lineage_sample();
-        let direct = ViewProfile::new(&v);
         let snapshot = ProfileSnapshot::capture(v.clone());
-        let thawed = snapshot.profile();
         assert_eq!(snapshot.view(), &v);
         for est in SpeciesEstimator::ALL {
-            assert_eq!(thawed.species(est), direct.species(est));
+            assert_eq!(snapshot.species(est), est.estimate(v.freq()));
         }
-        assert_eq!(thawed.bucket_reports(), direct.bucket_reports());
-        assert_eq!(thawed.bucket_delta(), direct.bucket_delta());
-        assert_eq!(thawed.diagnostics(), direct.diagnostics());
-        assert_eq!(thawed.recommendation(), direct.recommendation());
-        assert_eq!(thawed.rank_multiplicities(), direct.rank_multiplicities());
-        let thawed_sorted: Vec<f64> = thawed.sorted_items().iter().map(|i| i.value).collect();
-        let direct_sorted: Vec<f64> = direct.sorted_items().iter().map(|i| i.value).collect();
-        assert_eq!(thawed_sorted, direct_sorted);
+        assert_eq!(
+            snapshot.bucket_delta(),
+            DynamicBucketEstimator::default().estimate_delta(&v)
+        );
+        assert_eq!(snapshot.recommendation(), recommend(&v));
+        let sorted: Vec<f64> = snapshot.sorted_items().iter().map(|i| i.value).collect();
+        let direct: Vec<f64> = v.items_sorted_by_value().iter().map(|i| i.value).collect();
+        assert_eq!(sorted, direct);
         // The hit path never rebuilds a statistic.
-        assert_eq!(thawed.metrics().total_builds(), 0);
+        assert_eq!(snapshot.metrics(), CAPTURED);
+    }
+
+    fn sorted_permutation(v: &SampleView) -> Vec<u32> {
+        let items = v.items();
+        let mut idx: Vec<u32> = (0..items.len() as u32).collect();
+        idx.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
+        idx
     }
 
     #[test]
     fn presorted_profile_reuses_the_permutation_without_sorting() {
         let v = lineage_sample();
-        let items = v.items();
-        let mut idx: Vec<u32> = (0..items.len() as u32).collect();
-        idx.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
-        let reference = ViewProfile::new(&v);
-        let presorted = ViewProfile::with_sorted_indices(&v, &idx);
-        let got: Vec<f64> = presorted.sorted_items().iter().map(|i| i.value).collect();
-        let want: Vec<f64> = reference.sorted_items().iter().map(|i| i.value).collect();
-        assert_eq!(got, want);
+        let reference = ProfileSnapshot::new(v.clone());
+        let presorted = ProfileSnapshot::capture_presorted(v.clone(), sorted_permutation(&v));
+        assert_eq!(presorted.sorted_indices(), reference.sorted_indices());
         assert_eq!(presorted.metrics().sort_builds, 0);
         assert_eq!(presorted.bucket_delta(), reference.bucket_delta());
         assert_eq!(presorted.recommendation(), reference.recommendation());
@@ -1029,13 +935,9 @@ mod tests {
     #[test]
     fn capture_presorted_matches_capture_bit_for_bit() {
         let v = lineage_sample();
-        let items = v.items();
-        let mut idx: Vec<u32> = (0..items.len() as u32).collect();
-        idx.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
-        let from_scratch = ProfileSnapshot::capture(v.clone());
-        let presorted = ProfileSnapshot::capture_presorted(v, idx);
-        let a = from_scratch.profile();
-        let b = presorted.profile();
+        let idx = sorted_permutation(&v);
+        let a = ProfileSnapshot::capture(v.clone());
+        let b = ProfileSnapshot::capture_presorted(v, idx);
         for est in SpeciesEstimator::ALL {
             assert_eq!(a.species(est), b.species(est));
         }
@@ -1044,7 +946,7 @@ mod tests {
         assert_eq!(a.diagnostics(), b.diagnostics());
         assert_eq!(a.recommendation(), b.recommendation());
         assert_eq!(a.rank_multiplicities(), b.rank_multiplicities());
-        assert_eq!(from_scratch.approx_bytes(), presorted.approx_bytes());
+        assert_eq!(a.approx_bytes(), b.approx_bytes());
     }
 
     #[test]
@@ -1077,9 +979,8 @@ mod tests {
         rebuilt_items.extend(appended);
         let rebuilt = ProfileSnapshot::capture(SampleView::from_observed_items(rebuilt_items));
         assert_eq!(refrozen.view(), rebuilt.view());
-        assert_eq!(refrozen.sorted_idx, rebuilt.sorted_idx);
-        let a = refrozen.profile();
-        let b = rebuilt.profile();
+        assert_eq!(refrozen.sorted_indices(), rebuilt.sorted_indices());
+        let (a, b) = (&refrozen, &rebuilt);
         for est in SpeciesEstimator::ALL {
             assert_eq!(a.species(est), b.species(est));
         }
@@ -1109,7 +1010,7 @@ mod tests {
         let refrozen = empty.refreeze(&[], appended.clone());
         let rebuilt = ProfileSnapshot::capture(SampleView::from_observed_items(appended));
         assert_eq!(refrozen.view(), rebuilt.view());
-        assert_eq!(refrozen.sorted_idx, rebuilt.sorted_idx);
+        assert_eq!(refrozen.sorted_indices(), rebuilt.sorted_indices());
     }
 
     #[test]
@@ -1140,9 +1041,7 @@ mod tests {
 
     #[test]
     fn snapshot_of_empty_view_is_well_defined() {
-        let snapshot =
-            ProfileSnapshot::capture(SampleView::from_value_multiplicities(std::iter::empty()));
-        let p = snapshot.profile();
+        let p = ProfileSnapshot::capture(SampleView::from_value_multiplicities(std::iter::empty()));
         assert_eq!(p.bucket_delta(), DeltaEstimate::UNDEFINED);
         assert_eq!(p.recommendation(), Recommendation::CollectMoreData);
         assert!(p.sorted_items().is_empty());

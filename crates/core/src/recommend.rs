@@ -104,7 +104,7 @@ pub fn recommend(sample: &SampleView) -> Recommendation {
 
 /// The §6.5 policy applied to already-extracted diagnostics of `sample` —
 /// the entry point for callers holding memoized diagnostics, such as
-/// [`crate::profile::ViewProfile::recommendation`].
+/// [`crate::profile::ProfileSnapshot::recommendation`].
 pub fn recommendation_for(sample: &SampleView, d: &Diagnostics) -> Recommendation {
     if !d.coverage_ok() {
         return Recommendation::CollectMoreData;

@@ -40,7 +40,7 @@ use uu_core::aggregates::{
 use uu_core::bound::{sum_upper_bound, UpperBoundConfig};
 use uu_core::engine::EstimatorKind;
 use uu_core::montecarlo::MonteCarloConfig;
-use uu_core::profile::{ProfileCache, ProfileKey, ProfileSnapshot, ViewProfile};
+use uu_core::profile::{ProfileCache, ProfileKey, ProfileSnapshot};
 use uu_core::recommend::{Diagnostics, Recommendation};
 use uu_core::sample::{ObservedItem, SampleView};
 
@@ -233,10 +233,10 @@ impl CorrectionMethod {
         }
     }
 
-    /// Resolves `Auto` against the §6.5 recommendation (memoized in the
-    /// universe's profile); the flag reports whether the estimate was
-    /// withheld by the coverage gate.
-    fn resolve_auto(self, profile: &ViewProfile<'_>) -> (CorrectionMethod, bool) {
+    /// Resolves `Auto` against the §6.5 recommendation (derived from the
+    /// universe's memoized diagnostics); the flag reports whether the
+    /// estimate was withheld by the coverage gate.
+    fn resolve_auto(self, profile: &ProfileSnapshot) -> (CorrectionMethod, bool) {
         match self {
             CorrectionMethod::Auto => match profile.recommendation() {
                 Recommendation::Bucket => (CorrectionMethod::Bucket, false),
@@ -598,7 +598,7 @@ pub fn results_from_selection(
                 Some(group_column) => format!("{query} [{group_column} = {key}]"),
                 None => query.to_string(),
             };
-            let result = universe_result(label, query.agg, &snapshot.profile(), method);
+            let result = universe_result(label, query.agg, snapshot, method);
             GroupResult {
                 key: key.clone(),
                 result,
@@ -607,13 +607,13 @@ pub fn results_from_selection(
         .collect()
 }
 
-/// Computes the dual answer for one estimation universe from its thawed
-/// profile, sharing the profile's memoized statistics between the
+/// Computes the dual answer for one estimation universe from its frozen
+/// snapshot, sharing the snapshot's memoized statistics between the
 /// correction, the §5 strategies and the result metadata.
 fn universe_result(
     query_display: String,
     agg: AggregateFunction,
-    profile: &ViewProfile<'_>,
+    profile: &ProfileSnapshot,
     method: CorrectionMethod,
 ) -> QueryResult {
     let view = profile.view();

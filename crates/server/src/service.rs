@@ -663,7 +663,7 @@ impl Service {
         let query = parse(sql).map_err(|e| WireError::new(ErrorCode::Parse, e.to_string()))?;
         // Capture (and cache) the selection eagerly: a bad table name fails
         // here, at prepare time, and the first execute is already a pure
-        // thaw.
+        // cache hit.
         let catalog = self.catalog.read().expect("catalog lock");
         let table = catalog
             .get(&query.table)
@@ -1118,7 +1118,7 @@ fn answer(
         .iter()
         .map(|(_, snapshot)| match session {
             Some(session) => session
-                .run_profiled(&snapshot.profile())
+                .run_profiled(snapshot)
                 .iter()
                 .map(WireEstimate::from_named)
                 .collect(),

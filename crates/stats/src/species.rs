@@ -324,13 +324,6 @@ impl<'a> SpeciesCache<'a> {
         self.warm();
         SpeciesEstimator::ALL.map(|est| self.estimate(est))
     }
-
-    /// Pre-fills one slot with an already-known estimate (used when thawing a
-    /// cached profile snapshot). A no-op if the slot was already computed;
-    /// does not count as a computation.
-    pub fn preload(&self, estimator: SpeciesEstimator, estimate: CountEstimate) {
-        let _ = self.slots[estimator.index()].set(estimate);
-    }
 }
 
 #[cfg(test)]
@@ -469,22 +462,6 @@ mod tests {
         for (est, got) in SpeciesEstimator::ALL.iter().zip(all) {
             assert_eq!(got, est.estimate(&f));
         }
-    }
-
-    #[test]
-    fn preload_skips_computation_but_never_overrides() {
-        let f = toy_before();
-        let cache = SpeciesCache::new(&f);
-        cache.preload(SpeciesEstimator::Chao92, CountEstimate::Estimate(123.0));
-        assert_eq!(
-            cache.estimate(SpeciesEstimator::Chao92),
-            CountEstimate::Estimate(123.0)
-        );
-        assert_eq!(cache.computations(), 0);
-        // A computed slot wins over a later preload.
-        let direct = cache.estimate(SpeciesEstimator::Chao84);
-        cache.preload(SpeciesEstimator::Chao84, CountEstimate::Undefined);
-        assert_eq!(cache.estimate(SpeciesEstimator::Chao84), direct);
     }
 
     proptest! {

@@ -11,7 +11,7 @@ use uu_core::frequency::FrequencyEstimator;
 use uu_core::montecarlo::{MonteCarloConfig, MonteCarloEstimator};
 use uu_core::naive::NaiveEstimator;
 use uu_core::policy::PolicyEstimator;
-use uu_core::profile::ViewProfile;
+use uu_core::profile::ProfileSnapshot;
 use uu_core::recommend::{recommend, Recommendation};
 use uu_core::sample::{replay_checkpoints, SampleView};
 use uu_datagen::realworld;
@@ -108,11 +108,11 @@ fn profiled_estimates_match_direct_for_every_kind() {
     for (i, view) in views.iter().enumerate() {
         // Warm profile: shared across all kinds, statistics memoized by
         // whichever estimator touches them first.
-        let shared = ViewProfile::new(view);
+        let shared = ProfileSnapshot::new(view.clone());
         for kind in all_parity_kinds() {
             let est = kind.build();
             let direct: DeltaEstimate = est.estimate_delta(view);
-            let cold_profile = ViewProfile::new(view);
+            let cold_profile = ProfileSnapshot::new(view.clone());
             assert_eq!(
                 est.estimate_delta_profiled(&cold_profile),
                 direct,
@@ -138,7 +138,7 @@ fn profiled_estimates_match_direct_for_every_kind() {
 fn profiled_counts_match_direct_for_every_kind() {
     let views = parity_views();
     for (i, view) in views.iter().enumerate() {
-        let shared = ViewProfile::new(view);
+        let shared = ProfileSnapshot::new(view.clone());
         for kind in all_parity_kinds() {
             assert_eq!(
                 kind.estimate_count_profiled(&shared),
@@ -150,24 +150,20 @@ fn profiled_counts_match_direct_for_every_kind() {
 }
 
 /// A session over the full registry shares one statistics pass per view: one
-/// sort, one bucket split, and each species estimator at most once.
+/// sort, one bucket split and one species ladder at most.
 #[test]
 fn session_shares_one_statistics_pass_per_view() {
     for (i, view) in parity_views().iter().enumerate() {
-        let profile = ViewProfile::new(view);
+        let profile = ProfileSnapshot::new(view.clone());
         let results = EstimationSession::new(all_parity_kinds()).run_profiled(&profile);
         assert_eq!(results.len(), all_parity_kinds().len());
         let m = profile.metrics();
         assert!(m.sort_builds <= 1, "view {i}: {} sorts", m.sort_builds);
         assert!(m.bucket_builds <= 1, "view {i}: {} splits", m.bucket_builds);
         assert!(
-            m.species_computations <= 1,
-            "view {i}: {} species passes (only Chao92 is needed)",
-            m.species_computations
-        );
-        assert!(
-            m.reads > m.total_builds(),
-            "view {i}: sharing not exercised"
+            m.species_builds <= 1,
+            "view {i}: {} species ladders",
+            m.species_builds
         );
     }
 }

@@ -6,10 +6,14 @@
 //! and (d) invalidate on table mutation so results always reflect the
 //! current table state.
 
+use std::sync::{Arc, Barrier};
+
+use uu_core::engine::{EstimationSession, NamedEstimate};
+use uu_core::profile::{ProfileMetrics, ProfileSnapshot};
 use uu_query::catalog::Catalog;
 use uu_query::exec::{
-    execute_sql, results_from_selection, selection, CorrectionMethod, GroupResult,
-    QueryProfileCache, QueryResult,
+    execute_sql, freeze_selection, results_from_selection, selection, CorrectionMethod,
+    GroupResult, QueryProfileCache, QueryResult,
 };
 use uu_query::query::AggregateQuery;
 use uu_query::schema::{ColumnType, Schema};
@@ -130,23 +134,94 @@ fn repeated_queries_hit_and_match_the_uncached_path() {
 
 #[test]
 fn a_cache_hit_rebuilds_no_statistics() {
-    // What the executor does on a hit: thaw the selection's snapshot and run
-    // estimators over it. Even a full 5-estimator session pass must perform
-    // zero statistics builds on the thawed profile.
+    // What the executor does on a hit: run estimators over the cached
+    // snapshot in place. Even a full 5-estimator session pass must leave
+    // the snapshot's build counters where the capture left them.
     let table = tech_table();
     let view = table
         .sample_view(Some("employees"), &uu_query::predicate::Predicate::True)
         .unwrap();
-    let snapshot = uu_core::profile::ProfileSnapshot::capture(view);
-    let profile = snapshot.profile();
-    let results = uu_core::engine::EstimationSession::all().run_profiled(&profile);
+    let snapshot = ProfileSnapshot::capture(view);
+    let captured = snapshot.metrics();
+    let results = EstimationSession::all().run_profiled(&snapshot);
     assert_eq!(results.len(), 5);
     assert!(results.iter().any(|r| r.corrected.is_some()));
     assert_eq!(
-        profile.metrics().total_builds(),
-        0,
+        snapshot.metrics(),
+        captured,
         "the hit path must reuse every frozen statistic"
     );
+}
+
+/// Every float of a named estimate, as bits.
+fn estimate_bits(e: &NamedEstimate) -> (&'static str, [Option<u64>; 3]) {
+    let bits = |x: Option<f64>| x.map(f64::to_bits);
+    (
+        e.name,
+        [bits(e.delta.delta), bits(e.delta.n_hat), bits(e.corrected)],
+    )
+}
+
+#[test]
+fn threads_answer_from_one_shared_selection_in_place() {
+    // Eight threads answer from one cached selection at once: each runs the
+    // answer step and a full session fan-out over the shared snapshots.
+    // Every answer must equal a fresh uncached execution bit for bit, and no
+    // shared snapshot may build anything: the memo is read in place.
+    let table = tech_table();
+    let cache = QueryProfileCache::new(8);
+    let sql = "SELECT SUM(employees) FROM companies GROUP BY state";
+    let query = parse(sql).unwrap();
+    let (shared, _) = selection(&table, &query, &cache).unwrap();
+    let captured: Vec<ProfileMetrics> = shared.iter().map(|(_, s)| s.metrics()).collect();
+    let session = EstimationSession::all();
+    let methods = [
+        CorrectionMethod::Naive,
+        CorrectionMethod::Frequency,
+        CorrectionMethod::Bucket,
+        CorrectionMethod::Auto,
+    ];
+    let fresh = freeze_selection(&table, &query).unwrap();
+    let expected_estimates: Vec<Vec<_>> = fresh
+        .iter()
+        .map(|(_, s)| session.run_profiled(s).iter().map(estimate_bits).collect())
+        .collect();
+    let threads = 8;
+    let barrier = Barrier::new(threads);
+    let (table, cache, query, session) = (&table, &cache, &query, &session);
+    let (shared, barrier, expected_estimates) = (&shared, &barrier, &expected_estimates);
+    std::thread::scope(|s| {
+        for &method in methods.iter().cycle().take(threads) {
+            s.spawn(move || {
+                // Every thread reads the shared snapshots at the same time.
+                barrier.wait();
+                let (hit, was_cached) = selection(table, query, cache).unwrap();
+                assert!(was_cached);
+                assert!(Arc::ptr_eq(&hit, shared), "one shared selection");
+                let rows = results_from_selection(query, &hit, method);
+                let direct = execute_sql(table, sql, method).unwrap();
+                assert_eq!(rows.len(), direct.len());
+                for (row, want) in rows.iter().zip(&direct) {
+                    assert_eq!(row.key, want.key);
+                    assert_same(&want.result, &row.result);
+                    assert_eq!(
+                        row.result.corrected.map(f64::to_bits),
+                        want.result.corrected.map(f64::to_bits)
+                    );
+                }
+                for ((_, snapshot), want) in hit.iter().zip(expected_estimates) {
+                    let got: Vec<_> = session
+                        .run_profiled(snapshot)
+                        .iter()
+                        .map(estimate_bits)
+                        .collect();
+                    assert_eq!(&got, want);
+                }
+            });
+        }
+    });
+    let after: Vec<ProfileMetrics> = shared.iter().map(|(_, s)| s.metrics()).collect();
+    assert_eq!(after, captured, "hits must not build statistics");
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Property tests pinning the tentpole guarantee of the `ViewProfile` layer:
+//! Property tests pinning the guarantee of the `ProfileSnapshot` layer:
 //! for arbitrary samples, every registry kind's profiled estimate equals its
 //! direct `estimate_delta`/`estimate_sum`/`estimate_count` result
 //! **bit-for-bit** (exact `f64` equality, no tolerance), and repeated profile
@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use uu_core::engine::EstimatorKind;
 use uu_core::estimate::SumEstimator;
 use uu_core::montecarlo::MonteCarloConfig;
-use uu_core::profile::ViewProfile;
+use uu_core::profile::ProfileSnapshot;
 use uu_core::sample::{SampleView, StreamAccumulator};
 use uu_stats::species::SpeciesEstimator;
 
@@ -24,7 +24,7 @@ fn registry_kinds() -> Vec<EstimatorKind> {
 fn assert_parity(
     kind: EstimatorKind,
     view: &SampleView,
-    profile: &ViewProfile<'_>,
+    profile: &ProfileSnapshot,
 ) -> Result<(), TestCaseError> {
     let est = kind.build();
     prop_assert_eq!(
@@ -56,7 +56,7 @@ proptest! {
         pairs in proptest::collection::vec((0.0f64..10_000.0, 1u64..8), 0..60)
     ) {
         let view = SampleView::from_value_multiplicities(pairs.iter().copied());
-        let profile = ViewProfile::new(&view);
+        let profile = ProfileSnapshot::new(view.clone());
         for kind in registry_kinds() {
             assert_parity(kind, &view, &profile)?;
         }
@@ -74,7 +74,7 @@ proptest! {
             acc.push(item, (item as f64 + 1.0) * 3.5, source);
         }
         let view = acc.view();
-        let profile = ViewProfile::new(&view);
+        let profile = ProfileSnapshot::new(view.clone());
         for kind in registry_kinds() {
             assert_parity(kind, &view, &profile)?;
         }
@@ -87,7 +87,7 @@ proptest! {
         pairs in proptest::collection::vec((0.0f64..1000.0, 1u64..6), 1..50)
     ) {
         let view = SampleView::from_value_multiplicities(pairs.iter().copied());
-        let profile = ViewProfile::new(&view);
+        let profile = ProfileSnapshot::new(view.clone());
         // First pass builds, second pass must hit the memo bit-for-bit.
         let first: Vec<_> = SpeciesEstimator::ALL
             .iter()

@@ -113,7 +113,7 @@ fn expected_rows(catalog: &Catalog, sql: &str, estimators: &[&str]) -> Vec<WireR
                 Vec::new()
             } else {
                 session
-                    .run_profiled(&snapshot.profile())
+                    .run_profiled(snapshot)
                     .iter()
                     .map(WireEstimate::from_named)
                     .collect()

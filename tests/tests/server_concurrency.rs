@@ -128,7 +128,7 @@ fn expected(catalog: &Catalog, case: &Case) -> Vec<String> {
         .zip(snapshots.iter())
         .map(|(row, (_, snapshot))| {
             let estimates = session
-                .run_profiled(&snapshot.profile())
+                .run_profiled(snapshot)
                 .iter()
                 .map(WireEstimate::from_named)
                 .collect();

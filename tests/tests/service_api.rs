@@ -491,7 +491,7 @@ fn session_and_prepared_registries_are_bounded() {
     ));
 
     // Fill one session's prepared registry (same SQL: one cache entry, the
-    // rest are thaws).
+    // rest are cache hits).
     for i in 0..uu_server::service::MAX_PREPARED_PER_SESSION {
         let response = service.dispatch(
             &mut ctx,
