@@ -201,15 +201,15 @@ fn bench_columnar_scan(c: &mut Criterion) {
     };
     let select_speedup = mean_of("select_rows") / mean_of("select_columnar");
     let sort_speedup = mean_of("sort_rows") / mean_of("sort_columnar");
-    let (builds, reuses) = table.projection_metrics();
+    let projection = table.projection_stats();
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"bench\": \"columnar_scan\",\n  \"entities\": {ENTITIES},\n  \"selected\": {selected},\n  \"samples\": {samples},\n"
     ));
     json.push_str(&format!(
-        "  \"projection\": {{ \"builds\": {builds}, \"reuses\": {reuses}, \"bytes\": {} }},\n",
-        table.projection_bytes()
+        "  \"projection\": {{ \"builds\": {}, \"reuses\": {}, \"bytes\": {} }},\n",
+        projection.builds, projection.reuses, projection.bytes
     ));
     json.push_str(&format!(
         "  \"speedup\": {{ \"select\": {select_speedup:.2}, \"sort\": {sort_speedup:.2} }},\n"

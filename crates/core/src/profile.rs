@@ -64,6 +64,7 @@ use std::time::{Duration, Instant};
 
 use crate::bucket::{delta_over_buckets, BucketReport, DynamicBucketEstimator};
 use crate::estimate::DeltaEstimate;
+use crate::obs::{CacheCounters, CacheMetrics};
 use crate::recommend::{diagnose, recommendation_for, Diagnostics, Recommendation};
 use crate::sample::{ObservedItem, SampleView};
 use uu_stats::species::{CountEstimate, SpeciesCache, SpeciesEstimator};
@@ -427,31 +428,6 @@ pub struct ProfileKey {
     pub group_by: Option<String>,
 }
 
-/// A point-in-time snapshot of a [`ProfileCache`]'s instrumentation counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheMetrics {
-    /// Lookups that found a live entry.
-    pub hits: u64,
-    /// Lookups that found nothing (the caller then builds and inserts).
-    pub misses: u64,
-    /// Entries inserted.
-    pub insertions: u64,
-    /// Entries evicted by the capacity or byte-budget bound (least recently
-    /// used first).
-    pub evictions: u64,
-    /// Entries dropped by [`ProfileCache::invalidate_table`] /
-    /// [`ProfileCache::clear`].
-    pub invalidations: u64,
-    /// Entries dropped on lookup because they outlived the configured TTL
-    /// (those lookups also count as misses).
-    pub expirations: u64,
-    /// Current number of live entries.
-    pub len: usize,
-    /// Current accounted weight of all live entries in bytes (0 unless
-    /// callers insert through [`ProfileCache::insert_weighted`]).
-    pub bytes: usize,
-}
-
 /// A bounded, thread-safe LRU cache for cross-query profile reuse.
 ///
 /// Generic over the stored value so the query layer can cache whole
@@ -477,12 +453,7 @@ pub struct ProfileCache<V> {
     byte_budget: Option<usize>,
     ttl: Option<Duration>,
     inner: Mutex<CacheInner<V>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    expirations: AtomicU64,
+    counters: CacheCounters,
 }
 
 /// One cached entry with its LRU/TTL/byte-budget bookkeeping.
@@ -526,12 +497,7 @@ impl<V> ProfileCache<V> {
                 tick: 0,
                 bytes: 0,
             }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            expirations: AtomicU64::new(0),
+            counters: CacheCounters::default(),
         }
     }
 
@@ -580,16 +546,17 @@ impl<V> ProfileCache<V> {
                     let bytes = entry.bytes;
                     inner.map.remove(key);
                     inner.bytes -= bytes;
-                    self.expirations.fetch_add(1, Ordering::Relaxed);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.publish(&inner);
+                    self.counters.expirations.fetch_add(1, Ordering::Relaxed);
+                    self.counters.misses.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
                 entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry.value.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -622,7 +589,7 @@ impl<V> ProfileCache<V> {
             inner.bytes -= old.bytes;
         }
         inner.bytes += bytes;
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.counters.insertions.fetch_add(1, Ordering::Relaxed);
         loop {
             let over_capacity = inner.map.len() > self.capacity;
             let over_budget = self
@@ -642,8 +609,9 @@ impl<V> ProfileCache<V> {
             if let Some(entry) = inner.map.remove(&lru) {
                 inner.bytes -= entry.bytes;
             }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        self.publish(&inner);
     }
 
     /// Drops every entry belonging to `table` (same canonical form as the
@@ -656,7 +624,9 @@ impl<V> ProfileCache<V> {
         inner.map.retain(|key, _| key.table != table);
         let removed = before - inner.map.len();
         inner.bytes = inner.map.values().map(|entry| entry.bytes).sum();
-        self.invalidations
+        self.publish(&inner);
+        self.counters
+            .invalidations
             .fetch_add(removed as u64, Ordering::Relaxed);
         removed
     }
@@ -682,6 +652,7 @@ impl<V> ProfileCache<V> {
                 drained.push((key, entry.value));
             }
         }
+        self.publish(&inner);
         drained
     }
 
@@ -709,41 +680,22 @@ impl<V> ProfileCache<V> {
         let removed = inner.map.len();
         inner.map.clear();
         inner.bytes = 0;
-        self.invalidations
+        self.publish(&inner);
+        self.counters
+            .invalidations
             .fetch_add(removed as u64, Ordering::Relaxed);
-    }
-
-    /// Current number of live entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("profile cache lock").map.len()
-    }
-
-    /// True when no entry is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current accounted weight of the live entries in bytes.
-    pub fn bytes(&self) -> usize {
-        self.inner.lock().expect("profile cache lock").bytes
     }
 
     /// A snapshot of the instrumentation counters.
     pub fn metrics(&self) -> CacheMetrics {
-        let (len, bytes) = {
-            let inner = self.inner.lock().expect("profile cache lock");
-            (inner.map.len(), inner.bytes)
-        };
-        CacheMetrics {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            expirations: self.expirations.load(Ordering::Relaxed),
-            len,
-            bytes,
-        }
+        self.counters.snapshot()
+    }
+
+    /// Moves the `len` / `bytes` gauges to the state under the lock.
+    fn publish(&self, inner: &CacheInner<V>) {
+        let (len, bytes) = (inner.map.len() as u64, inner.bytes as u64);
+        self.counters.len.store(len, Ordering::Relaxed);
+        self.counters.bytes.store(bytes, Ordering::Relaxed);
     }
 }
 
@@ -1024,8 +976,8 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].1, 1);
         assert_eq!(drained[1].1, 2);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.bytes(), 40);
+        assert_eq!(cache.metrics().len, 1);
+        assert_eq!(cache.metrics().bytes, 40);
         assert_eq!(
             cache.metrics().invalidations,
             0,
@@ -1078,7 +1030,7 @@ mod tests {
         // Touch "a" so "b" becomes the LRU entry.
         assert_eq!(cache.get(&key("t", 0, "a")), Some(1));
         cache.insert(key("t", 0, "c"), 3);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.metrics().len, 2);
         assert_eq!(cache.get(&key("t", 0, "b")), None, "LRU entry evicted");
         assert_eq!(cache.get(&key("t", 0, "a")), Some(1));
         assert_eq!(cache.get(&key("t", 0, "c")), Some(3));
@@ -1090,16 +1042,16 @@ mod tests {
         let cache: ProfileCache<u32> = ProfileCache::new(64).with_byte_budget(100);
         cache.insert_weighted(key("t", 0, "a"), 1, 40);
         cache.insert_weighted(key("t", 0, "b"), 2, 40);
-        assert_eq!(cache.bytes(), 80);
+        assert_eq!(cache.metrics().bytes, 80);
         // 120 > 100: "a" (LRU) must go.
         cache.insert_weighted(key("t", 0, "c"), 3, 40);
         assert_eq!(cache.get(&key("t", 0, "a")), None);
         assert_eq!(cache.get(&key("t", 0, "b")), Some(2));
         assert_eq!(cache.get(&key("t", 0, "c")), Some(3));
-        assert_eq!(cache.bytes(), 80);
+        assert_eq!(cache.metrics().bytes, 80);
         // A single oversized entry evicts everything else but stays itself.
         cache.insert_weighted(key("t", 0, "huge"), 9, 500);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.metrics().len, 1);
         assert_eq!(cache.get(&key("t", 0, "huge")), Some(9));
         let m = cache.metrics();
         assert_eq!(m.bytes, 500);
@@ -1111,8 +1063,8 @@ mod tests {
         let cache: ProfileCache<u32> = ProfileCache::new(8).with_byte_budget(1000);
         cache.insert_weighted(key("t", 0, "a"), 1, 300);
         cache.insert_weighted(key("t", 0, "a"), 2, 120);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.bytes(), 120);
+        assert_eq!(cache.metrics().len, 1);
+        assert_eq!(cache.metrics().bytes, 120);
         assert_eq!(cache.get(&key("t", 0, "a")), Some(2));
     }
 
@@ -1121,8 +1073,12 @@ mod tests {
         let cache: ProfileCache<u32> = ProfileCache::new(8).with_byte_budget(1);
         cache.insert(key("t", 0, "a"), 1);
         cache.insert(key("t", 0, "b"), 2);
-        assert_eq!(cache.len(), 2, "zero-weight entries never exceed a budget");
-        assert_eq!(cache.bytes(), 0);
+        assert_eq!(
+            cache.metrics().len,
+            2,
+            "zero-weight entries never exceed a budget"
+        );
+        assert_eq!(cache.metrics().bytes, 0);
     }
 
     #[test]
@@ -1146,9 +1102,9 @@ mod tests {
         cache.insert_weighted(key("t", 0, "a"), 1, 100);
         cache.insert_weighted(key("u", 0, "a"), 2, 50);
         assert_eq!(cache.invalidate_table("t"), 1);
-        assert_eq!(cache.bytes(), 50);
+        assert_eq!(cache.metrics().bytes, 50);
         cache.clear();
-        assert_eq!(cache.bytes(), 0);
+        assert_eq!(cache.metrics().bytes, 0);
     }
 
     #[test]
@@ -1173,7 +1129,7 @@ mod tests {
         assert_eq!(cache.get(&key("t", 0, "a")), None);
         assert_eq!(cache.get(&key("u", 0, "a")), Some(3));
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.metrics().len, 0);
         assert_eq!(cache.metrics().invalidations, 3);
     }
 }

@@ -10,7 +10,7 @@
 //! arrival stream can be evaluated at many prefixes in overall `O(n + k·c)`
 //! for `k` checkpoints.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use uu_stats::descriptive::sample_stddev;
 use uu_stats::freq::FrequencyStatistics;
@@ -351,8 +351,10 @@ impl SampleView {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StreamAccumulator {
-    /// item key → (value, per-source counts)
-    entries: HashMap<u64, (f64, HashMap<u32, u32>)>,
+    /// item key → (value, per-source counts). Ordered maps, so a view lists
+    /// its items in key order and float sums over them are the same in
+    /// every process.
+    entries: BTreeMap<u64, (f64, BTreeMap<u32, u32>)>,
     total: u64,
 }
 
@@ -373,7 +375,7 @@ impl StreamAccumulator {
         let entry = self
             .entries
             .entry(item)
-            .or_insert_with(|| (value, HashMap::new()));
+            .or_insert_with(|| (value, BTreeMap::new()));
         *entry.1.entry(source).or_insert(0) += 1;
         self.total += 1;
     }
@@ -388,15 +390,15 @@ impl StreamAccumulator {
         self.entries.len() as u64
     }
 
-    /// Materialises an immutable [`SampleView`] of the current state.
+    /// Materialises an immutable [`SampleView`] of the current state, items
+    /// in item-key order.
     pub fn view(&self) -> SampleView {
         let items = self
             .entries
             .values()
             .map(|(value, sources)| {
-                let mut source_counts: Vec<(u32, u32)> =
+                let source_counts: Vec<(u32, u32)> =
                     sources.iter().map(|(&s, &k)| (s, k)).collect();
-                source_counts.sort_unstable();
                 let multiplicity = source_counts.iter().map(|&(_, k)| k as u64).sum();
                 ObservedItem {
                     value: *value,
@@ -470,6 +472,32 @@ mod tests {
         assert_eq!(s.min_value(), Some(1000.0));
         assert_eq!(s.max_value(), Some(10_000.0));
         assert!(!s.has_lineage());
+    }
+
+    #[test]
+    fn accumulator_views_list_items_in_key_order_whatever_the_arrival_order() {
+        // Values whose float sum depends on the order it is taken in; the
+        // stream visits every key in 0..101, out of order.
+        let value_of = |item: u64| 0.1 + item as f64 * 1e-3 + 1e9 * (item % 3) as f64;
+        let observations: Vec<(u64, f64, u32)> = (0..200u64)
+            .map(|i| {
+                let item = (i * 37) % 101;
+                (item, value_of(item), (i % 5) as u32)
+            })
+            .collect();
+        let mut forward = StreamAccumulator::new();
+        let mut backward = StreamAccumulator::new();
+        for &(item, value, source) in &observations {
+            forward.push(item, value, source);
+        }
+        for &(item, value, source) in observations.iter().rev() {
+            backward.push(item, value, source);
+        }
+        let (a, b) = (forward.view(), backward.view());
+        assert_eq!(a.items(), b.items());
+        assert_eq!(a.observed_sum().to_bits(), b.observed_sum().to_bits());
+        let values: Vec<f64> = a.items().iter().map(|i| i.value).collect();
+        assert_eq!(values, (0..101).map(value_of).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A catalog of integrated tables, for multi-table databases.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::exec::{
@@ -12,6 +12,7 @@ use crate::exec::{
 use crate::sql::parse;
 use crate::table::{AppendDelta, IntegratedTable};
 use crate::value::Value;
+use uu_core::obs::{CounterBlock, IncrementalCounters, IncrementalStats, ProjectionStats};
 
 /// Errors from catalog operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,35 +32,6 @@ impl std::fmt::Display for CatalogError {
 }
 
 impl std::error::Error for CatalogError {}
-
-/// Incremental-maintenance counters, updated by
-/// [`Catalog::append_observations`].
-#[derive(Debug, Default)]
-struct IncrementalCounters {
-    delta_batches: AtomicU64,
-    rows_appended: AtomicU64,
-    permutation_merges: AtomicU64,
-    snapshots_refrozen: AtomicU64,
-    fallback_rebuilds: AtomicU64,
-}
-
-/// A point-in-time snapshot of the incremental-maintenance telemetry — the
-/// numbers behind the server `stats` verb's `incremental` block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IncrementalStats {
-    /// Append batches applied through the delta path.
-    pub delta_batches: u64,
-    /// Observations accepted by those batches.
-    pub rows_appended: u64,
-    /// Sort permutations absorbed by merge instead of a re-sort.
-    pub permutation_merges: u64,
-    /// Per-universe profile snapshots re-frozen from delta rows alone.
-    pub snapshots_refrozen: u64,
-    /// Cached selections dropped to a rebuild instead (stale version, a
-    /// predicate that no longer evaluates, or a grouped selection with a
-    /// touched row).
-    pub fallback_rebuilds: u64,
-}
 
 /// A set of named integrated tables with SQL dispatch.
 ///
@@ -110,9 +82,8 @@ impl Catalog {
     /// plain-LRU policy.
     pub fn with_cache(cache: QueryProfileCache) -> Self {
         Catalog {
-            tables: HashMap::new(),
             cache,
-            incremental: IncrementalCounters::default(),
+            ..Catalog::default()
         }
     }
 
@@ -205,13 +176,7 @@ impl Catalog {
 
     /// A snapshot of the incremental-maintenance counters.
     pub fn incremental_stats(&self) -> IncrementalStats {
-        IncrementalStats {
-            delta_batches: self.incremental.delta_batches.load(Ordering::Relaxed),
-            rows_appended: self.incremental.rows_appended.load(Ordering::Relaxed),
-            permutation_merges: self.incremental.permutation_merges.load(Ordering::Relaxed),
-            snapshots_refrozen: self.incremental.snapshots_refrozen.load(Ordering::Relaxed),
-            fallback_rebuilds: self.incremental.fallback_rebuilds.load(Ordering::Relaxed),
-        }
+        self.incremental.snapshot()
     }
 
     /// The embedded cross-query profile cache (for instrumentation; queries
@@ -349,17 +314,14 @@ impl Catalog {
         Ok((snapshots.len(), hit))
     }
 
-    /// Aggregated column-store telemetry across all registered tables:
-    /// `(tables restored from persisted rows, reads served by the columns,
-    /// column-store bytes)` — the numbers behind the server `stats` verb's
-    /// `projection` block.
-    pub fn projection_stats(&self) -> (u64, u64, usize) {
-        self.tables
-            .values()
-            .fold((0, 0, 0), |(builds, reuses, bytes), t| {
-                let (b, r) = t.projection_metrics();
-                (builds + b, reuses + r, bytes + t.projection_bytes())
-            })
+    /// Column-store telemetry totalled over every registered table — the
+    /// numbers behind the server `stats` verb's `projection` block.
+    pub fn projection_stats(&self) -> ProjectionStats {
+        let mut total = ProjectionStats::default();
+        for table in self.tables.values() {
+            total.merge(&table.projection_stats());
+        }
+        total
     }
 }
 
@@ -462,7 +424,7 @@ mod tests {
         assert!(hit);
         assert!(std::sync::Arc::ptr_eq(&snapshots, &snapshots_again));
         // Selections carry their byte weight into the cache accounting.
-        assert!(catalog.cache().bytes() > 0);
+        assert!(catalog.cache().metrics().bytes > 0);
     }
 
     #[test]
@@ -509,19 +471,19 @@ mod tests {
     fn warm_sql_builds_the_columnar_layers_too() {
         let mut catalog = Catalog::new();
         catalog.register(table("t")).unwrap();
-        let (_, _, cold_bytes) = catalog.projection_stats();
+        let cold_bytes = catalog.projection_stats().bytes;
         catalog.warm_sql("SELECT SUM(v) FROM t").unwrap();
         // The aggregate column's sort permutation is built and held.
-        let (builds, reads, bytes) = catalog.projection_stats();
-        assert_eq!(builds, 0, "no table was restored from persisted rows");
-        assert!(bytes > cold_bytes);
+        let warm = catalog.projection_stats();
+        assert_eq!(warm.builds, 0, "no table was restored from persisted rows");
+        assert!(warm.bytes > cold_bytes);
         // Cold queries of *other* predicates read the same columns.
         catalog
             .execute_sql("SELECT SUM(v) FROM t WHERE v > 1", CorrectionMethod::Bucket)
             .unwrap();
-        let (_, reads_after, bytes_after) = catalog.projection_stats();
-        assert!(reads_after > reads);
-        assert_eq!(bytes_after, bytes, "no second permutation was built");
+        let after = catalog.projection_stats();
+        assert!(after.reuses > warm.reuses);
+        assert_eq!(after.bytes, warm.bytes, "no second permutation was built");
     }
 
     #[test]

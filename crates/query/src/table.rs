@@ -22,6 +22,7 @@ use crate::predicate::{Predicate, PredicateError};
 use crate::record::{Record, RecordError};
 use crate::schema::{ColumnType, Schema};
 use crate::value::Value;
+use uu_core::obs::{ProjectionCounters, ProjectionStats};
 use uu_core::sample::{ObservedItem, SampleView};
 
 /// Errors raised by table operations.
@@ -124,7 +125,7 @@ pub struct AppendDelta {
 /// Process-unique table-instance ids, so profile-cache keys can tell two
 /// same-named tables apart (a per-instance insert counter alone could
 /// coincide).
-static TABLE_INSTANCES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static TABLE_INSTANCES: AtomicU64 = AtomicU64::new(0);
 
 fn next_instance() -> u64 {
     TABLE_INSTANCES.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
@@ -151,11 +152,10 @@ pub struct IntegratedTable {
     /// also part of the cache key: two distinct tables that happen to share a
     /// name and a version can never serve each other's cached profiles.
     instance: u64,
-    /// 1 when the columns were written from persisted rows
-    /// ([`IntegratedTable::restore`]), else 0.
-    restored: u64,
-    /// Reads served by the columns.
-    reads: AtomicU64,
+    /// Column-store telemetry: `builds` is 1 when the columns were written
+    /// from persisted rows ([`IntegratedTable::restore`]), `reuses` counts
+    /// the reads they served; `bytes` is measured on snapshot.
+    counters: ProjectionCounters,
 }
 
 impl Clone for IntegratedTable {
@@ -170,8 +170,7 @@ impl Clone for IntegratedTable {
             columns: self.columns.clone(),
             version: self.version,
             instance: next_instance(),
-            restored: 0,
-            reads: AtomicU64::new(0),
+            counters: ProjectionCounters::default(),
         }
     }
 }
@@ -194,8 +193,7 @@ impl IntegratedTable {
             key_col,
             version: 0,
             instance: next_instance(),
-            restored: 0,
-            reads: AtomicU64::new(0),
+            counters: ProjectionCounters::default(),
         })
     }
 
@@ -259,7 +257,7 @@ impl IntegratedTable {
             return Err(TableError::DuplicateEntity(key.entity_key()));
         }
         table.version = version;
-        table.restored = 1;
+        table.counters.builds.store(1, Ordering::Relaxed);
         Ok(table)
     }
 
@@ -379,20 +377,16 @@ impl IntegratedTable {
 
     /// The column store, counting the read.
     fn read(&self) -> &Projection {
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.counters.reuses.fetch_add(1, Ordering::Relaxed);
         &self.columns
     }
 
-    /// `(builds, reuses)`: 1 build when the columns were written from
-    /// persisted rows ([`IntegratedTable::restore`]), and the reads served
-    /// by the columns since construction.
-    pub fn projection_metrics(&self) -> (u64, u64) {
-        (self.restored, self.reads.load(Ordering::Relaxed))
-    }
-
-    /// Approximate heap bytes of the column store.
-    pub fn projection_bytes(&self) -> usize {
-        self.columns.approx_bytes()
+    /// The column store's telemetry (see [`ProjectionStats`]).
+    pub fn projection_stats(&self) -> ProjectionStats {
+        ProjectionStats {
+            bytes: self.columns.approx_bytes() as u64,
+            ..self.counters.snapshot()
+        }
     }
 
     /// Pre-builds the aggregate column's sort permutation, when one is
@@ -852,10 +846,10 @@ mod tests {
         assert_eq!(columnar, rows);
         // Every read is served by the columns; nothing was restored.
         let _ = t.sample_view(None, &Predicate::True).unwrap();
-        let (builds, reuses) = t.projection_metrics();
-        assert_eq!(builds, 0);
-        assert_eq!(reuses, 2);
-        assert!(t.projection_bytes() > 0);
+        let stats = t.projection_stats();
+        assert_eq!(stats.builds, 0);
+        assert_eq!(stats.reuses, 2);
+        assert!(stats.bytes > 0);
     }
 
     #[test]
@@ -946,12 +940,13 @@ mod tests {
     #[test]
     fn warm_projection_builds_buffers_and_checks_columns() {
         let t = tech_table();
-        let cold = t.projection_bytes();
+        let cold = t.projection_stats().bytes;
         t.warm_projection(Some("employees")).unwrap();
         // The sort permutation now counts toward the store's bytes.
-        assert!(t.projection_bytes() > cold);
+        assert!(t.projection_stats().bytes > cold);
         let _ = t.sample_view(Some("employees"), &Predicate::True).unwrap();
-        assert_eq!(t.projection_metrics(), (0, 1));
+        let stats = t.projection_stats();
+        assert_eq!((stats.builds, stats.reuses), (0, 1));
         assert!(matches!(
             t.warm_projection(Some("missing")),
             Err(TableError::UnknownColumn(_))

@@ -16,20 +16,22 @@
 //! Every record is declared once, through `wire_record!`: a field's name is
 //! its wire key, its type picks the codec, and the order of declaration is
 //! the order of keys on the wire. These declarations are the single source
-//! of the protocol's field names.
+//! of the protocol's field names — except for the `stats` counters, whose
+//! blocks are declared in the `uu_core::obs` counter registry: the codec
+//! walks each block's field table, so a counter added there reaches the
+//! wire (and `/metrics`) with no edit here.
+
+use std::ops::Deref;
 
 use crate::json::{parse, Json, JsonError};
 use uu_core::engine::{EstimatorKind, NamedEstimate, UnknownEstimator};
+use uu_core::obs::{
+    CacheMetrics, ConnStats, CounterBlock, IncrementalStats, ProjectionStats, ServiceStats,
+    StorageStats,
+};
 use uu_core::recommend::Recommendation;
 use uu_query::exec::{ExecError, QueryResult};
 use uu_query::value::Value;
-
-/// Incremental-maintenance counters in a `stats` response, aggregated over
-/// every `append_stream` / appending `load_csv` served since start.
-pub use uu_query::catalog::IncrementalStats as WireIncrementalStats;
-/// Durability-layer counters in a `stats` response (protocol v7). All
-/// zeros on a server running without `--data-dir`.
-pub use uu_store::StorageStats as WireStorageStats;
 
 /// Protocol revision; bumped on incompatible changes. Servers echo it in
 /// `stats` responses. Revision 2 added named server-side sessions, prepared
@@ -238,7 +240,11 @@ impl<T: Record> Record for Box<T> {
 /// rule after the type changes one field's handling:
 ///
 /// * `[default: EXPR]` — an absent or `null` key decodes as `EXPR`;
-/// * `[omit_none]` — a `None` leaves the key out of the line.
+/// * `[omit_none]` — a `None` leaves the key out of the line;
+/// * `[flatten]` — the field's own [`Record`] keys go inline, in place of
+///   one nested object, and the struct derefs to the field (so
+///   `stats.cache.hits` reads through `WireCacheStats::counters`); at most
+///   one field per struct.
 ///
 /// Without a rule every key is required, except that an absent `Option`
 /// field decodes as `None`.
@@ -251,12 +257,17 @@ impl<T: Record> Record for Box<T> {
 ///   the caller passes no tag. The enum gets `tag`, `write_payload` (the
 ///   variant's fields, without the tag) and `read_payload`; the caller
 ///   frames the line around them.
-/// * `@impl` attaches the codec to a struct declared in another crate.
+/// * `@counters` attaches the codec to counter blocks of the
+///   `uu_core::obs` registry: one key per declared field, in declaration
+///   order, every key required.
 macro_rules! wire_record {
     (@put $pairs:ident, $key:expr, $value:expr, [omit_none]) => {
         if let Some(value) = $value {
             $pairs.push(($key.to_string(), Wire::to_json(value)));
         }
+    };
+    (@put $pairs:ident, $key:expr, $value:expr, [flatten]) => {
+        Record::write_fields($value, $pairs)
     };
     (@put $pairs:ident, $key:expr, $value:expr, [$(default: $default:expr)?]) => {
         $pairs.push(($key.to_string(), Wire::to_json($value)))
@@ -264,9 +275,21 @@ macro_rules! wire_record {
     (@get $obj:ident, $key:expr, [default: $default:expr]) => {
         field_or($obj, $key, $default)
     };
+    (@get $obj:ident, $key:expr, [flatten]) => {
+        Record::read_fields($obj)
+    };
     (@get $obj:ident, $key:expr, [$(omit_none)?]) => {
         field($obj, $key)
     };
+    (@deref $name:ident, $field:ident: $ty:ty, [flatten]) => {
+        impl Deref for $name {
+            type Target = $ty;
+            fn deref(&self) -> &$ty {
+                &self.$field
+            }
+        }
+    };
+    (@deref $($other:tt)*) => {};
     (@tag) => {
         None
     };
@@ -288,6 +311,22 @@ macro_rules! wire_record {
             }
         }
     };
+    (@counters $($block:ty),* $(,)?) => {$(
+        impl Record for $block {
+            fn write_fields(&self, pairs: &mut Vec<(String, Json)>) {
+                for (declared, value) in Self::FIELDS.iter().zip(self.values()) {
+                    pairs.push((declared.name.to_string(), value.to_json()));
+                }
+            }
+            fn read_fields(obj: &Json) -> Result<Self, ProtoError> {
+                let mut block = Self::default();
+                for (declared, slot) in Self::FIELDS.iter().zip(block.values_mut()) {
+                    *slot = field(obj, declared.name)?;
+                }
+                Ok(block)
+            }
+        }
+    )*};
     (
         $(#[$meta:meta])*
         pub enum $name:ident {
@@ -369,6 +408,7 @@ macro_rules! wire_record {
             $($(#[$fmeta])* pub $field: $ty,)*
         }
         wire_record!(@impl $name { $($field $([$($rule)*])?),* });
+        $(wire_record!(@deref $name, $field: $ty, [$($($rule)*)?]);)*
     )*};
 }
 
@@ -840,25 +880,11 @@ wire_record! {
         pub trace: Option<Vec<WireSpan>> [omit_none],
     }
 
-    /// Cache counters in a `stats` response.
+    /// Cache counters in a `stats` response, then the cache's configuration.
     #[derive(Debug, Clone, PartialEq)]
     pub struct WireCacheStats {
-        /// Lookup hits.
-        pub hits: u64,
-        /// Lookup misses.
-        pub misses: u64,
-        /// Insertions.
-        pub insertions: u64,
-        /// Capacity / byte-budget evictions.
-        pub evictions: u64,
-        /// Explicit invalidations.
-        pub invalidations: u64,
-        /// TTL expirations.
-        pub expirations: u64,
-        /// Live entries.
-        pub len: u64,
-        /// Accounted bytes of live entries.
-        pub bytes: u64,
+        /// The profile-cache counters.
+        pub counters: CacheMetrics [flatten],
         /// Configured entry capacity.
         pub capacity: u64,
         /// Configured byte budget, if any.
@@ -867,47 +893,13 @@ wire_record! {
         pub ttl_ms: Option<f64>,
     }
 
-    /// Column-store counters in a `stats` response, aggregated over every
-    /// registered table. The columns are each table's only storage; the
-    /// wire keeps the `projection` spelling of protocol revision 3.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct WireProjectionStats {
-        /// Tables whose columns were written from persisted rows: one per
-        /// table restored from a snapshot.
-        pub builds: u64,
-        /// Reads served by the columns.
-        pub reuses: u64,
-        /// Bytes of the column stores.
-        pub bytes: u64,
-    }
-
     /// Connection-layer (reactor) counters in a `stats` response.
     #[derive(Debug, Clone, PartialEq)]
     pub struct WireConnStats {
-        /// Connections currently open.
-        pub open: u64,
-        /// High-water mark of concurrently open connections.
-        pub peak_open: u64,
-        /// Complete inbound frames assembled (JSON lines + pgwire messages).
-        pub frames_in: u64,
-        /// Outbound replies queued.
-        pub frames_out: u64,
-        /// Bytes read off sockets.
-        pub bytes_in: u64,
-        /// Bytes written to sockets.
-        pub bytes_out: u64,
-        /// Connections closed by the idle-timeout reaper.
-        pub idle_reaped: u64,
-        /// Write-backpressure trips (reads paused at the high-water mark).
-        pub backpressure: u64,
-        /// High-water mark of frames waiting in the worker queue (protocol v6).
-        pub queue_depth_peak: u64,
-        /// Total microseconds frames spent queued before a worker picked them
-        /// up (protocol v6).
-        pub queue_wait_us_total: u64,
-        /// Largest single queue wait in microseconds (protocol v6).
-        pub queue_wait_us_max: u64,
-        /// The readiness backend the reactor selected (`epoll` or `poll`).
+        /// The reactor's counters.
+        pub counters: ConnStats [flatten],
+        /// The readiness backend the reactor runs on (`epoll` on Linux,
+        /// `poll` elsewhere).
         pub backend: String,
     }
 
@@ -938,12 +930,9 @@ wire_record! {
         pub tables: Vec<String>,
         /// Connection-handler pool size.
         pub workers: u64,
-        /// Connections accepted since start.
-        pub connections: u64,
-        /// Requests processed since start.
-        pub requests: u64,
-        /// Requests answered with an error.
-        pub errors: u64,
+        /// Connections accepted, requests processed and requests answered
+        /// with an error, since start.
+        pub service: ServiceStats [flatten],
         /// Milliseconds since the server started.
         pub uptime_ms: u64,
         /// Per-session counters for every open named session, sorted by name.
@@ -951,14 +940,14 @@ wire_record! {
         /// Profile-cache counters.
         pub cache: WireCacheStats,
         /// Columnar-projection counters.
-        pub projection: WireProjectionStats,
+        pub projection: ProjectionStats,
         /// Connection-layer (reactor) counters.
         pub conn: WireConnStats,
         /// Incremental-maintenance counters.
-        pub incremental: WireIncrementalStats,
+        pub incremental: IncrementalStats,
         /// Durability-layer counters (protocol v7; all zeros without
         /// `--data-dir`).
-        pub storage: WireStorageStats,
+        pub storage: StorageStats,
     }
 
     /// One `(verb, stage)` latency digest in a `metrics` response
@@ -1019,23 +1008,14 @@ wire_record! {
     }
 }
 
-wire_record!(@impl WireIncrementalStats {
-    delta_batches,
-    rows_appended,
-    permutation_merges,
-    snapshots_refrozen,
-    fallback_rebuilds,
-});
-
-wire_record!(@impl WireStorageStats {
-    wal_records,
-    wal_bytes,
-    fsyncs,
-    checkpoints,
-    recovered_tables,
-    replayed_records,
-    truncated_tail_bytes,
-});
+wire_record!(@counters
+    ServiceStats,
+    CacheMetrics,
+    ConnStats,
+    ProjectionStats,
+    IncrementalStats,
+    StorageStats,
+);
 
 /// The wire spelling of a recommendation.
 pub fn recommendation_name(r: Recommendation) -> &'static str {
@@ -1543,9 +1523,11 @@ mod tests {
             protocol: PROTOCOL_VERSION,
             tables: vec!["companies".into(), "t".into()],
             workers: 4,
-            connections: 10,
-            requests: 25,
-            errors: 2,
+            service: ServiceStats {
+                connections: 10,
+                requests: 25,
+                errors: 2,
+            },
             uptime_ms: 1234,
             sessions: vec![WireSessionStats {
                 name: "analyst-1".into(),
@@ -1556,45 +1538,49 @@ mod tests {
                 age_ms: 600,
             }],
             cache: WireCacheStats {
-                hits: 7,
-                misses: 3,
-                insertions: 3,
-                evictions: 1,
-                invalidations: 0,
-                expirations: 0,
-                len: 2,
-                bytes: 4096,
+                counters: CacheMetrics {
+                    hits: 7,
+                    misses: 3,
+                    insertions: 3,
+                    evictions: 1,
+                    invalidations: 0,
+                    expirations: 0,
+                    len: 2,
+                    bytes: 4096,
+                },
                 capacity: 128,
                 byte_budget: Some(1e6),
                 ttl_ms: None,
             },
-            projection: WireProjectionStats {
+            projection: ProjectionStats {
                 builds: 3,
                 reuses: 17,
                 bytes: 65_536,
             },
             conn: WireConnStats {
-                open: 1003,
-                peak_open: 1005,
-                frames_in: 90,
-                frames_out: 92,
-                bytes_in: 16_384,
-                bytes_out: 65_000,
-                idle_reaped: 4,
-                backpressure: 1,
-                queue_depth_peak: 17,
-                queue_wait_us_total: 4_200,
-                queue_wait_us_max: 950,
+                counters: ConnStats {
+                    open: 1003,
+                    peak_open: 1005,
+                    frames_in: 90,
+                    frames_out: 92,
+                    bytes_in: 16_384,
+                    bytes_out: 65_000,
+                    idle_reaped: 4,
+                    backpressure: 1,
+                    queue_depth_peak: 17,
+                    queue_wait_us_total: 4_200,
+                    queue_wait_us_max: 950,
+                },
                 backend: "epoll".into(),
             },
-            incremental: WireIncrementalStats {
+            incremental: IncrementalStats {
                 delta_batches: 6,
                 rows_appended: 600,
                 permutation_merges: 11,
                 snapshots_refrozen: 5,
                 fallback_rebuilds: 1,
             },
-            storage: WireStorageStats {
+            storage: StorageStats {
                 wal_records: 8,
                 wal_bytes: 12_288,
                 fsyncs: 9,
@@ -1623,51 +1609,57 @@ mod tests {
                 protocol: PROTOCOL_VERSION,
                 tables: Vec::new(),
                 workers: 1,
-                connections: 0,
-                requests: 0,
-                errors: 0,
+                service: ServiceStats {
+                    connections: 0,
+                    requests: 0,
+                    errors: 0,
+                },
                 uptime_ms: 0,
                 sessions: Vec::new(),
                 cache: WireCacheStats {
-                    hits: 0,
-                    misses: 0,
-                    insertions: 0,
-                    evictions: 0,
-                    invalidations: 0,
-                    expirations: 0,
-                    len: 0,
-                    bytes: 0,
+                    counters: CacheMetrics {
+                        hits: 0,
+                        misses: 0,
+                        insertions: 0,
+                        evictions: 0,
+                        invalidations: 0,
+                        expirations: 0,
+                        len: 0,
+                        bytes: 0,
+                    },
                     capacity: 0,
                     byte_budget: None,
                     ttl_ms: None,
                 },
-                projection: WireProjectionStats {
+                projection: ProjectionStats {
                     builds: 0,
                     reuses: 0,
                     bytes: 0,
                 },
                 conn: WireConnStats {
-                    open: 0,
-                    peak_open: 0,
-                    frames_in: 0,
-                    frames_out: 0,
-                    bytes_in: 0,
-                    bytes_out: 0,
-                    idle_reaped: 0,
-                    backpressure: 0,
-                    queue_depth_peak: 0,
-                    queue_wait_us_total: 0,
-                    queue_wait_us_max: 0,
+                    counters: ConnStats {
+                        open: 0,
+                        peak_open: 0,
+                        frames_in: 0,
+                        frames_out: 0,
+                        bytes_in: 0,
+                        bytes_out: 0,
+                        idle_reaped: 0,
+                        backpressure: 0,
+                        queue_depth_peak: 0,
+                        queue_wait_us_total: 0,
+                        queue_wait_us_max: 0,
+                    },
                     backend: "poll".into(),
                 },
-                incremental: WireIncrementalStats {
+                incremental: IncrementalStats {
                     delta_batches: 0,
                     rows_appended: 0,
                     permutation_merges: 0,
                     snapshots_refrozen: 0,
                     fallback_rebuilds: 0,
                 },
-                storage: WireStorageStats::default(),
+                storage: StorageStats::default(),
             }))
             .encode(),
         )

@@ -1,12 +1,13 @@
 //! The readiness-driven connection layer.
 //!
 //! One reactor thread owns **every** socket of both fronts in non-blocking
-//! mode behind a `Poller` (epoll on Linux, a portable `poll(2)` fallback
-//! selectable with `UU_REACTOR=poll`). It performs buffered reads with
-//! incremental frame assembly — the line-JSON and pgwire framings are
-//! resumable state machines over per-connection read/write buffers, never
-//! blocking `read_line`/`read_exact` — and hands only *complete* requests to
-//! the worker pool in [`crate::server`]. Responses come back
+//! mode behind a `Poller`: epoll on Linux, `poll(2)` on other platforms
+//! (Linux test builds compile both, and a unit test drives each). It
+//! performs buffered reads with incremental frame assembly — the
+//! line-JSON and pgwire framings are resumable state machines over
+//! per-connection read/write buffers, never blocking
+//! `read_line`/`read_exact` — and hands only *complete* requests to the
+//! worker pool in [`crate::server`]. Responses come back
 //! as `Completion`s through a wakeup pipe and are flushed under
 //! `EPOLLOUT`-driven write backpressure.
 //!
@@ -34,11 +35,14 @@
 //! (nothing written, socket closed).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+#[cfg(any(test, not(target_os = "linux")))]
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,6 +50,7 @@ use crate::pgwire::{PgCodec, PgStep};
 use crate::protocol::{ErrorCode, Response, WireError};
 use crate::server::ServerState;
 use crate::service::SessionCtx;
+use uu_core::obs::ConnCounters;
 
 /// Unflushed-bytes threshold past which a connection's read interest is
 /// dropped until the peer drains its responses.
@@ -94,9 +99,13 @@ mod sys {
     #[cfg(target_os = "linux")]
     const EPOLL_CLOEXEC: i32 = 0o2000000;
 
+    #[cfg(any(test, not(target_os = "linux")))]
     pub const POLLIN: i16 = 0x001;
+    #[cfg(any(test, not(target_os = "linux")))]
     pub const POLLOUT: i16 = 0x004;
+    #[cfg(any(test, not(target_os = "linux")))]
     pub const POLLERR: i16 = 0x008;
+    #[cfg(any(test, not(target_os = "linux")))]
     pub const POLLHUP: i16 = 0x010;
 
     #[cfg(target_os = "linux")]
@@ -116,6 +125,7 @@ mod sys {
     }
 
     /// `struct pollfd`.
+    #[cfg(any(test, not(target_os = "linux")))]
     #[repr(C)]
     #[derive(Clone, Copy)]
     pub struct PollFd {
@@ -137,11 +147,15 @@ mod sys {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+        fn close(fd: i32) -> i32;
+    }
+
+    #[cfg(any(test, not(target_os = "linux")))]
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
     }
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
-        fn close(fd: i32) -> i32;
         fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
         fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
     }
@@ -189,6 +203,7 @@ mod sys {
     }
 
     /// Blocking `poll(2)` over `fds`; returns the ready count.
+    #[cfg(any(test, not(target_os = "linux")))]
     pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
         // SAFETY: the pointer and length describe the live slice; the kernel
         // writes only `revents`.
@@ -197,6 +212,7 @@ mod sys {
     }
 
     /// Closes a raw fd the module itself opened (the epoll instance).
+    #[cfg(target_os = "linux")]
     pub fn close_fd(fd: i32) {
         // SAFETY: only called on fds owned by this module, exactly once.
         unsafe {
@@ -241,7 +257,7 @@ pub fn raise_nofile_limit(target: u64) -> io::Result<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Poller: epoll with a poll(2) fallback
+// Poller: epoll on Linux, poll(2) elsewhere
 // ---------------------------------------------------------------------------
 
 /// One readiness event, backend-agnostic. Hangups and errors are folded into
@@ -260,12 +276,21 @@ enum Backend {
         epfd: RawFd,
         buf: Vec<sys::EpollEvent>,
     },
-    /// Portable fallback: interest map rebuilt into a `pollfd` array per
-    /// wait. Selected with `UU_REACTOR=poll` (and on non-Linux targets).
+    /// Portable `poll(2)`: interest map rebuilt into a `pollfd` array per
+    /// wait. The backend on other platforms; on Linux, built for tests only.
+    #[cfg(any(test, not(target_os = "linux")))]
     Poll {
         interest: HashMap<usize, (RawFd, bool, bool)>,
     },
 }
+
+/// The readiness backend [`Poller::new`] picks on this platform, reported
+/// in `stats.conn.backend`.
+pub(crate) const BACKEND: &str = if cfg!(target_os = "linux") {
+    "epoll"
+} else {
+    "poll"
+};
 
 /// A minimal readiness poller over raw fds, keyed by caller tokens.
 pub(crate) struct Poller {
@@ -273,33 +298,31 @@ pub(crate) struct Poller {
 }
 
 impl Poller {
-    /// Picks the platform backend; `UU_REACTOR=poll` forces the fallback.
+    /// The platform backend: epoll on Linux, `poll(2)` elsewhere.
     pub fn new() -> io::Result<Poller> {
-        let force_poll = std::env::var("UU_REACTOR").is_ok_and(|v| v == "poll");
         #[cfg(target_os = "linux")]
-        if !force_poll {
-            let epfd = sys::epoll_create()?;
-            return Ok(Poller {
-                backend: Backend::Epoll {
-                    epfd,
-                    buf: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
-                },
-            });
-        }
-        let _ = force_poll;
+        let poller = Poller::epoll()?;
+        #[cfg(not(target_os = "linux"))]
+        let poller = Poller::poll();
+        Ok(poller)
+    }
+
+    #[cfg(target_os = "linux")]
+    fn epoll() -> io::Result<Poller> {
         Ok(Poller {
-            backend: Backend::Poll {
-                interest: HashMap::new(),
+            backend: Backend::Epoll {
+                epfd: sys::epoll_create()?,
+                buf: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
             },
         })
     }
 
-    /// The backend's name, reported in `stats.conn.backend`.
-    pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { .. } => "epoll",
-            Backend::Poll { .. } => "poll",
+    #[cfg(any(test, not(target_os = "linux")))]
+    fn poll() -> Poller {
+        Poller {
+            backend: Backend::Poll {
+                interest: HashMap::new(),
+            },
         }
     }
 
@@ -332,6 +355,7 @@ impl Poller {
                 };
                 sys::epoll_control(*epfd, sys::EPOLL_CTL_ADD, fd, Some(&mut ev))
             }
+            #[cfg(any(test, not(target_os = "linux")))]
             Backend::Poll { interest } => {
                 interest.insert(token, (fd, readable, writable));
                 Ok(())
@@ -356,6 +380,7 @@ impl Poller {
                 };
                 sys::epoll_control(*epfd, sys::EPOLL_CTL_MOD, fd, Some(&mut ev))
             }
+            #[cfg(any(test, not(target_os = "linux")))]
             Backend::Poll { interest } => {
                 interest.insert(token, (fd, readable, writable));
                 Ok(())
@@ -370,7 +395,9 @@ impl Poller {
             #[cfg(target_os = "linux")]
             Backend::Epoll { epfd, .. } => {
                 let _ = sys::epoll_control(*epfd, sys::EPOLL_CTL_DEL, fd, None);
+                let _ = token;
             }
+            #[cfg(any(test, not(target_os = "linux")))]
             Backend::Poll { interest } => {
                 interest.remove(&token);
                 let _ = fd;
@@ -405,6 +432,7 @@ impl Poller {
                 }
                 Ok(())
             }
+            #[cfg(any(test, not(target_os = "linux")))]
             Backend::Poll { interest } => {
                 let mut fds = Vec::with_capacity(interest.len());
                 let mut tokens = Vec::with_capacity(interest.len());
@@ -449,9 +477,11 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Backend::Epoll { epfd, .. } = &self.backend {
-            sys::close_fd(*epfd);
+        match &self.backend {
+            #[cfg(target_os = "linux")]
+            Backend::Epoll { epfd, .. } => sys::close_fd(*epfd),
+            #[cfg(any(test, not(target_os = "linux")))]
+            Backend::Poll { .. } => {}
         }
     }
 }
@@ -701,6 +731,11 @@ impl Reactor {
         self.listeners.len() + 1
     }
 
+    /// The connection-layer counters of `stats`.
+    fn counters(&self) -> &ConnCounters {
+        self.state.service().conn()
+    }
+
     pub fn new(
         state: Arc<ServerState>,
         listeners: Vec<(TcpListener, FrontKind)>,
@@ -714,7 +749,6 @@ impl Reactor {
         }
         wake_rx.set_nonblocking(true)?;
         poller.register(wake_rx.as_raw_fd(), listeners.len(), true, false)?;
-        state.service().set_reactor_backend(poller.backend_name());
         let max_frame = state.service().max_frame_bytes();
         Ok(Reactor {
             state,
@@ -878,7 +912,9 @@ impl Reactor {
             }
         }
         if total > 0 {
-            self.state.service().note_bytes_in(total as u64);
+            self.counters()
+                .bytes_in
+                .fetch_add(total as u64, Ordering::Relaxed);
         }
     }
 
@@ -915,7 +951,7 @@ impl Reactor {
                             conn.write_buf.extend_from_slice(encoded.as_bytes());
                             conn.closing = true;
                             self.state.service().note_error();
-                            self.state.service().note_frame_out();
+                            self.counters().frames_out.fetch_add(1, Ordering::Relaxed);
                             return;
                         }
                     }
@@ -934,13 +970,13 @@ impl Reactor {
                         Some(PgStep::Reply(bytes)) => {
                             conn.write_buf.extend_from_slice(&bytes);
                             self.note_frame(slot);
-                            self.state.service().note_frame_out();
+                            self.counters().frames_out.fetch_add(1, Ordering::Relaxed);
                         }
                         Some(PgStep::ErrorReply(bytes)) => {
                             conn.write_buf.extend_from_slice(&bytes);
                             self.note_frame(slot);
                             self.state.service().note_error();
-                            self.state.service().note_frame_out();
+                            self.counters().frames_out.fetch_add(1, Ordering::Relaxed);
                         }
                         Some(PgStep::Query) => {
                             self.note_frame(slot);
@@ -957,7 +993,7 @@ impl Reactor {
                             conn.write_buf.extend_from_slice(&bytes);
                             conn.closing = true;
                             self.state.service().note_error();
-                            self.state.service().note_frame_out();
+                            self.counters().frames_out.fetch_add(1, Ordering::Relaxed);
                             return;
                         }
                     }
@@ -972,7 +1008,7 @@ impl Reactor {
         let conn = self.conns[slot].as_mut().expect("checked live");
         conn.last_frame = now;
         let generation = conn.generation;
-        self.state.service().note_frame_in();
+        self.counters().frames_in.fetch_add(1, Ordering::Relaxed);
         if let Some(timeout) = self.idle_timeout {
             self.deadlines.push(now + timeout, slot, generation);
         }
@@ -1021,7 +1057,7 @@ impl Reactor {
         if c.close {
             conn.closing = true;
         }
-        self.state.service().note_frame_out();
+        self.counters().frames_out.fetch_add(1, Ordering::Relaxed);
         self.flush(c.slot);
         if self.conns[c.slot].is_some() {
             self.pump(c.slot);
@@ -1062,7 +1098,9 @@ impl Reactor {
             }
         }
         if total > 0 {
-            self.state.service().note_bytes_out(total as u64);
+            self.counters()
+                .bytes_out
+                .fetch_add(total as u64, Ordering::Relaxed);
         }
     }
 
@@ -1103,7 +1141,7 @@ impl Reactor {
             reregister = Some(conn.stream.as_raw_fd());
         }
         if tripped {
-            self.state.service().note_backpressure();
+            self.counters().backpressure.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(fd) = reregister {
             if self
@@ -1123,7 +1161,7 @@ impl Reactor {
         let token = self.conn_base() + slot;
         self.poller.deregister(conn.stream.as_raw_fd(), token);
         self.free.push(slot);
-        self.state.service().connection_closed();
+        self.counters().open.fetch_sub(1, Ordering::Relaxed);
         // Dropping `conn` closes the socket.
     }
 
@@ -1153,7 +1191,7 @@ impl Reactor {
                 continue;
             }
             // Reap: answer nothing, close cleanly.
-            self.state.service().note_idle_reaped();
+            self.counters().idle_reaped.fetch_add(1, Ordering::Relaxed);
             self.close_conn(slot);
         }
     }
@@ -1278,17 +1316,10 @@ mod tests {
     #[test]
     fn poller_reports_readiness_on_both_backends() {
         // The wakeup-pipe shape: a UnixStream pair, read end registered.
-        for force_poll in [false, true] {
-            if force_poll {
-                std::env::set_var("UU_REACTOR", "poll");
-            } else {
-                std::env::remove_var("UU_REACTOR");
-            }
-            let mut poller = Poller::new().expect("poller");
-            if force_poll {
-                assert_eq!(poller.backend_name(), "poll");
-                std::env::remove_var("UU_REACTOR");
-            }
+        let mut backends = vec![Poller::poll()];
+        #[cfg(target_os = "linux")]
+        backends.push(Poller::epoll().expect("epoll"));
+        for mut poller in backends {
             let (mut tx, rx) = UnixStream::pair().expect("socketpair");
             rx.set_nonblocking(true).expect("nonblocking");
             poller

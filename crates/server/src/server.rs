@@ -188,7 +188,8 @@ impl ServerState {
         queue.push_back(work);
         let depth = queue.len() as u64;
         drop(queue);
-        self.service.note_queue_depth(depth);
+        let conn = self.service.conn();
+        conn.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
         self.work_ready.notify_one();
     }
 
@@ -306,10 +307,10 @@ pub fn spawn_with_catalog(config: ServerConfig, mut catalog: Catalog) -> io::Res
             };
             let store = Store::open(dir, config.fsync, rows, bytes).map_err(store_io)?;
             let report = store.recover(&mut catalog).map_err(store_io)?;
-            if report.tables > 0 || report.replayed_records > 0 {
+            if report.recovered_tables > 0 || report.replayed_records > 0 {
                 eprintln!(
                     "uu-server: recovered {} table(s) from {}, replayed {} WAL record(s)",
-                    report.tables,
+                    report.recovered_tables,
                     dir.display(),
                     report.replayed_records,
                 );

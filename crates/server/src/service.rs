@@ -38,12 +38,12 @@ use crate::json::Json;
 use crate::protocol::{
     ErrorCode, GroupReply, LoadCsvRequest, MetricsReply, QueryReply, QueryRequest, Request,
     Response, ServerInfoReply, StatsReply, Wire, WireCacheStats, WireConnStats, WireError,
-    WireEstimate, WireProjectionStats, WireResult, WireSessionStats, WireSpan, WireStageMetrics,
-    WireValue, PROTOCOL_VERSION,
+    WireEstimate, WireResult, WireSessionStats, WireSpan, WireStageMetrics, WireValue,
+    PROTOCOL_VERSION,
 };
 use uu_core::engine::{EstimationSession, EstimatorKind};
 use uu_core::obs;
-use uu_core::obs::{Stage, Verb};
+use uu_core::obs::{ConnCounters, ServiceCounters, Stage, Verb};
 use uu_query::catalog::Catalog;
 use uu_query::csv::parse_observations;
 use uu_query::exec::{CorrectionMethod, GroupResult, SelectionSnapshots};
@@ -125,9 +125,8 @@ pub struct Service {
     started: Instant,
     workers: AtomicU64,
     fronts: Mutex<Vec<String>>,
-    connections: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
+    counters: ServiceCounters,
+    /// Maintained by the reactor, the I/O thread that owns every socket.
     conn: ConnCounters,
     slow_query: Mutex<Option<SlowQueryLog>>,
     store: Mutex<Option<Arc<Store>>>,
@@ -141,26 +140,6 @@ pub struct Service {
 struct SlowQueryLog {
     threshold: Duration,
     sink: Box<dyn Write + Send>,
-}
-
-/// Connection-layer counters maintained by the reactor (the I/O thread that
-/// owns every socket): live/peak gauges, frame and byte totals, idle reaps
-/// and write-backpressure trips. All relaxed — these are monotone metrics,
-/// not synchronization.
-#[derive(Default)]
-struct ConnCounters {
-    open: AtomicU64,
-    peak_open: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    idle_reaped: AtomicU64,
-    backpressure: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    queue_wait_us_total: AtomicU64,
-    queue_wait_us_max: AtomicU64,
-    backend: Mutex<String>,
 }
 
 impl Service {
@@ -178,9 +157,7 @@ impl Service {
             started: Instant::now(),
             workers: AtomicU64::new(0),
             fronts: Mutex::new(Vec::new()),
-            connections: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
+            counters: ServiceCounters::default(),
             conn: ConnCounters::default(),
             slow_query: Mutex::new(None),
             store: Mutex::new(None),
@@ -208,60 +185,14 @@ impl Service {
     /// Counts one accepted connection (any front) and moves the live/peak
     /// gauges.
     pub fn connection_opened(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
+        self.counters.connections.fetch_add(1, Ordering::Relaxed);
         let now_open = self.conn.open.fetch_add(1, Ordering::Relaxed) + 1;
         self.conn.peak_open.fetch_max(now_open, Ordering::Relaxed);
     }
 
-    /// Moves the live-connection gauge back down when a connection closes
-    /// (peer hangup, fatal framing error, idle reap, shutdown drain).
-    pub fn connection_closed(&self) {
-        self.conn.open.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records which readiness backend the reactor selected (`epoll` or
-    /// `poll`), reported by `stats`.
-    pub fn set_reactor_backend(&self, name: &str) {
-        *self.conn.backend.lock().expect("backend lock") = name.to_string();
-    }
-
-    /// Counts one complete inbound frame (a JSON line or a pgwire message).
-    pub fn note_frame_in(&self) {
-        self.conn.frames_in.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one queued outbound reply.
-    pub fn note_frame_out(&self) {
-        self.conn.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds to the inbound byte total.
-    pub fn note_bytes_in(&self, n: u64) {
-        self.conn.bytes_in.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds to the outbound byte total.
-    pub fn note_bytes_out(&self, n: u64) {
-        self.conn.bytes_out.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one connection closed by the idle-timeout reaper.
-    pub fn note_idle_reaped(&self) {
-        self.conn.idle_reaped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one write-backpressure trip (a connection's unflushed output
-    /// crossed the high-water mark and its reads were paused).
-    pub fn note_backpressure(&self) {
-        self.conn.backpressure.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Moves the reactor work-queue high-water mark: `depth` is the queue
-    /// length observed right after an enqueue.
-    pub fn note_queue_depth(&self, depth: u64) {
-        self.conn
-            .queue_depth_peak
-            .fetch_max(depth, Ordering::Relaxed);
+    /// The connection-layer counters, bumped by the reactor.
+    pub(crate) fn conn(&self) -> &ConnCounters {
+        &self.conn
     }
 
     /// Records the time one request spent parked in the reactor's work queue
@@ -306,61 +237,26 @@ impl Service {
     }
 
     /// Renders the Prometheus text-format exposition: the per-(verb, stage)
-    /// latency histograms from [`uu_core::obs`] plus the server-wide request
-    /// and connection gauges. This is the body the `--metrics-port` HTTP
-    /// front serves; keeping the rendering here means an embedded caller can
-    /// scrape without a socket.
+    /// latency histograms from [`uu_core::obs`] plus every numeric counter
+    /// of [`Service::stats`], named by [`obs::CounterField::metric_name`].
+    /// This is the body the `--metrics-port` HTTP front serves; keeping the
+    /// rendering here means an embedded caller can scrape without a socket.
     pub fn render_prometheus(&self) -> String {
+        let stats = self.stats();
         let mut out = obs::render_prometheus(&obs::snapshot());
-        let series: [(&str, &str, u64); 6] = [
-            (
-                "uu_connections_open",
-                "Connections currently open across all fronts.",
-                self.conn.open.load(Ordering::Relaxed),
-            ),
-            (
-                "uu_connections_peak",
-                "High-water mark of concurrently open connections.",
-                self.conn.peak_open.load(Ordering::Relaxed),
-            ),
-            (
-                "uu_queue_depth_peak",
-                "High-water mark of the reactor work-queue depth.",
-                self.conn.queue_depth_peak.load(Ordering::Relaxed),
-            ),
-            (
-                "uu_requests_total",
-                "Requests dispatched since startup.",
-                self.requests.load(Ordering::Relaxed),
-            ),
-            (
-                "uu_errors_total",
-                "Error responses since startup.",
-                self.errors.load(Ordering::Relaxed),
-            ),
-            (
-                "uu_queue_wait_microseconds_total",
-                "Total time requests spent queued before a worker picked them up.",
-                self.conn.queue_wait_us_total.load(Ordering::Relaxed),
-            ),
-        ];
-        for (name, help, value) in series {
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-            ));
-        }
+        obs::render_counters(&mut out, None, &stats.service);
+        obs::render_counters(&mut out, Some("cache"), &stats.cache.counters);
+        obs::render_counters(&mut out, Some("projection"), &stats.projection);
+        obs::render_counters(&mut out, Some("conn"), &stats.conn.counters);
+        obs::render_counters(&mut out, Some("incremental"), &stats.incremental);
+        obs::render_counters(&mut out, Some("storage"), &stats.storage);
         out
     }
 
     /// Counts an error produced by a front outside [`Service::dispatch`]
     /// (e.g. an oversized frame answered at the framing layer).
     pub fn note_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Decodes and dispatches one request line — the framing-free entry the
@@ -384,8 +280,8 @@ impl Service {
         match Request::decode(line) {
             Ok(request) => self.dispatch_timed(ctx, request, queue_wait),
             Err(e) => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                self.errors.fetch_add(1, Ordering::Relaxed);
+                self.counters.requests.fetch_add(1, Ordering::Relaxed);
+                self.counters.errors.fetch_add(1, Ordering::Relaxed);
                 Response::Error(WireError::new(ErrorCode::MalformedRequest, e.to_string()))
             }
         }
@@ -399,17 +295,17 @@ impl Service {
 
     /// [`Service::dispatch`] plus the observability envelope: attributes the
     /// request to its [`Verb`], opens the `request` umbrella span, decides
-    /// whether to capture a span tree (client asked via `"trace": true`,
-    /// `UU_TRACE=1` is set, or the slow-query log is armed), attaches the
-    /// tree to traced query replies, and emits the slow-query record when
-    /// the threshold is crossed.
+    /// whether to capture a span tree (the client asked via `"trace": true`,
+    /// or the slow-query log is armed), attaches the tree to traced query
+    /// replies, and emits the slow-query record when the threshold is
+    /// crossed.
     pub fn dispatch_timed(
         &self,
         ctx: &mut SessionCtx,
         request: Request,
         queue_wait: Option<Duration>,
     ) -> Response {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let verb = verb_of(&request);
         let _verb_scope = obs::verb_scope(verb);
         if let Some(wait) = queue_wait {
@@ -417,8 +313,7 @@ impl Service {
         }
 
         let is_query = matches!(request, Request::Query(_) | Request::ExecutePrepared { .. });
-        let wants_trace = matches!(&request, Request::Query(q) if q.trace)
-            || (is_query && obs::env_trace_enabled());
+        let wants_trace = matches!(&request, Request::Query(q) if q.trace);
         let slow_armed = is_query && self.slow_query_threshold().is_some();
         let tracing = (wants_trace || slow_armed) && obs::trace_begin();
         if let Some(wait) = queue_wait {
@@ -445,7 +340,7 @@ impl Service {
             self.maybe_log_slow(verb, slow_session.as_deref(), &response, trace.as_ref());
         }
         if matches!(response, Response::Error(_)) {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+            self.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
         response
     }
@@ -980,8 +875,6 @@ impl Service {
     pub fn stats(&self) -> StatsReply {
         let catalog = self.catalog.read().expect("catalog lock");
         let cache = catalog.cache();
-        let cache_metrics = cache.metrics();
-        let (projection_builds, projection_reuses, projection_bytes) = catalog.projection_stats();
         let sessions = self
             .sessions
             .lock()
@@ -1004,42 +897,19 @@ impl Service {
                 .map(str::to_string)
                 .collect(),
             workers: self.workers.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
+            service: self.counters.snapshot(),
             uptime_ms: self.started.elapsed().as_millis() as u64,
             sessions,
             cache: WireCacheStats {
-                hits: cache_metrics.hits,
-                misses: cache_metrics.misses,
-                insertions: cache_metrics.insertions,
-                evictions: cache_metrics.evictions,
-                invalidations: cache_metrics.invalidations,
-                expirations: cache_metrics.expirations,
-                len: cache_metrics.len as u64,
-                bytes: cache_metrics.bytes as u64,
+                counters: cache.metrics(),
                 capacity: cache.capacity() as u64,
                 byte_budget: cache.byte_budget().map(|b| b as f64),
                 ttl_ms: cache.ttl().map(|t| t.as_secs_f64() * 1e3),
             },
-            projection: WireProjectionStats {
-                builds: projection_builds,
-                reuses: projection_reuses,
-                bytes: projection_bytes as u64,
-            },
+            projection: catalog.projection_stats(),
             conn: WireConnStats {
-                open: self.conn.open.load(Ordering::Relaxed),
-                peak_open: self.conn.peak_open.load(Ordering::Relaxed),
-                frames_in: self.conn.frames_in.load(Ordering::Relaxed),
-                frames_out: self.conn.frames_out.load(Ordering::Relaxed),
-                bytes_in: self.conn.bytes_in.load(Ordering::Relaxed),
-                bytes_out: self.conn.bytes_out.load(Ordering::Relaxed),
-                idle_reaped: self.conn.idle_reaped.load(Ordering::Relaxed),
-                backpressure: self.conn.backpressure.load(Ordering::Relaxed),
-                queue_depth_peak: self.conn.queue_depth_peak.load(Ordering::Relaxed),
-                queue_wait_us_total: self.conn.queue_wait_us_total.load(Ordering::Relaxed),
-                queue_wait_us_max: self.conn.queue_wait_us_max.load(Ordering::Relaxed),
-                backend: self.conn.backend.lock().expect("backend lock").clone(),
+                counters: self.conn.snapshot(),
+                backend: crate::reactor::BACKEND.to_string(),
             },
             incremental: catalog.incremental_stats(),
             storage: self.store().map(|store| store.stats()).unwrap_or_default(),

@@ -25,6 +25,16 @@
 //! so every nested span lands in its trace; a span recorded on any other
 //! thread (one a library caller spawned itself) degrades gracefully to a
 //! histogram-only record.
+//!
+//! # The counter registry
+//!
+//! Every numeric counter of the server's `stats` reply is declared once,
+//! at the bottom of this module, in a `counters!` block: a field name, its
+//! doc comment (the Prometheus help text) and its [`CounterKind`],
+//! `Counter` (only grows) or `Gauge`. Each block yields a plain snapshot struct of `u64`s
+//! (e.g. [`CacheMetrics`]), its live twin of `AtomicU64`s (e.g.
+//! [`CacheCounters`], with a `snapshot()` method) and the [`CounterBlock`]
+//! field table that the wire codec and [`render_counters`] both walk.
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -540,17 +550,6 @@ pub fn trace_push_complete(stage: Stage, duration: Duration) {
     });
 }
 
-/// Whether the `UU_TRACE` environment variable requests tracing every query
-/// (values `1`, `true`, `on`; checked once per process).
-pub fn env_trace_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("UU_TRACE")
-            .map(|v| matches!(v.as_str(), "1" | "true" | "on"))
-            .unwrap_or(false)
-    })
-}
-
 /// Times a stage from construction to drop; see [`span`].
 pub struct SpanGuard {
     stage: Stage,
@@ -689,6 +688,247 @@ fn format_seconds(ns: u64) -> String {
     // Shortest round-trip float formatting keeps 250ns = 2.5e-7 exact and
     // monotone (every bound is a distinct f64).
     format!("{secs}")
+}
+
+/// How a declared counter moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterKind {
+    /// Only grows from startup on; exported with a `_total` suffix.
+    Counter,
+    /// A current level or a high-water mark; exported as is.
+    Gauge,
+}
+
+impl CounterKind {
+    /// The Prometheus `# TYPE` of the kind.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CounterKind::Counter => "counter",
+            CounterKind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One declared counter: its name, help text and kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterField {
+    /// The field name, which is also its `stats` wire key.
+    pub name: &'static str,
+    /// The field's doc comment, exported as the Prometheus help text.
+    pub help: &'static str,
+    /// Counter or gauge.
+    pub kind: CounterKind,
+}
+
+impl CounterField {
+    /// The Prometheus series name: `uu_<block>_<field>` (`uu_<field>` for a
+    /// top-level field), plus `_total` for a counter whose name does not
+    /// already end in it.
+    pub fn metric_name(&self, block: Option<&str>) -> String {
+        let mut name = match block {
+            Some(block) => format!("uu_{block}_{}", self.name),
+            None => format!("uu_{}", self.name),
+        };
+        if self.kind == CounterKind::Counter && !name.ends_with("_total") {
+            name.push_str("_total");
+        }
+        name
+    }
+}
+
+/// A snapshot struct declared through `counters!`.
+pub trait CounterBlock: Default {
+    /// The declared fields, in declaration order (the order of the keys on
+    /// the wire).
+    const FIELDS: &'static [CounterField];
+
+    /// The field values, in [`CounterBlock::FIELDS`] order.
+    fn values(&self) -> Vec<u64>;
+
+    /// The fields themselves, in [`CounterBlock::FIELDS`] order.
+    fn values_mut(&mut self) -> Vec<&mut u64>;
+
+    /// Adds `other` field by field (e.g. to total per-table blocks).
+    fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.values_mut().into_iter().zip(other.values()) {
+            *mine += theirs;
+        }
+    }
+}
+
+/// Appends one `# HELP` / `# TYPE` / sample triple per field of `counters`
+/// to a Prometheus text exposition. `block` is the block's key in the
+/// `stats` reply, `None` for top-level fields.
+pub fn render_counters<T: CounterBlock>(out: &mut String, block: Option<&str>, counters: &T) {
+    use std::fmt::Write as _;
+    for (field, value) in T::FIELDS.iter().zip(counters.values()) {
+        let name = field.metric_name(block);
+        let _ = writeln!(
+            out,
+            "# HELP {name} {}\n# TYPE {name} {}\n{name} {value}",
+            field.help.trim(),
+            field.kind.as_str()
+        );
+    }
+}
+
+/// Declares counter blocks: `pub struct Snapshot / Live { <doc> field: Kind, … }`
+/// with `Kind` a [`CounterKind`]. See the module docs.
+macro_rules! counters {
+    ($(
+        $(#[doc = $doc:literal])*
+        pub struct $snapshot:ident / $live:ident {
+            $($(#[doc = $fdoc:literal])+ $field:ident: $kind:ident,)+
+        }
+    )+) => {$(
+        $(#[doc = $doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $snapshot {
+            $($(#[doc = $fdoc])+ pub $field: u64,)+
+        }
+
+        #[doc = concat!("The live, relaxed atomics behind [`", stringify!($snapshot), "`].")]
+        #[derive(Debug, Default)]
+        pub struct $live {
+            $($(#[doc = $fdoc])+ pub $field: AtomicU64,)+
+        }
+
+        impl $live {
+            /// A point-in-time copy of every counter.
+            pub fn snapshot(&self) -> $snapshot {
+                $snapshot {
+                    $($field: self.$field.load(Ordering::Relaxed),)+
+                }
+            }
+        }
+
+        impl CounterBlock for $snapshot {
+            const FIELDS: &'static [CounterField] = &[$(CounterField {
+                name: stringify!($field),
+                help: concat!($($fdoc),+),
+                kind: CounterKind::$kind,
+            },)+];
+
+            fn values(&self) -> Vec<u64> {
+                vec![$(self.$field),+]
+            }
+
+            fn values_mut(&mut self) -> Vec<&mut u64> {
+                vec![$(&mut self.$field),+]
+            }
+        }
+    )+};
+}
+
+counters! {
+    /// The server-wide request counters: the top-level numbers of `stats`.
+    pub struct ServiceStats / ServiceCounters {
+        /// Connections accepted since startup, across all fronts.
+        connections: Counter,
+        /// Requests dispatched since startup.
+        requests: Counter,
+        /// Requests answered with an error.
+        errors: Counter,
+    }
+
+    /// A point-in-time snapshot of a profile cache's counters.
+    pub struct CacheMetrics / CacheCounters {
+        /// Lookups that found a live entry.
+        hits: Counter,
+        /// Lookups that found nothing (the caller then builds and inserts).
+        misses: Counter,
+        /// Entries inserted.
+        insertions: Counter,
+        /// Entries evicted by the capacity or byte-budget bound, least
+        /// recently used first.
+        evictions: Counter,
+        /// Entries dropped by an explicit table invalidation or a clear.
+        invalidations: Counter,
+        /// Entries dropped on lookup because they outlived the configured
+        /// TTL (those lookups also count as misses).
+        expirations: Counter,
+        /// Live entries.
+        len: Gauge,
+        /// Accounted bytes of the live entries (0 for unweighted inserts).
+        bytes: Gauge,
+    }
+
+    /// Column-store counters, totalled over every registered table. The
+    /// `stats` key keeps the `projection` spelling of protocol revision 3.
+    pub struct ProjectionStats / ProjectionCounters {
+        /// Tables whose columns were written from persisted rows: one per
+        /// table restored from a snapshot.
+        builds: Counter,
+        /// Reads served by the columns.
+        reuses: Counter,
+        /// Bytes of the column stores.
+        bytes: Gauge,
+    }
+
+    /// Connection-layer (reactor) counters.
+    pub struct ConnStats / ConnCounters {
+        /// Connections currently open.
+        open: Gauge,
+        /// High-water mark of concurrently open connections.
+        peak_open: Gauge,
+        /// Complete inbound frames assembled (JSON lines and pgwire
+        /// messages).
+        frames_in: Counter,
+        /// Outbound replies queued.
+        frames_out: Counter,
+        /// Bytes read off sockets.
+        bytes_in: Counter,
+        /// Bytes written to sockets.
+        bytes_out: Counter,
+        /// Connections closed by the idle-timeout reaper.
+        idle_reaped: Counter,
+        /// Write-backpressure trips (reads paused at the high-water mark).
+        backpressure: Counter,
+        /// High-water mark of frames waiting in the worker queue.
+        queue_depth_peak: Gauge,
+        /// Total microseconds frames spent queued before a worker picked
+        /// them up.
+        queue_wait_us_total: Counter,
+        /// Largest single queue wait in microseconds.
+        queue_wait_us_max: Gauge,
+    }
+
+    /// Incremental-maintenance counters, aggregated over every append
+    /// served since startup.
+    pub struct IncrementalStats / IncrementalCounters {
+        /// Append batches applied through the delta path.
+        delta_batches: Counter,
+        /// Observations accepted by those batches.
+        rows_appended: Counter,
+        /// Sort permutations absorbed by merge instead of a re-sort.
+        permutation_merges: Counter,
+        /// Per-universe profile snapshots re-frozen from delta rows alone.
+        snapshots_refrozen: Counter,
+        /// Cached selections dropped to a rebuild instead (stale version, a
+        /// predicate that no longer evaluates, or a grouped selection with
+        /// a touched row).
+        fallback_rebuilds: Counter,
+    }
+
+    /// Durability-layer counters (all zeros without a data directory).
+    pub struct StorageStats / StorageCounters {
+        /// WAL records appended since startup.
+        wal_records: Counter,
+        /// Framed WAL bytes appended since startup.
+        wal_bytes: Counter,
+        /// fsync and fdatasync calls issued, WAL and snapshot files alike.
+        fsyncs: Counter,
+        /// Checkpoints completed (threshold-triggered, explicit, or at
+        /// shutdown).
+        checkpoints: Counter,
+        /// Tables restored from snapshots at startup.
+        recovered_tables: Counter,
+        /// WAL records replayed at startup (applied, or recognized as
+        /// already inside a snapshot).
+        replayed_records: Counter,
+        /// Torn tail bytes truncated from the WAL at startup.
+        truncated_tail_bytes: Counter,
+    }
 }
 
 #[cfg(test)]
@@ -841,6 +1081,63 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn counter_series_names_follow_one_rule() {
+        let field = |name, kind| CounterField {
+            name,
+            help: "",
+            kind,
+        };
+        let hits = field("hits", CounterKind::Counter);
+        assert_eq!(hits.metric_name(Some("cache")), "uu_cache_hits_total");
+        let waited = field("queue_wait_us_total", CounterKind::Counter);
+        assert_eq!(
+            waited.metric_name(Some("conn")),
+            "uu_conn_queue_wait_us_total"
+        );
+        let open = field("open", CounterKind::Gauge);
+        assert_eq!(open.metric_name(Some("conn")), "uu_conn_open");
+        let requests = field("requests", CounterKind::Counter);
+        assert_eq!(requests.metric_name(None), "uu_requests_total");
+    }
+
+    #[test]
+    fn a_declared_block_snapshots_merges_and_renders_its_fields() {
+        let live = CacheCounters::default();
+        live.hits.fetch_add(3, Ordering::Relaxed);
+        live.len.store(2, Ordering::Relaxed);
+        let mut snap = live.snapshot();
+        assert_eq!(snap.values(), [3, 0, 0, 0, 0, 0, 2, 0]);
+        let names: Vec<&str> = CacheMetrics::FIELDS.iter().map(|f| f.name).collect();
+        assert_eq!(
+            names,
+            [
+                "hits",
+                "misses",
+                "insertions",
+                "evictions",
+                "invalidations",
+                "expirations",
+                "len",
+                "bytes"
+            ]
+        );
+        assert_eq!(
+            CacheMetrics::FIELDS[3].help.trim(),
+            "Entries evicted by the capacity or byte-budget bound, least recently used first."
+        );
+        let mut text = String::new();
+        render_counters(&mut text, Some("cache"), &snap);
+        assert!(text.starts_with(
+            "# HELP uu_cache_hits_total Lookups that found a live entry.\n\
+             # TYPE uu_cache_hits_total counter\nuu_cache_hits_total 3\n"
+        ));
+        assert!(text.contains("# TYPE uu_cache_len gauge\nuu_cache_len 2\n"));
+        assert_eq!(text.lines().count(), 3 * CacheMetrics::FIELDS.len());
+        snap.merge(&snap.clone());
+        assert_eq!((snap.hits, snap.len, snap.misses), (6, 4, 0));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod wal;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::record::{Batch, WalRecord};
@@ -34,6 +34,7 @@ use crate::snapshot::{
     read_snapshot, snapshot_files, write_snapshot, SelectionData, TableSnapshot, UniverseData,
 };
 use crate::wal::Wal;
+use uu_core::obs::{StorageCounters, StorageStats};
 use uu_core::profile::ProfileSnapshot;
 use uu_core::sample::SampleView;
 use uu_query::catalog::Catalog;
@@ -109,37 +110,6 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// Monotone storage counters, exposed through the server's `stats` verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StorageStats {
-    /// WAL records appended since startup.
-    pub wal_records: u64,
-    /// Framed WAL bytes appended since startup.
-    pub wal_bytes: u64,
-    /// `fsync`/`fdatasync` calls issued (WAL + snapshot files).
-    pub fsyncs: u64,
-    /// Checkpoints completed (threshold-triggered, explicit, or shutdown).
-    pub checkpoints: u64,
-    /// Tables restored from snapshots at startup.
-    pub recovered_tables: u64,
-    /// WAL records replayed at startup (applied or recognized as already
-    /// inside a snapshot).
-    pub replayed_records: u64,
-    /// Torn tail bytes truncated from the WAL at startup.
-    pub truncated_tail_bytes: u64,
-}
-
-/// What [`Store::recover`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RecoveryReport {
-    /// Tables restored from snapshot files.
-    pub tables: u64,
-    /// WAL records replayed.
-    pub replayed_records: u64,
-    /// Torn tail bytes truncated from the WAL.
-    pub truncated_tail_bytes: u64,
-}
-
 /// The durable catalog store: one data directory holding the observation
 /// WAL and one snapshot file per table. All mutating entry points are
 /// called while the caller holds the catalog lock (the service layer's
@@ -159,13 +129,8 @@ pub struct Store {
     /// one fixed temp file name.
     checkpointing: Mutex<()>,
     rows_since_checkpoint: AtomicU64,
-    wal_records: AtomicU64,
-    wal_bytes: AtomicU64,
-    snapshot_fsyncs: AtomicU64,
-    checkpoints: AtomicU64,
-    recovered_tables: AtomicU64,
-    replayed_records: AtomicU64,
-    truncated_tail_bytes: AtomicU64,
+    /// Shared with the WAL, which bumps `fsyncs` beside the snapshot writer.
+    counters: Arc<StorageCounters>,
 }
 
 impl Store {
@@ -182,7 +147,11 @@ impl Store {
         std::fs::create_dir_all(&dir)?;
         let wal_path = dir.join("observations.wal");
         let scan = wal::scan(&wal_path)?;
-        let wal = Wal::open(&wal_path, policy, scan.valid_len)?;
+        let counters = Arc::new(StorageCounters::default());
+        counters
+            .truncated_tail_bytes
+            .store(scan.torn_bytes, Ordering::Relaxed);
+        let wal = Wal::open(&wal_path, policy, scan.valid_len, Arc::clone(&counters))?;
         Ok(Store {
             dir,
             policy,
@@ -193,13 +162,7 @@ impl Store {
             last_checkpoint: Mutex::new(None),
             checkpointing: Mutex::new(()),
             rows_since_checkpoint: AtomicU64::new(0),
-            wal_records: AtomicU64::new(0),
-            wal_bytes: AtomicU64::new(0),
-            snapshot_fsyncs: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            recovered_tables: AtomicU64::new(0),
-            replayed_records: AtomicU64::new(0),
-            truncated_tail_bytes: AtomicU64::new(scan.torn_bytes),
+            counters,
         })
     }
 
@@ -218,8 +181,9 @@ impl Store {
     /// the restored table's fresh instance id; WAL appends then replay
     /// through [`Catalog::append_observations`], whose re-freeze loop
     /// carries those selections forward to the final version — exactly as
-    /// the live path did.
-    pub fn recover(&self, catalog: &mut Catalog) -> Result<RecoveryReport, StoreError> {
+    /// the live path did. Returns the storage counters afterwards
+    /// (`recovered_tables`, `replayed_records`, `truncated_tail_bytes`).
+    pub fn recover(&self, catalog: &mut Catalog) -> Result<StorageStats, StoreError> {
         for path in snapshot_files(&self.dir)? {
             let snap = read_snapshot(&path)?;
             let schema = Schema::new(snap.columns.clone());
@@ -258,7 +222,9 @@ impl Store {
             catalog
                 .restore_table(table, selections)
                 .map_err(|e| StoreError::Corrupt(format!("snapshot {}: {e}", path.display())))?;
-            self.recovered_tables.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .recovered_tables
+                .fetch_add(1, Ordering::Relaxed);
         }
 
         let payloads = std::mem::take(&mut *self.pending_replay.lock().expect("replay lock"));
@@ -320,20 +286,18 @@ impl Store {
                 }
             }
         }
-        self.replayed_records.store(replayed, Ordering::Relaxed);
+        self.counters
+            .replayed_records
+            .store(replayed, Ordering::Relaxed);
         self.rows_since_checkpoint.store(rows, Ordering::Relaxed);
-        Ok(RecoveryReport {
-            tables: self.recovered_tables.load(Ordering::Relaxed),
-            replayed_records: replayed,
-            truncated_tail_bytes: self.truncated_tail_bytes.load(Ordering::Relaxed),
-        })
+        Ok(self.stats())
     }
 
     fn log(&self, payload: Vec<u8>) -> Result<(), StoreError> {
         let mut wal = self.wal.lock().expect("wal lock");
         let bytes = wal.append(&payload)?;
-        self.wal_records.fetch_add(1, Ordering::Relaxed);
-        self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.counters.wal_records.fetch_add(1, Ordering::Relaxed);
+        self.counters.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
         Ok(())
     }
 
@@ -404,15 +368,14 @@ impl Store {
                     })
                     .collect(),
             };
-            let (written, syncs) = write_snapshot(&self.dir, snap, self.policy)?;
-            self.snapshot_fsyncs.fetch_add(syncs, Ordering::Relaxed);
+            let written = write_snapshot(&self.dir, snap, self.policy, &self.counters.fsyncs)?;
             tables += 1;
             bytes += written;
         }
         self.wal.lock().expect("wal lock").truncate()?;
         self.rows_since_checkpoint.store(0, Ordering::Relaxed);
         *self.last_checkpoint.lock().expect("checkpoint lock") = Some(Instant::now());
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok((tables, bytes))
     }
 
@@ -448,16 +411,7 @@ impl Store {
 
     /// The monotone storage counters.
     pub fn stats(&self) -> StorageStats {
-        let wal_syncs = self.wal.lock().expect("wal lock").syncs();
-        StorageStats {
-            wal_records: self.wal_records.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            fsyncs: wal_syncs + self.snapshot_fsyncs.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            recovered_tables: self.recovered_tables.load(Ordering::Relaxed),
-            replayed_records: self.replayed_records.load(Ordering::Relaxed),
-            truncated_tail_bytes: self.truncated_tail_bytes.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 
@@ -536,7 +490,7 @@ mod tests {
         let reopened = Store::open(&dir, FsyncPolicy::Off, u64::MAX, u64::MAX).unwrap();
         let mut recovered = Catalog::new();
         let report = reopened.recover(&mut recovered).unwrap();
-        assert_eq!(report.tables, 0);
+        assert_eq!(report.recovered_tables, 0);
         assert_eq!(report.replayed_records, 3);
         assert_eq!(report.truncated_tail_bytes, 0);
         assert_eq!(
@@ -563,7 +517,7 @@ mod tests {
         let reopened = Store::open(&dir, FsyncPolicy::Off, u64::MAX, u64::MAX).unwrap();
         let mut recovered = Catalog::new();
         let report = reopened.recover(&mut recovered).unwrap();
-        assert_eq!(report.tables, 1);
+        assert_eq!(report.recovered_tables, 1);
         assert_eq!(report.replayed_records, 1);
         // The snapshot selection was re-keyed and re-frozen through the
         // replayed append: the first query is a cache hit.

@@ -12,6 +12,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec::{put_count, put_f64, put_str, put_u32, put_u64, Reader};
 use crate::crc32::crc32;
@@ -259,13 +260,14 @@ fn decode(payload: &[u8]) -> Result<TableSnapshot, StoreError> {
 }
 
 /// Writes `snapshot` atomically (temp file + fsync + rename + directory
-/// fsync, syncs skipped under [`FsyncPolicy::Off`]). Returns the file's
-/// byte size and how many fsyncs were issued.
+/// fsync, syncs skipped under [`FsyncPolicy::Off`]), counting each fsync in
+/// `fsyncs`. Returns the file's byte size.
 pub fn write_snapshot<R>(
     dir: &Path,
     snapshot: TableSnapshot<R>,
     policy: FsyncPolicy,
-) -> std::io::Result<(u64, u64)>
+    fsyncs: &AtomicU64,
+) -> std::io::Result<u64>
 where
     R: IntoIterator<Item = (Vec<Value>, Vec<(u32, u32)>)>,
     R::IntoIter: ExactSizeIterator,
@@ -279,7 +281,6 @@ where
     framed.extend_from_slice(&payload);
 
     let tmp_path = final_path.with_extension("snap.tmp");
-    let mut syncs = 0u64;
     {
         let mut tmp = OpenOptions::new()
             .write(true)
@@ -289,7 +290,7 @@ where
         tmp.write_all(&framed)?;
         if policy != FsyncPolicy::Off {
             tmp.sync_all()?;
-            syncs += 1;
+            fsyncs.fetch_add(1, Ordering::Relaxed);
         }
     }
     std::fs::rename(&tmp_path, &final_path)?;
@@ -297,10 +298,10 @@ where
         // Make the rename itself durable.
         if let Ok(dir_handle) = File::open(dir) {
             let _ = dir_handle.sync_all();
-            syncs += 1;
+            fsyncs.fetch_add(1, Ordering::Relaxed);
         }
     }
-    Ok((framed.len() as u64, syncs))
+    Ok(framed.len() as u64)
 }
 
 /// Reads and validates one snapshot file.
@@ -406,7 +407,7 @@ mod tests {
     fn snapshots_round_trip_through_disk() {
         let dir = scratch("round-trip");
         let snapshot = sample();
-        let (bytes, _) = write_snapshot(&dir, sample(), FsyncPolicy::Off).unwrap();
+        let bytes = write_snapshot(&dir, sample(), FsyncPolicy::Off, &AtomicU64::new(0)).unwrap();
         assert!(bytes > 0);
         let back = read_snapshot(&snapshot_path(&dir, "companies")).unwrap();
         assert_eq!(back.key, snapshot.key);
@@ -429,10 +430,10 @@ mod tests {
     #[test]
     fn rewrite_replaces_atomically_and_corruption_is_detected() {
         let dir = scratch("rewrite");
-        write_snapshot(&dir, sample(), FsyncPolicy::Off).unwrap();
+        write_snapshot(&dir, sample(), FsyncPolicy::Off, &AtomicU64::new(0)).unwrap();
         let mut snapshot = sample();
         snapshot.version = 12;
-        write_snapshot(&dir, snapshot, FsyncPolicy::Off).unwrap();
+        write_snapshot(&dir, snapshot, FsyncPolicy::Off, &AtomicU64::new(0)).unwrap();
         let path = snapshot_path(&dir, "companies");
         assert_eq!(read_snapshot(&path).unwrap().version, 12);
         let mut bytes = std::fs::read(&path).unwrap();

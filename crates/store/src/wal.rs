@@ -20,9 +20,12 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use crate::crc32::crc32;
 use crate::FsyncPolicy;
+use uu_core::obs::StorageCounters;
 
 /// Frame header: `u32` length + `u32` CRC.
 pub const FRAME_HEADER_BYTES: u64 = 8;
@@ -106,7 +109,8 @@ pub struct Wal {
     policy: FsyncPolicy,
     len: u64,
     dirty: bool,
-    syncs: u64,
+    /// The store's counters; every sync bumps `fsyncs`.
+    counters: Arc<StorageCounters>,
     /// Set by an fsync error or a failed cut-back: every later operation
     /// fails.
     poisoned: bool,
@@ -114,8 +118,14 @@ pub struct Wal {
 
 impl Wal {
     /// Opens (creating if absent) the WAL at `path`, truncating it to
-    /// `valid_len` first when a scan found a torn tail.
-    pub fn open(path: &Path, policy: FsyncPolicy, valid_len: u64) -> std::io::Result<Wal> {
+    /// `valid_len` first when a scan found a torn tail. Syncs are counted
+    /// in `counters.fsyncs`.
+    pub fn open(
+        path: &Path,
+        policy: FsyncPolicy,
+        valid_len: u64,
+        counters: Arc<StorageCounters>,
+    ) -> std::io::Result<Wal> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -131,16 +141,22 @@ impl Wal {
             Box::new(file),
             policy,
             valid_len.min(actual),
+            counters,
         ))
     }
 
-    fn with_file(file: Box<dyn LogFile + Send>, policy: FsyncPolicy, len: u64) -> Wal {
+    fn with_file(
+        file: Box<dyn LogFile + Send>,
+        policy: FsyncPolicy,
+        len: u64,
+        counters: Arc<StorageCounters>,
+    ) -> Wal {
         Wal {
             file,
             policy,
             len,
             dirty: false,
-            syncs: 0,
+            counters,
             poisoned: false,
         }
     }
@@ -195,7 +211,7 @@ impl Wal {
         self.guarded(|wal| {
             if wal.dirty && wal.policy != FsyncPolicy::Off {
                 wal.file.sync_data()?;
-                wal.syncs += 1;
+                wal.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
                 wal.dirty = false;
             }
             Ok(())
@@ -212,7 +228,7 @@ impl Wal {
             wal.dirty = false;
             if wal.policy != FsyncPolicy::Off {
                 wal.file.sync_all()?;
-                wal.syncs += 1;
+                wal.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
             }
             Ok(())
         })
@@ -226,11 +242,6 @@ impl Wal {
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Syncs performed so far.
-    pub fn syncs(&self) -> u64 {
-        self.syncs
     }
 }
 
@@ -249,7 +260,7 @@ mod tests {
     fn frames_round_trip_through_scan() {
         let path = scratch("roundtrip.wal");
         let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path, FsyncPolicy::Off, 0).unwrap();
+        let mut wal = Wal::open(&path, FsyncPolicy::Off, 0, Arc::default()).unwrap();
         wal.append(b"first").unwrap();
         wal.append(b"").unwrap();
         wal.append(b"third record, longer").unwrap();
@@ -270,7 +281,7 @@ mod tests {
     fn torn_tail_is_detected_at_every_offset_and_truncated_on_open() {
         let path = scratch("torn.wal");
         let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path, FsyncPolicy::Off, 0).unwrap();
+        let mut wal = Wal::open(&path, FsyncPolicy::Off, 0, Arc::default()).unwrap();
         wal.append(b"committed").unwrap();
         let prefix = wal.len();
         wal.append(b"the final record").unwrap();
@@ -283,7 +294,8 @@ mod tests {
             assert_eq!(s.valid_len, prefix);
             assert_eq!(s.torn_bytes, cut as u64 - prefix);
             // Re-opening truncates the torn bytes away.
-            let reopened = Wal::open(&torn_path, FsyncPolicy::Off, s.valid_len).unwrap();
+            let reopened =
+                Wal::open(&torn_path, FsyncPolicy::Off, s.valid_len, Arc::default()).unwrap();
             assert_eq!(reopened.len(), prefix);
             assert_eq!(std::fs::metadata(&torn_path).unwrap().len(), prefix);
         }
@@ -293,7 +305,7 @@ mod tests {
     fn corrupt_crc_ends_the_valid_prefix() {
         let path = scratch("crc.wal");
         let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path, FsyncPolicy::Off, 0).unwrap();
+        let mut wal = Wal::open(&path, FsyncPolicy::Off, 0, Arc::default()).unwrap();
         wal.append(b"good").unwrap();
         let keep = wal.len();
         wal.append(b"flipped").unwrap();
@@ -311,10 +323,10 @@ mod tests {
     fn truncate_empties_the_log() {
         let path = scratch("trunc.wal");
         let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path, FsyncPolicy::Batch, 0).unwrap();
+        let mut wal = Wal::open(&path, FsyncPolicy::Batch, 0, Arc::default()).unwrap();
         wal.append(b"x").unwrap();
         wal.sync().unwrap();
-        assert!(wal.syncs() >= 1);
+        assert!(wal.counters.fsyncs.load(Ordering::Relaxed) >= 1);
         wal.truncate().unwrap();
         assert!(wal.is_empty());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
@@ -400,7 +412,7 @@ mod tests {
     fn faulty(policy: FsyncPolicy) -> (Wal, std::sync::Arc<std::sync::Mutex<Disk>>) {
         let disk = std::sync::Arc::new(std::sync::Mutex::new(Disk::default()));
         let file = Box::new(FakeFile(std::sync::Arc::clone(&disk)));
-        (Wal::with_file(file, policy, 0), disk)
+        (Wal::with_file(file, policy, 0, Arc::default()), disk)
     }
 
     fn payloads(disk: &std::sync::Mutex<Disk>) -> Vec<Vec<u8>> {

@@ -15,12 +15,16 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use uu_core::obs;
-use uu_core::obs::{Shard, Stage, Verb};
+use uu_core::obs::{
+    CacheMetrics, ConnStats, CounterBlock, CounterField, CounterKind, IncrementalStats,
+    ProjectionStats, ServiceStats, Shard, Stage, StorageStats, Verb,
+};
 use uu_query::catalog::Catalog;
 use uu_query::csv::load_observations;
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::table::IntegratedTable;
 use uu_server::client::Client;
+use uu_server::json::{self, Json};
 use uu_server::protocol::{LoadCsvRequest, QueryRequest, Request, Response, WireSpan};
 use uu_server::server::{spawn, ServerConfig};
 use uu_server::{Service, SessionCtx};
@@ -241,17 +245,7 @@ fn prometheus_endpoint_serves_lexically_valid_histograms() {
         )
         .unwrap();
 
-    let mut stream = TcpStream::connect(metrics_addr).unwrap();
-    stream
-        .write_all(b"GET /metrics HTTP/1.0\r\nHost: test\r\n\r\n")
-        .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    assert!(raw.starts_with("HTTP/1.0 200 OK\r\n"), "{raw}");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body)
-        .expect("HTTP body");
+    let body = scrape(metrics_addr);
 
     // Lexical pass: every line is a comment or `name{labels} value` with a
     // parseable value.
@@ -313,8 +307,8 @@ fn prometheus_endpoint_serves_lexically_valid_histograms() {
         assert_eq!(series_for("_sum").len(), 1, "one _sum per series");
     }
 
-    // The server-wide gauges ride along.
-    for gauge in ["uu_connections_open", "uu_requests_total"] {
+    // The server-wide counters ride along.
+    for gauge in ["uu_conn_open", "uu_requests_total"] {
         assert!(body.contains(gauge), "missing {gauge}");
     }
 
@@ -326,6 +320,141 @@ fn prometheus_endpoint_serves_lexically_valid_histograms() {
     assert!(raw.starts_with("HTTP/1.0 404"), "{raw}");
 
     handle.shutdown();
+}
+
+/// One HTTP `GET /metrics` against the scraper front; returns the body.
+fn scrape(addr: std::net::SocketAddr) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.0\r\nHost: test\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.0 200 OK\r\n"), "{raw}");
+    raw.split_once("\r\n\r\n").expect("HTTP body").1.to_string()
+}
+
+/// Every numeric field of a `stats` reply is on `/metrics` with the same
+/// value, named `uu_<block>_<field>` (`uu_<field>` at the top level) plus
+/// `_total` for a counter, under the `# TYPE` its registry declaration
+/// gives. The walk is over the reply's wire JSON, so a counter that reaches
+/// `stats` but not `/metrics` (or not the registry) fails here. The reply
+/// is taken in process: a `stats` request over a socket moves the
+/// connection counters by its own reply after its snapshot is taken.
+#[test]
+fn every_stats_counter_is_on_metrics_with_the_same_value() {
+    let data_dir = std::env::temp_dir().join(format!("uu-obs-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let config = ServerConfig {
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        data_dir: Some(data_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let handle = spawn(config).unwrap();
+    let metrics_addr = handle.metrics_addr().expect("metrics front enabled");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    load_big(&mut client);
+    client.query(SQL, &["bucket"], true).unwrap();
+    client.query(SQL, &["bucket"], true).unwrap();
+    client
+        .append_stream(
+            "companies",
+            "worker",
+            "worker,company,employees,state\n9,yyy,400,WA\n",
+        )
+        .unwrap();
+    client.checkpoint().unwrap();
+
+    // Quiet: the reactor settles its byte counters after the client has the
+    // last reply, so wait until two snapshots agree.
+    let quiet = |mut stats: uu_server::protocol::StatsReply| {
+        stats.uptime_ms = 0;
+        stats
+    };
+    let mut stats = quiet(handle.service().stats());
+    for _ in 0..200 {
+        std::thread::sleep(Duration::from_millis(10));
+        let again = quiet(handle.service().stats());
+        if again == stats {
+            break;
+        }
+        stats = again;
+    }
+    assert!(stats.requests > 0 && stats.cache.hits > 0 && stats.storage.wal_records > 0);
+    let body = scrape(metrics_addr);
+    let line = Response::Stats(Box::new(stats)).encode();
+
+    let blocks: [(&str, &[CounterField]); 6] = [
+        ("", ServiceStats::FIELDS),
+        ("cache", CacheMetrics::FIELDS),
+        ("projection", ProjectionStats::FIELDS),
+        ("conn", ConnStats::FIELDS),
+        ("incremental", IncrementalStats::FIELDS),
+        ("storage", StorageStats::FIELDS),
+    ];
+    // Typed configuration and clock fields: not counters, not exported.
+    let typed = [
+        "protocol",
+        "workers",
+        "uptime_ms",
+        "capacity",
+        "byte_budget",
+        "ttl_ms",
+    ];
+    let Json::Obj(top) = json::parse(&line).unwrap() else {
+        panic!("stats line is an object");
+    };
+    let mut numeric = Vec::new(); // (block, field, value)
+    for (key, value) in &top {
+        match value {
+            Json::Int(v) => numeric.push(("", key.clone(), *v)),
+            Json::Obj(fields) => {
+                for (field, value) in fields {
+                    if let Json::Int(v) = value {
+                        numeric.push((key.as_str(), field.clone(), *v));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut checked = 0;
+    for (block, field, value) in numeric {
+        if typed.contains(&field.as_str()) {
+            continue;
+        }
+        let declared = blocks
+            .iter()
+            .find(|(name, _)| *name == block)
+            .and_then(|(_, fields)| fields.iter().find(|f| f.name == field))
+            .unwrap_or_else(|| panic!("stats field {block}.{field} is not in the registry"));
+        let mut name = match block {
+            "" => format!("uu_{field}"),
+            _ => format!("uu_{block}_{field}"),
+        };
+        let kind = match declared.kind {
+            CounterKind::Counter => "counter",
+            CounterKind::Gauge => "gauge",
+        };
+        if kind == "counter" && !name.ends_with("_total") {
+            name.push_str("_total");
+        }
+        assert!(
+            body.contains(&format!("\n# TYPE {name} {kind}\n{name} {value}\n")),
+            "{block}.{field} = {value} missing as {kind} {name}:\n{body}"
+        );
+        checked += 1;
+    }
+    let declared: usize = blocks.iter().map(|(_, fields)| fields.len()).sum();
+    assert_eq!(checked, declared, "every declared counter is in stats");
+    let exported = body
+        .lines()
+        .filter(|l| l.starts_with("# TYPE uu_") && !l.contains("uu_stage_duration_seconds"))
+        .count();
+    assert_eq!(exported, checked, "no series beyond the stats counters");
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
 }
 
 /// A shared in-memory sink for the slow-query log.

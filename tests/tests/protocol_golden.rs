@@ -9,12 +9,15 @@
 //! to its instance, and the minimal lines at the bottom pin every decode
 //! default (a key that may be left out, and the value it then takes).
 
+use uu_core::obs::{
+    CacheMetrics, ConnStats, IncrementalStats, ProjectionStats, ServiceStats, StorageStats,
+};
 use uu_query::value::Value;
 use uu_server::protocol::{
     ErrorCode, GroupReply, LoadCsvRequest, MetricsReply, QueryReply, QueryRequest, Request,
     Response, ServerInfoReply, StatsReply, WireCacheStats, WireConnStats, WireDiagnostics,
-    WireError, WireEstimate, WireExtreme, WireIncrementalStats, WireProjectionStats, WireResult,
-    WireSessionStats, WireSpan, WireStageMetrics, WireStorageStats, WireValue,
+    WireError, WireEstimate, WireExtreme, WireResult, WireSessionStats, WireSpan, WireStageMetrics,
+    WireValue,
 };
 
 fn s(text: &str) -> String {
@@ -305,9 +308,11 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                 protocol: 8,
                 tables: vec![s("companies"), s("t")],
                 workers: 4,
-                connections: 10,
-                requests: 25,
-                errors: 2,
+                service: ServiceStats {
+                    connections: 10,
+                    requests: 25,
+                    errors: 2,
+                },
                 uptime_ms: 1234,
                 sessions: vec![WireSessionStats {
                     name: s("analyst-1"),
@@ -318,45 +323,49 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                     age_ms: 600,
                 }],
                 cache: WireCacheStats {
-                    hits: 7,
-                    misses: 3,
-                    insertions: 3,
-                    evictions: 1,
-                    invalidations: 11,
-                    expirations: 12,
-                    len: 2,
-                    bytes: 4096,
+                    counters: CacheMetrics {
+                        hits: 7,
+                        misses: 3,
+                        insertions: 3,
+                        evictions: 1,
+                        invalidations: 11,
+                        expirations: 12,
+                        len: 2,
+                        bytes: 4096,
+                    },
                     capacity: 128,
                     byte_budget: Some(1e6),
                     ttl_ms: None,
                 },
-                projection: WireProjectionStats {
+                projection: ProjectionStats {
                     builds: 3,
                     reuses: 17,
                     bytes: 65_536,
                 },
                 conn: WireConnStats {
-                    open: 1003,
-                    peak_open: 1005,
-                    frames_in: 90,
-                    frames_out: 92,
-                    bytes_in: 16_384,
-                    bytes_out: 65_000,
-                    idle_reaped: 4,
-                    backpressure: 1,
-                    queue_depth_peak: 17,
-                    queue_wait_us_total: 4_200,
-                    queue_wait_us_max: 950,
+                    counters: ConnStats {
+                        open: 1003,
+                        peak_open: 1005,
+                        frames_in: 90,
+                        frames_out: 92,
+                        bytes_in: 16_384,
+                        bytes_out: 65_000,
+                        idle_reaped: 4,
+                        backpressure: 1,
+                        queue_depth_peak: 17,
+                        queue_wait_us_total: 4_200,
+                        queue_wait_us_max: 950,
+                    },
                     backend: s("epoll"),
                 },
-                incremental: WireIncrementalStats {
+                incremental: IncrementalStats {
                     delta_batches: 6,
                     rows_appended: 600,
                     permutation_merges: 13,
                     snapshots_refrozen: 5,
                     fallback_rebuilds: 1,
                 },
-                storage: WireStorageStats {
+                storage: StorageStats {
                     wal_records: 8,
                     wal_bytes: 12_288,
                     fsyncs: 9,

@@ -8,12 +8,15 @@
 //! tests rely on.
 
 use proptest::prelude::*;
+use uu_core::obs::{
+    CacheMetrics, ConnStats, IncrementalStats, ProjectionStats, ServiceStats, StorageStats,
+};
 use uu_query::value::Value;
 use uu_server::protocol::{
     ErrorCode, GroupReply, LoadCsvRequest, MetricsReply, QueryReply, QueryRequest, Request,
     Response, ServerInfoReply, StatsReply, WireCacheStats, WireConnStats, WireDiagnostics,
-    WireError, WireEstimate, WireExtreme, WireIncrementalStats, WireProjectionStats, WireResult,
-    WireSessionStats, WireSpan, WireStageMetrics, WireStorageStats, WireValue, PROTOCOL_VERSION,
+    WireError, WireEstimate, WireExtreme, WireResult, WireSessionStats, WireSpan, WireStageMetrics,
+    WireValue, PROTOCOL_VERSION,
 };
 
 /// An interesting `f64` from two generated numbers: finite values of many
@@ -235,9 +238,11 @@ fn response_from(selector: u64, sel: &[u64], text: &str, numbers: &[f64], flag: 
             protocol: PROTOCOL_VERSION,
             tables: vec![text.to_string()],
             workers: sel[0],
-            connections: sel[1],
-            requests: sel[2],
-            errors: sel[3],
+            service: ServiceStats {
+                connections: sel[1],
+                requests: sel[2],
+                errors: sel[3],
+            },
             uptime_ms: sel[4],
             sessions: vec![WireSessionStats {
                 name: text.to_string(),
@@ -248,49 +253,53 @@ fn response_from(selector: u64, sel: &[u64], text: &str, numbers: &[f64], flag: 
                 age_ms: sel[0],
             }],
             cache: WireCacheStats {
-                hits: sel[1],
-                misses: sel[2],
-                insertions: sel[3],
-                evictions: sel[4],
-                invalidations: sel[5],
-                expirations: sel[6],
-                len: sel[7],
-                bytes: sel[0],
+                counters: CacheMetrics {
+                    hits: sel[1],
+                    misses: sel[2],
+                    insertions: sel[3],
+                    evictions: sel[4],
+                    invalidations: sel[5],
+                    expirations: sel[6],
+                    len: sel[7],
+                    bytes: sel[0],
+                },
                 capacity: sel[1],
                 byte_budget: opt_float(sel[2], numbers[0].abs()),
                 ttl_ms: opt_float(sel[3], numbers[1].abs()),
             },
-            projection: WireProjectionStats {
+            projection: ProjectionStats {
                 builds: sel[2],
                 reuses: sel[3],
                 bytes: sel[4],
             },
             conn: WireConnStats {
-                open: sel[5],
-                peak_open: sel[6],
-                frames_in: sel[7],
-                frames_out: sel[0],
-                bytes_in: sel[1],
-                bytes_out: sel[2],
-                idle_reaped: sel[3],
-                backpressure: sel[4],
-                queue_depth_peak: sel[5],
-                queue_wait_us_total: sel[6],
-                queue_wait_us_max: sel[7],
+                counters: ConnStats {
+                    open: sel[5],
+                    peak_open: sel[6],
+                    frames_in: sel[7],
+                    frames_out: sel[0],
+                    bytes_in: sel[1],
+                    bytes_out: sel[2],
+                    idle_reaped: sel[3],
+                    backpressure: sel[4],
+                    queue_depth_peak: sel[5],
+                    queue_wait_us_total: sel[6],
+                    queue_wait_us_max: sel[7],
+                },
                 backend: if sel[5] % 2 == 0 {
                     "epoll".to_string()
                 } else {
                     "poll".to_string()
                 },
             },
-            incremental: WireIncrementalStats {
+            incremental: IncrementalStats {
                 delta_batches: sel[6],
                 rows_appended: sel[7],
                 permutation_merges: sel[0],
                 snapshots_refrozen: sel[1],
                 fallback_rebuilds: sel[2],
             },
-            storage: WireStorageStats {
+            storage: StorageStats {
                 wal_records: sel[3],
                 wal_bytes: sel[4],
                 fsyncs: sel[5],
