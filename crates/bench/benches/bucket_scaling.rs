@@ -2,21 +2,17 @@
 //! splitting (the design choice of §3.3.2).
 //!
 //! The scaling sweep times `DynamicBucketEstimator::estimate_delta` at
-//! c = 1k, 2k, 4k, … 1M distinct values (doubling) on two value shapes whose
-//! range sums the dense splitter reads from its prefix array:
+//! c = 1k, 2k, 4k, … 1M distinct values (doubling) on three value shapes:
 //!
 //! * **int** — distinct integers with random gaps;
-//! * **grid** — multiples of 7.5.
-//!
-//! A third, **offgrid** shape (multiples of 0.1, which no short binary grid
-//! holds) takes the splitter's sequential-fold fallback, whose cost is still
-//! quadratic; it stops at c = 16k and is reported, not gated.
+//! * **grid** — multiples of 7.5;
+//! * **offgrid** — multiples of 0.1, which no short binary grid holds.
 //!
 //! Every case is re-timed explicitly and written as machine-readable JSON to
 //! `BENCH_bucket_scaling.json` (in `$BENCH_JSON_DIR` when set), one case per
 //! line with its mean and min in ns. `scripts/check_bucket_scaling.sh` gates
-//! the same-run ratio time(2c)/time(c), averaged over the sweep, on both
-//! fast-path shapes.
+//! the same-run ratio time(2c)/time(c), averaged over the sweep, on every
+//! shape.
 
 use std::time::Instant;
 
@@ -30,8 +26,6 @@ use uu_stats::rng::Rng;
 /// The smallest and largest c of the sweep; sizes double from the first.
 const C_MIN: usize = 1_000;
 const C_MAX: usize = 1_024_000;
-/// The off-grid shape's quadratic fallback stops here.
-const C_MAX_OFFGRID: usize = 16_000;
 /// Each case runs until both bounds are met (after one warm-up run).
 const MIN_SAMPLES: usize = 5;
 const MIN_TOTAL_NS: f64 = 200e6;
@@ -73,9 +67,9 @@ fn time_delta(est: &DynamicBucketEstimator, view: &SampleView) -> (f64, f64, usi
 fn bench_scaling() {
     let est = DynamicBucketEstimator::default();
     let mut lines = Vec::new();
-    for (shape, c_max) in [("int", C_MAX), ("grid", C_MAX), ("offgrid", C_MAX_OFFGRID)] {
+    for shape in ["int", "grid", "offgrid"] {
         let mut c = C_MIN;
-        while c <= c_max {
+        while c <= C_MAX {
             let view = shaped_sample(shape, c, 7);
             let (mean, min, samples) = time_delta(&est, &view);
             println!(

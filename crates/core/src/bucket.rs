@@ -25,6 +25,7 @@ use crate::estimate::{DeltaEstimate, SumEstimator};
 use crate::naive::NaiveEstimator;
 use crate::profile::ProfileSnapshot;
 use crate::sample::{ObservedItem, SampleView};
+use uu_stats::exact::{ExactSum, PrefixSums};
 use uu_stats::species::chao92_from_counts;
 
 /// Per-bucket diagnostics produced by [`DynamicBucketEstimator::bucketize`]
@@ -88,9 +89,7 @@ fn report_for(items: &[&ObservedItem], estimate: DeltaEstimate) -> BucketReport 
     let c = items.len() as u64;
     let n: u64 = items.iter().map(|i| i.multiplicity).sum();
     let f1 = items.iter().filter(|i| i.multiplicity == 1).count() as u64;
-    // Folded from +0.0, as `SampleView::from_observed_items` does
-    // (`Iterator::sum` starts at −0.0, which differs for all-−0.0 input).
-    let observed_sum = items.iter().fold(0.0, |acc, i| acc + i.value);
+    let observed_sum = items.iter().map(|i| i.value).collect::<ExactSum>().to_f64();
     BucketReport {
         lo: items.first().map(|i| i.value).unwrap_or(f64::NAN),
         hi: items.last().map(|i| i.value).unwrap_or(f64::NAN),
@@ -211,10 +210,10 @@ impl DynamicBucketEstimator {
     }
 }
 
-/// `delta_of` run at most once per distinct range. Worth its hash probe only
-/// when `delta_of` is not O(1): a bucket's candidates re-evaluate every
-/// prefix (left child) or suffix (right child) range its parent's
-/// candidate loop already saw.
+/// `delta_of` run at most once per distinct range: a bucket's candidates
+/// re-evaluate every prefix (left child) or suffix (right child) range its
+/// parent's candidate loop already saw. Worth its hash probe only for the
+/// row path, whose `delta_of` builds a subview.
 fn memoized(
     mut delta_of: impl FnMut(usize, usize) -> DeltaEstimate,
 ) -> impl FnMut(usize, usize) -> DeltaEstimate {
@@ -228,8 +227,8 @@ fn memoized(
 /// the Δ estimate of the half-open range. Returns the final `(lo, hi, Δ)`
 /// ranges sorted by `lo`. A bucket of m items calls `delta_of` O(m) times
 /// per level, and may call it again for a range it has already seen:
-/// memoizing is the caller's choice (see [`memoized`]: the dense fast
-/// path's O(1) `delta_of` is cheaper than a hash probe).
+/// memoizing is the caller's choice (see [`memoized`]: the dense path's
+/// O(1) `delta_of` is cheaper than a hash probe).
 ///
 /// Shared by the row reference path and the dense columnar path — both
 /// traverse identical split sequences by construction, so any divergence can
@@ -287,13 +286,9 @@ fn split_ranges_with(
 /// The presorted columnar layout the dense splitter runs over: the value
 /// column plus exclusive prefix arrays of the statistics the naïve/Chao92
 /// pipeline consumes. Every statistic of a candidate range `[lo, hi)` is
-/// two array reads and a subtraction. That is exact for `n`, `f1` and
-/// `Σ m(m−1)`, which are integer sums. The one float statistic, the range
-/// sum `φ_K`, goes through [`DenseSorted::range_sum`], which returns the
-/// bits of the sequential fold over `values[lo..hi]` that
-/// [`SampleView::from_observed_items`] computes: a prefix difference when
-/// [`exact_prefix_sums`] proves every partial sum exact, the fold itself
-/// otherwise.
+/// two array reads and a subtraction: exact for `n`, `f1` and `Σ m(m−1)`,
+/// which are integer sums, and for the range sum `φ_K`, whose prefix array
+/// holds exact partial sums ([`PrefixSums`]).
 struct DenseSorted {
     values: Vec<f64>,
     /// `prefix_n[i]` = Σ multiplicity over items `[0, i)`.
@@ -303,9 +298,8 @@ struct DenseSorted {
     /// `prefix_sii[i]` = Σ m(m−1) over items `[0, i)` — identical to the
     /// ladder sum `Σ_i i(i−1)f_i` of the range, exactly, in u64.
     prefix_sii: Vec<u64>,
-    /// `prefix_sum[i]` = Σ value over items `[0, i)`, present only when every
-    /// range sum read from it is exact (see [`exact_prefix_sums`]).
-    prefix_sum: Option<Vec<f64>>,
+    /// The exact partial sums of `values`.
+    prefix_sum: PrefixSums,
 }
 
 impl DenseSorted {
@@ -328,7 +322,7 @@ impl DenseSorted {
             prefix_f1.push(f1);
             prefix_sii.push(sii);
         }
-        let prefix_sum = exact_prefix_sums(&values);
+        let prefix_sum = PrefixSums::new(&values);
         DenseSorted {
             values,
             prefix_n,
@@ -338,15 +332,11 @@ impl DenseSorted {
         }
     }
 
-    /// Σ `values[lo..hi]`, bit-for-bit the sequential fold from +0.0 that
-    /// [`SampleView::from_observed_items`] computes over the same items. O(1)
-    /// from the prefix array when it exists; O(hi − lo) otherwise — the
-    /// only bit-exact option for values off any short binary grid.
+    /// Σ `values[lo..hi]`, the correctly rounded exact sum that
+    /// [`SampleView::from_observed_items`] computes over the same items:
+    /// one exact subtraction and one rounding.
     fn range_sum(&self, lo: usize, hi: usize) -> f64 {
-        match &self.prefix_sum {
-            Some(prefix) => prefix[hi] - prefix[lo],
-            None => self.values[lo..hi].iter().fold(0.0, |acc, v| acc + v),
-        }
+        self.prefix_sum.range(lo, hi)
     }
 
     /// The naïve(Chao92) Δ of range `[lo, hi)` — what the row path computes
@@ -380,93 +370,20 @@ impl DenseSorted {
     }
 }
 
-/// Exclusive prefix sums of `values` (folded from +0.0), or `None` unless
-/// every sum of every sub-range is exact in `f64`.
-///
-/// The test: every value and `Σ|v|` are finite, and `Σ|v| ≤ 2^52·2^q`,
-/// where `q` is the smallest exponent of any value's lowest set bit (an
-/// all-zero column passes trivially). Every value is then an integer
-/// multiple of `2^q`, and so is every partial sum of every sub-range, with
-/// magnitude at most `Σ|v|` — representable, so each addition and each
-/// prefix difference is exact, and `prefix[hi] − prefix[lo]` equals the
-/// sequential fold over `values[lo..hi]` bit for bit. (The computed `Σ|v|`
-/// is itself exact under the bound: rounding is monotone, so a partial sum
-/// past `2^53·2^q` would have rounded to at least that.) Zeros agree in sign
-/// too: both sides start from +0.0, and an exact zero from `x + y` or
-/// `x − x` is +0.0 unless both operands are −0.0.
-///
-/// Integer columns, Table 2, and grids such as multiples of 0.5 or 7.5 pass;
-/// arbitrary decimals like 0.1 do not.
-fn exact_prefix_sums(values: &[f64]) -> Option<Vec<f64>> {
-    let mut q = i32::MAX;
-    let mut abs_sum = 0.0f64;
-    for &v in values {
-        if !v.is_finite() {
-            return None;
-        }
-        if v != 0.0 {
-            q = q.min(lowest_set_bit_exp(v));
-        }
-        abs_sum += v.abs();
-    }
-    // `pow2` is +∞ for the largest `q`, where finiteness alone bounds Σ|v|.
-    let limit = if q == i32::MAX { 0.0 } else { pow2(52 + q) };
-    if !(abs_sum.is_finite() && abs_sum <= limit) {
-        return None;
-    }
-    let mut prefix = Vec::with_capacity(values.len() + 1);
-    let mut acc = 0.0;
-    prefix.push(acc);
-    for &v in values {
-        acc += v;
-        prefix.push(acc);
-    }
-    Some(prefix)
-}
-
-/// The exponent `e` of the lowest set bit of finite, non-zero `v`: `v` is an
-/// odd integer times `2^e`.
-fn lowest_set_bit_exp(v: f64) -> i32 {
-    let bits = v.to_bits();
-    let biased = ((bits >> 52) & 0x7ff) as i32;
-    let fraction = bits & ((1u64 << 52) - 1);
-    let (significand, exp) = if biased == 0 {
-        (fraction, -1074) // subnormal
-    } else {
-        (fraction | (1u64 << 52), biased - 1075)
-    };
-    exp + significand.trailing_zeros() as i32
-}
-
-/// `2^e` for `e ≥ −1022` (a normal power of two); +∞ past the `f64` range.
-fn pow2(e: i32) -> f64 {
-    debug_assert!(e >= -1022);
-    if e > 1023 {
-        f64::INFINITY
-    } else {
-        f64::from_bits(((e + 1023) as u64) << 52)
-    }
-}
-
 /// The dense columnar splitter: one pass to build [`DenseSorted`], then
-/// Algorithm 1 with O(1) candidate evaluation — so a level of the split
-/// costs O(m) for a bucket of m items — whenever the range sums come from
-/// the prefix array. Off that grid each candidate folds its range in
-/// O(m), so the Δ estimates are [`memoized`]. No intermediate
+/// Algorithm 1 with O(1) candidate evaluation, so a level of the split
+/// costs O(m) for a bucket of m items. No intermediate
 /// `SampleView`/`ObservedItem` allocation anywhere on the path.
 fn bucketize_sorted_dense(sorted: &[&ObservedItem]) -> Vec<BucketReport> {
     let dense = DenseSorted::new(sorted);
-    let same_value = |k: usize| dense.values[k - 1] == dense.values[k];
-    let delta_of = |lo, hi| dense.delta_of(lo, hi);
-    let ranges = if dense.prefix_sum.is_some() {
-        split_ranges_with(sorted.len(), same_value, delta_of)
-    } else {
-        split_ranges_with(sorted.len(), same_value, memoized(delta_of))
-    };
-    ranges
-        .into_iter()
-        .map(|(lo, hi, est)| dense.report(lo, hi, est))
-        .collect()
+    split_ranges_with(
+        sorted.len(),
+        |k| dense.values[k - 1] == dense.values[k],
+        |lo, hi| dense.delta_of(lo, hi),
+    )
+    .into_iter()
+    .map(|(lo, hi, est)| dense.report(lo, hi, est))
+    .collect()
 }
 
 impl SumEstimator for DynamicBucketEstimator {
@@ -817,11 +734,11 @@ mod tests {
     }
 
     /// Maps a generated `(raw, sign)` pair onto one value shape: signed
-    /// zeros (mostly −0.0, beside ±1 so sums cross zero and ±0.1 so some
-    /// columns take the fallback), multiples of 0.5 and of 7.5, integers of
-    /// 2^46..2^51 whose Σ|v| straddles the 2^52 exactness guard, coarse
-    /// multiples of 2^40, and off-grid floats (decimals and wide-exponent
-    /// bit patterns) that take the sequential fallback.
+    /// zeros (mostly −0.0, beside ±1 so sums cross zero and ±0.1 off any
+    /// binary grid), multiples of 0.5 and of 7.5, integers of 2^46..2^51,
+    /// coarse multiples of 2^40, decimals, and floats with exponents spread
+    /// over ±2^40, whose columns span too many bits for `i128` partial sums
+    /// and so take the wide prefix form.
     fn shaped_value(shape: u32, raw: u64, negative: bool) -> f64 {
         let v = match shape {
             0 => [-0.0, -0.0, 1.0, 0.1][(raw % 4) as usize],
@@ -843,67 +760,104 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exactness_guard_accepts_grids_and_rejects_the_rest() {
-        assert!(exact_prefix_sums(&[]).is_some());
-        assert!(exact_prefix_sums(&[0.0, -0.0, 0.0]).is_some());
-        assert!(exact_prefix_sums(&[300.0, 1000.0, 2000.0, 10_000.0]).is_some());
-        let grid: Vec<f64> = (1..=1_000).map(|i| f64::from(i) * 7.5).collect();
-        assert!(exact_prefix_sums(&grid).is_some());
-        assert!(exact_prefix_sums(&[0.5, -1.5, 2.0]).is_some());
-        assert!(exact_prefix_sums(&[f64::MIN_POSITIVE / 4.0, 1e-310]).is_some());
-        assert!(exact_prefix_sums(&[2f64.powi(1000), -2f64.powi(1020)]).is_some());
-        // Σ|v| = 2^52 exactly passes; one more unit does not.
-        assert!(exact_prefix_sums(&[2f64.powi(51), 2f64.powi(51) - 1.0, 1.0]).is_some());
-        assert!(exact_prefix_sums(&[2f64.powi(51), 2f64.powi(51), 1.0]).is_none());
-        // Magnitude, not the signed total, is what is bounded.
-        assert!(exact_prefix_sums(&[2f64.powi(52), -2f64.powi(52), 1.0]).is_none());
-        assert!(exact_prefix_sums(&[0.1, 0.2]).is_none());
-        assert!(exact_prefix_sums(&[1.0, f64::INFINITY]).is_none());
-        assert!(exact_prefix_sums(&[1.0, f64::NAN]).is_none());
-        assert!(exact_prefix_sums(&[f64::MAX, f64::MAX]).is_none());
+    /// A dense layout over `values`, each seen twice.
+    fn dense_over(values: &[f64]) -> DenseSorted {
+        let items: Vec<ObservedItem> = values
+            .iter()
+            .map(|&value| ObservedItem {
+                value,
+                multiplicity: 2,
+                source_counts: Vec::new(),
+            })
+            .collect();
+        let refs: Vec<&ObservedItem> = items.iter().collect();
+        DenseSorted::new(&refs)
     }
 
-    #[test]
-    fn range_sum_is_the_sequential_fold_bit_for_bit() {
-        let columns: [&[f64]; 5] = [
-            &[-0.0, -0.0, 0.0, 1.0, -1.0, 7.5, 15.0],
-            &[-0.0, -0.0, 0.1, 0.2, -0.3, 0.1],
-            &[-1.5, -0.0, 0.5, 2.0, 2.0],
-            &[1.0, 2f64.powi(52), -2f64.powi(52), 3.0, 2f64.powi(53)],
-            &[2f64.powi(51), 2f64.powi(51), 1.0, -1.0, 1.0],
-        ];
-        for (i, values) in columns.iter().enumerate() {
-            let items: Vec<ObservedItem> = values
-                .iter()
-                .map(|&value| ObservedItem {
-                    value,
-                    multiplicity: 2,
-                    source_counts: Vec::new(),
-                })
-                .collect();
-            let refs: Vec<&ObservedItem> = items.iter().collect();
-            let dense = DenseSorted::new(&refs);
-            // The first three columns sit on a short grid; the rest overflow
-            // the guard (or are off-grid) and use the fallback.
-            assert_eq!(dense.prefix_sum.is_some(), i != 1 && i < 3, "column {i}");
-            for lo in 0..=values.len() {
-                for hi in lo..=values.len() {
-                    let fold = values[lo..hi].iter().fold(0.0, |acc, v| acc + v);
-                    assert_eq!(
-                        dense.range_sum(lo, hi).to_bits(),
-                        fold.to_bits(),
-                        "column {i} range {lo}..{hi}"
-                    );
-                }
+    /// `range_sum` of every range of `values` is that range's [`ExactSum`].
+    fn assert_range_sums_exact(values: &[f64]) {
+        let dense = dense_over(values);
+        for lo in 0..=values.len() {
+            for hi in lo..=values.len() {
+                let exact: ExactSum = values[lo..hi].iter().copied().collect();
+                assert_eq!(
+                    dense.range_sum(lo, hi).to_bits(),
+                    exact.to_f64().to_bits(),
+                    "{values:?} range {lo}..{hi}"
+                );
             }
         }
     }
 
     #[test]
+    fn range_sums_are_exact_on_binary_grids_and_off_them() {
+        // Grids whose sequential fold is exact, beside columns where it is
+        // not: Σ|v| past 2^52·2^q, and decimals off every binary grid.
+        let grid: Vec<f64> = (1..=200).map(|i| f64::from(i) * 7.5).collect();
+        let columns: [&[f64]; 10] = [
+            &[],
+            &[0.0, -0.0, 0.0],
+            &[300.0, 1000.0, 2000.0, 10_000.0],
+            &grid,
+            &[0.5, -1.5, 2.0],
+            &[f64::MIN_POSITIVE / 4.0, 1e-310],
+            &[2f64.powi(51), 2f64.powi(51) - 1.0, 1.0],
+            &[2f64.powi(51), 2f64.powi(51), 1.0],
+            &[2f64.powi(52), -2f64.powi(52), 1.0],
+            &[0.1, 0.2],
+        ];
+        for values in columns {
+            assert_range_sums_exact(values);
+        }
+    }
+
+    #[test]
+    fn range_sum_is_the_exact_sum_bit_for_bit() {
+        let columns: [&[f64]; 6] = [
+            &[-0.0, -0.0, 0.0, 1.0, -1.0, 7.5, 15.0],
+            &[-0.0, -0.0, 0.1, 0.2, -0.3, 0.1],
+            &[-1.5, -0.0, 0.5, 2.0, 2.0],
+            &[1.0, 2f64.powi(52), -2f64.powi(52), 3.0, 2f64.powi(53)],
+            &[2f64.powi(51), 2f64.powi(51), 1.0, -1.0, 1.0],
+            &[0.1; 10],
+        ];
+        for values in columns {
+            assert_range_sums_exact(values);
+        }
+        // The sequential fold of ten 0.1s rounds nine times, to
+        // 0.9999999999999999; the exact sum rounds once.
+        assert_eq!(dense_over(&[0.1; 10]).range_sum(0, 10), 1.0);
+        assert_eq!(
+            dense_over(columns[0]).range_sum(0, 3).to_bits(),
+            0.0f64.to_bits()
+        );
+    }
+
+    #[test]
+    fn columns_past_i128_take_the_wide_form_and_stay_exact() {
+        // Each column spans well over 127 bits between its lowest set bit
+        // and its largest partial sum, so its prefix sums are limb windows.
+        let p53 = 2f64.powi(53);
+        let columns: [&[f64]; 5] = [
+            &[5e-324, 1.0, 2f64.powi(1000), -2f64.powi(1000), -0.5, 3e-320],
+            &[1e100, 1.0, -1e100],
+            &[p53, 1.0, 1.0, 2f64.powi(-80)],
+            &[f64::MAX, f64::MAX, -f64::MAX, 1e-300],
+            &[2f64.powi(1000), -2f64.powi(-1000), 2f64.powi(-1000), 7.0],
+        ];
+        for values in columns {
+            assert_range_sums_exact(values);
+        }
+        assert_eq!(dense_over(columns[1]).range_sum(0, 3), 1.0);
+        assert_eq!(dense_over(columns[2]).range_sum(0, 3), p53 + 2.0);
+        assert_eq!(dense_over(columns[3]).range_sum(0, 2), f64::INFINITY);
+        assert_eq!(dense_over(columns[3]).range_sum(0, 3), f64::MAX);
+    }
+
+    #[test]
     fn negative_zero_sums_start_from_positive_zero() {
-        // Every value −0.0: `Iterator::sum` would give −0.0 and a −0.0 Δ;
-        // `SampleView` folds from +0.0, and so must both splitters.
+        // Every value −0.0: the exact sum of zeros is +0.0, as
+        // `SampleView` reports it, on both splitters.
         let s = SampleView::from_value_multiplicities([(-0.0, 1), (-0.0, 1), (-0.0, 3)]);
         let (dense, rows) = both_paths(&s);
         assert_eq!(dense, rows);
@@ -962,7 +916,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Same property over the value shapes of [`shaped_value`], which
-        /// land on both sides of the prefix-sum exactness guard.
+        /// take both prefix-sum forms.
         #[test]
         fn dense_splitter_matches_row_reference_on_shaped_values(
             shape in 0u32..7,

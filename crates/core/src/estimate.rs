@@ -12,7 +12,7 @@
 //! | `K`, `c = \|K\|` | integrated database of unique entities | the unique items of a `SampleView`, [`crate::sample::SampleView::c`] |
 //! | `U`, `M0` | unknown unknowns and their probability mass | what `Δ̂` accounts for; `M0` bound in [`uu_stats::bound`] |
 //! | `s_j`, `n_j` | source `j` and its contribution | [`crate::sample::SampleView::source_sizes`] |
-//! | `φ` | aggregate query result | [`crate::sample::SampleView::observed_sum`] (φ_K) |
+//! | `φ` | aggregate query result | [`crate::sample::SampleView::observed_sum`] (φ_K, the correctly rounded exact sum of the values, [`uu_stats::exact`]) |
 //! | `Δ` | impact of unknown unknowns | [`DeltaEstimate::delta`] |
 //! | `f_j`, `F` | frequency statistics | [`uu_stats::freq::FrequencyStatistics`] |
 //! | `ρ` | publicity–value correlation | `uu-datagen` population knob |

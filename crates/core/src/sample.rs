@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 
 use uu_stats::descriptive::sample_stddev;
+use uu_stats::exact::ExactSum;
 use uu_stats::freq::FrequencyStatistics;
 
 /// One unique observed entity with its observation lineage.
@@ -33,8 +34,8 @@ pub struct SampleView {
     freq: FrequencyStatistics,
     /// Contribution of each source (`n_j`); empty when lineage is unknown.
     source_sizes: Vec<u64>,
-    observed_sum: f64,
-    singleton_sum: f64,
+    observed_sum: ExactSum,
+    singleton_sum: ExactSum,
 }
 
 impl SampleView {
@@ -81,17 +82,17 @@ impl SampleView {
     /// present).
     pub fn from_observed_items(items: Vec<ObservedItem>) -> Self {
         let mut source_sizes: Vec<u64> = Vec::new();
-        let mut observed_sum = 0.0;
-        let mut singleton_sum = 0.0;
+        let mut observed_sum = ExactSum::new();
+        let mut singleton_sum = ExactSum::new();
         for item in &items {
             assert!(item.value.is_finite(), "attribute values must be finite");
             assert!(
                 item.multiplicity > 0,
                 "observed items need multiplicity > 0"
             );
-            observed_sum += item.value;
+            observed_sum.add(item.value);
             if item.multiplicity == 1 {
-                singleton_sum += item.value;
+                singleton_sum.add(item.value);
             }
             if !item.source_counts.is_empty() {
                 let total: u64 = item.source_counts.iter().map(|&(_, k)| k as u64).sum();
@@ -121,13 +122,12 @@ impl SampleView {
     /// Delta-extends the view: `bumps` replaces already-observed items (same
     /// value, higher multiplicity / extended lineage — an appended duplicate
     /// observation), `appended` adds brand-new items at the end. Everything
-    /// derived updates from the delta alone — frequency ladder rungs move in
-    /// `O(1)` per bump ([`FrequencyStatistics::bump`] /
-    /// [`FrequencyStatistics::observe_item`]), per-source sizes apply integer
-    /// lineage deltas, and the running sums append in item order — except
-    /// `singleton_sum`, which is re-summed in item order when a bump moves an
-    /// item out of singleton status (subtracting from a float accumulator
-    /// would break bit-for-bit parity with a from-scratch rebuild).
+    /// derived updates from the delta alone: frequency ladder rungs move
+    /// in `O(1)` per bump
+    /// ([`FrequencyStatistics::bump`] / [`FrequencyStatistics::observe_item`]),
+    /// per-source sizes apply integer lineage deltas, the exact sums add the
+    /// appended values, and a bump that ends a singleton subtracts its value
+    /// from the singleton sum.
     ///
     /// The result is bit-identical to `from_observed_items` over the final
     /// item list; a proptest pins that.
@@ -141,7 +141,8 @@ impl SampleView {
         let mut items = self.items.clone();
         let mut freq = self.freq.clone();
         let mut source_sizes = self.source_sizes.clone();
-        let mut singleton_left = false;
+        let mut observed_sum = self.observed_sum.clone();
+        let mut singleton_sum = self.singleton_sum.clone();
         for (idx, item) in bumps {
             let old = &items[*idx];
             assert_eq!(
@@ -150,7 +151,9 @@ impl SampleView {
                 "a bump may not change an item's value"
             );
             freq.bump(old.multiplicity, item.multiplicity);
-            singleton_left |= old.multiplicity == 1 && item.multiplicity > 1;
+            if old.multiplicity == 1 && item.multiplicity > 1 {
+                singleton_sum.sub(old.value);
+            }
             if !item.source_counts.is_empty() {
                 let total: u64 = item.source_counts.iter().map(|&(_, k)| k as u64).sum();
                 assert_eq!(
@@ -179,8 +182,6 @@ impl SampleView {
             }
             items[*idx] = item.clone();
         }
-        let mut observed_sum = self.observed_sum;
-        let mut singleton_sum = self.singleton_sum;
         for item in &appended {
             assert!(item.value.is_finite(), "attribute values must be finite");
             assert!(
@@ -188,9 +189,9 @@ impl SampleView {
                 "observed items need multiplicity > 0"
             );
             freq.observe_item(item.multiplicity);
-            observed_sum += item.value;
+            observed_sum.add(item.value);
             if item.multiplicity == 1 {
-                singleton_sum += item.value;
+                singleton_sum.add(item.value);
             }
             if !item.source_counts.is_empty() {
                 let total: u64 = item.source_counts.iter().map(|&(_, k)| k as u64).sum();
@@ -208,16 +209,6 @@ impl SampleView {
             }
         }
         items.extend(appended);
-        if singleton_left {
-            // An old singleton gained observations: re-sum the survivors in
-            // item order, the exact addition sequence a rebuild would run
-            // (an explicit fold from +0.0 — `Iterator::sum` folds from -0.0,
-            // which would leak a -0.0 when no singleton survives).
-            singleton_sum = items
-                .iter()
-                .filter(|i| i.multiplicity == 1)
-                .fold(0.0, |acc, i| acc + i.value);
-        }
         SampleView {
             items,
             freq,
@@ -252,14 +243,16 @@ impl SampleView {
         self.items.is_empty()
     }
 
-    /// `φ_K = Σ_{r ∈ K} attr(r)` — the closed-world SUM over unique entities.
+    /// `φ_K = Σ_{r ∈ K} attr(r)` — the closed-world SUM over unique
+    /// entities, the correctly rounded exact sum ([`uu_stats::exact`]).
     pub fn observed_sum(&self) -> f64 {
-        self.observed_sum
+        self.observed_sum.to_f64()
     }
 
-    /// `φ_{f1}` — the SUM over singleton entities only (frequency estimator).
+    /// `φ_{f1}` — the SUM over singleton entities only (frequency
+    /// estimator), the correctly rounded exact sum.
     pub fn singleton_sum(&self) -> f64 {
-        self.singleton_sum
+        self.singleton_sum.to_f64()
     }
 
     /// Mean attribute value over unique entities (`φ_K / c`); `None` if empty.
@@ -267,7 +260,7 @@ impl SampleView {
         if self.items.is_empty() {
             None
         } else {
-            Some(self.observed_sum / self.items.len() as f64)
+            Some(self.observed_sum() / self.items.len() as f64)
         }
     }
 
@@ -352,8 +345,7 @@ impl SampleView {
 #[derive(Debug, Clone, Default)]
 pub struct StreamAccumulator {
     /// item key → (value, per-source counts). Ordered maps, so a view lists
-    /// its items in key order and float sums over them are the same in
-    /// every process.
+    /// its items in key order, the same in every process.
     entries: BTreeMap<u64, (f64, BTreeMap<u32, u32>)>,
     total: u64,
 }

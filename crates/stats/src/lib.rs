@@ -21,6 +21,8 @@
 //! * [`surface`] — 2-D quadratic least-squares surface fitting with
 //!   box-constrained minimisation (Algorithm 3, line 11–12).
 //! * [`descriptive`] — means, variances, medians, Spearman rank correlation.
+//! * [`exact`] — correctly rounded exact sums, the one definition of every
+//!   SUM of observed values.
 //! * [`sampling`] — weighted sampling with and without replacement.
 //! * [`rng`] — a self-contained, seedable xoshiro256\*\* generator so results
 //!   are bit-for-bit reproducible across platforms and independent of external
@@ -42,6 +44,7 @@ pub mod bound;
 pub mod coverage;
 pub mod cv;
 pub mod descriptive;
+pub mod exact;
 pub mod freq;
 pub mod kl;
 pub mod linalg;

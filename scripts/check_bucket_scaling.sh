@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Guards the §3.3 bucket splitter against falling back to quadratic cost:
-# reads a fresh BENCH_bucket_scaling.json and, for each fast-path value shape
-# (int, grid), prints the same-run ratio min-time(2c)/min-time(c) of every
-# doubling step, then fails if the sweep's mean per-doubling ratio
+# reads a fresh BENCH_bucket_scaling.json and, for each value shape (int,
+# grid, offgrid), prints the same-run ratio min-time(2c)/min-time(c) of
+# every doubling step, then fails if the sweep's mean per-doubling ratio
 # (time(c_max)/time(c_min))^(1/doublings) reaches 2.5.
 #
 # Why the mean and not every single step: Algorithm 1 scans each bucket it
@@ -23,7 +23,7 @@ fresh="${1:?usage: check_bucket_scaling.sh <BENCH_bucket_scaling.json>}"
 readonly limit=2.5
 failures=0
 
-for shape in int grid; do
+for shape in int grid offgrid; do
     if awk -v shape="\"$shape\"," -v limit="$limit" -v label="$shape" '
         BEGIN { n = 0 }
         $0 ~ "\"shape\": " shape {

@@ -117,6 +117,59 @@ proptest! {
         }
     }
 
+    /// Every SUM is the correctly rounded exact sum, so shuffling the items
+    /// changes no bit: not of `φ_K` or `φ_{f1}`, not of a bucket report, not
+    /// of any Δ. Values mix off-grid decimals, ±0.0, integers and
+    /// magnitudes from 2^-1074 to 2^1000, where a sequential fold's
+    /// rounding depends on the order it adds in.
+    #[test]
+    fn sums_and_estimates_keep_their_bits_under_permutation(
+        raws in proptest::collection::vec((0u64..u64::MAX, 0u32..4, 1u64..5), 1..40),
+        seed in 0u64..1_000,
+    ) {
+        let value = |raw: u64, shape: u32| {
+            let magnitude = match shape {
+                0 => (raw % 1_000_000) as f64 / 1_000.0,
+                1 => 0.0,
+                2 => (raw % 1_000_000) as f64,
+                // Biased exponent 0 (subnormal) to 2023 (2^1000).
+                _ => f64::from_bits((raw % 2024) << 52 | (raw >> 12)),
+            };
+            if raw >> 63 == 1 { -magnitude } else { magnitude }
+        };
+        let pairs: Vec<(f64, u64)> = raws.iter().map(|&(raw, shape, m)| (value(raw, shape), m)).collect();
+        let mut shuffled = pairs.clone();
+        uu_stats::rng::Rng::new(seed).shuffle(&mut shuffled);
+        let a = SampleView::from_value_multiplicities(pairs);
+        let b = SampleView::from_value_multiplicities(shuffled);
+        prop_assert_eq!(a.observed_sum().to_bits(), b.observed_sum().to_bits());
+        prop_assert_eq!(a.singleton_sum().to_bits(), b.singleton_sum().to_bits());
+        let report_bits = |s: &SampleView| -> Vec<_> {
+            DynamicBucketEstimator::default()
+                .bucketize(s)
+                .iter()
+                .map(|r| {
+                    (
+                        (r.lo.to_bits(), r.hi.to_bits(), r.c, r.n, r.f1),
+                        r.observed_sum.to_bits(),
+                        r.estimate.delta.map(f64::to_bits),
+                        r.estimate.n_hat.map(f64::to_bits),
+                    )
+                })
+                .collect()
+        };
+        prop_assert_eq!(report_bits(&a), report_bits(&b));
+        for est in [
+            Box::new(NaiveEstimator::default()) as Box<dyn SumEstimator>,
+            Box::new(FrequencyEstimator::default()),
+            Box::new(DynamicBucketEstimator::default()),
+        ] {
+            let da = est.estimate_delta(&a).delta.map(f64::to_bits);
+            let db = est.estimate_delta(&b).delta.map(f64::to_bits);
+            prop_assert_eq!(da, db, "{}", est.name());
+        }
+    }
+
     /// Dynamic buckets always partition the sample: every unique item lands
     /// in exactly one bucket, ranges are ordered and disjoint, and the value
     /// range [min, max] is covered.
