@@ -18,7 +18,6 @@
 //!   increase signals estimation error while a decrease signals genuine
 //!   structure.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use crate::estimate::{DeltaEstimate, SumEstimator};
@@ -191,9 +190,9 @@ impl DynamicBucketEstimator {
     /// candidate sub-range is materialised as a [`SampleView`] and handed to
     /// the inner estimator. Kept as the parity oracle for the dense path (and
     /// as the only path for custom inner estimators, whose statistics aren't
-    /// expressible as prefix counts). Range estimates are memoized, so the
-    /// inner estimator runs at most once per distinct range however often
-    /// the candidate loop revisits it.
+    /// expressible as prefix counts). Each bucket inherits its parent's
+    /// scores (see `split_ranges_with`), so the inner estimator runs about
+    /// once per candidate range.
     pub fn bucketize_sorted_rows(&self, sorted: &[&ObservedItem]) -> Vec<BucketReport> {
         if sorted.is_empty() {
             return Vec::new();
@@ -201,7 +200,7 @@ impl DynamicBucketEstimator {
         let ranges = split_ranges_with(
             sorted.len(),
             |k| sorted[k - 1].value == sorted[k].value,
-            memoized(|lo, hi| self.inner.estimate_delta(&subview(&sorted[lo..hi]))),
+            |lo, hi| self.inner.estimate_delta(&subview(&sorted[lo..hi])),
         );
         ranges
             .into_iter()
@@ -210,25 +209,32 @@ impl DynamicBucketEstimator {
     }
 }
 
-/// `delta_of` run at most once per distinct range: a bucket's candidates
-/// re-evaluate every prefix (left child) or suffix (right child) range its
-/// parent's candidate loop already saw. Worth its hash probe only for the
-/// row path, whose `delta_of` builds a subview.
-fn memoized(
-    mut delta_of: impl FnMut(usize, usize) -> DeltaEstimate,
-) -> impl FnMut(usize, usize) -> DeltaEstimate {
-    let mut memo: HashMap<(usize, usize), DeltaEstimate> = HashMap::new();
-    move |lo, hi| *memo.entry((lo, hi)).or_insert_with(|| delta_of(lo, hi))
+/// Which candidate scores a bucket of Algorithm 1 inherits from its
+/// parent's candidate loop.
+#[derive(Debug, Clone, Copy)]
+enum Carried {
+    /// The root bucket: nothing to inherit.
+    Nothing,
+    /// A left child `[lo, k)`: every `|Δ(lo, j)|` — the parent's prefixes.
+    Prefixes,
+    /// A right child `[k, hi)`: every `|Δ(j, hi)|` — the parent's suffixes.
+    Suffixes,
 }
 
 /// Algorithm 1 over index ranges of a sorted item list of length `len`:
 /// `same_value(k)` reports whether positions `k-1` and `k` hold the same
 /// value (items sharing a value stay together), `delta_of(lo, hi)` produces
 /// the Δ estimate of the half-open range. Returns the final `(lo, hi, Δ)`
-/// ranges sorted by `lo`. A bucket of m items calls `delta_of` O(m) times
-/// per level, and may call it again for a range it has already seen:
-/// memoizing is the caller's choice (see [`memoized`]: the dense path's
-/// O(1) `delta_of` is cheaper than a hash probe).
+/// ranges sorted by `lo`.
+///
+/// A split of `[lo, hi)` at `k` scores `|Δ(lo, k)| + |Δ(k, hi)|`. A left
+/// child `[lo, k*)` shares `lo` with its parent, so the parent already
+/// scored every prefix it needs; a right child `[k*, hi)` likewise inherits
+/// every suffix. Each bucket's own estimate is passed down with it too. So
+/// the root evaluates two ranges per candidate and every other bucket one,
+/// plus one per accepted split (the inherited side of the winning
+/// candidate, whose full estimate the child keeps). No range is evaluated
+/// twice otherwise.
 ///
 /// Shared by the row reference path and the dense columnar path — both
 /// traverse identical split sequences by construction, so any divergence can
@@ -238,15 +244,18 @@ fn split_ranges_with(
     same_value: impl Fn(usize) -> bool,
     mut delta_of: impl FnMut(usize, usize) -> DeltaEstimate,
 ) -> Vec<(usize, usize, DeltaEstimate)> {
-    let full = (0usize, len);
-
+    // For a candidate `k` of the bucket `[lo, hi)` that holds it:
+    // `prefix[k] = |Δ(lo, k)|` and `suffix[k] = |Δ(k, hi)|`. Buckets are
+    // disjoint, so one pair of arrays serves the whole traversal.
+    let mut prefix = vec![0.0f64; len];
+    let mut suffix = vec![0.0f64; len];
+    let root = delta_of(0, len);
     // δ_min tracks the total Σ|Δ| over the current bucketing.
-    let mut delta_min = delta_of(full.0, full.1).abs_or_infinite();
-    let mut todo: VecDeque<(usize, usize)> = VecDeque::from([full]);
+    let mut delta_min = root.abs_or_infinite();
+    let mut todo = VecDeque::from([(0usize, len, root, Carried::Nothing)]);
     let mut done: Vec<(usize, usize, DeltaEstimate)> = Vec::new();
 
-    while let Some((lo, hi)) = todo.pop_front() {
-        let own = delta_of(lo, hi);
+    while let Some((lo, hi, own, carried)) = todo.pop_front() {
         let own_abs = own.abs_or_infinite();
         if !own_abs.is_finite() {
             // An undefined bucket can never be improved by the strict
@@ -256,7 +265,9 @@ fn split_ranges_with(
         }
         // Total of all other buckets.
         let delta_tmp = delta_min - own_abs;
-        let mut best: Option<usize> = None;
+        // The best split so far, with the estimate this loop evaluated for
+        // it (the side the bucket did not inherit).
+        let mut best: Option<(usize, DeltaEstimate)> = None;
         // Candidate split points: boundaries between distinct values
         // ("for unique r ∈ b: split(b, r.value)"); splitting after the
         // last distinct value would leave t2 empty and is skipped.
@@ -264,17 +275,32 @@ fn split_ranges_with(
             if same_value(k) {
                 continue; // items sharing a value stay together
             }
-            let cand =
-                delta_tmp + delta_of(lo, k).abs_or_infinite() + delta_of(k, hi).abs_or_infinite();
+            if let Carried::Nothing = carried {
+                prefix[k] = delta_of(lo, k).abs_or_infinite();
+            }
+            let fresh = if let Carried::Suffixes = carried {
+                let left = delta_of(lo, k);
+                prefix[k] = left.abs_or_infinite();
+                left
+            } else {
+                let right = delta_of(k, hi);
+                suffix[k] = right.abs_or_infinite();
+                right
+            };
+            let cand = delta_tmp + prefix[k] + suffix[k];
             if cand < delta_min {
                 delta_min = cand;
-                best = Some(k);
+                best = Some((k, fresh));
             }
         }
         match best {
-            Some(k) => {
-                todo.push_back((lo, k));
-                todo.push_back((k, hi));
+            Some((k, fresh)) => {
+                let (left, right) = match carried {
+                    Carried::Suffixes => (fresh, delta_of(k, hi)),
+                    Carried::Nothing | Carried::Prefixes => (delta_of(lo, k), fresh),
+                };
+                todo.push_back((lo, k, left, Carried::Prefixes));
+                todo.push_back((k, hi, right, Carried::Suffixes));
             }
             None => done.push((lo, hi, own)),
         }

@@ -14,10 +14,13 @@
 //! read and shared by every estimator through
 //! [`crate::estimate::SumEstimator`]'s `*_profiled` methods.
 //! [`ProfileSnapshot::new`] computes nothing up front, so a one-shot caller
-//! pays only for what its estimators read;
+//! pays only for what its estimators read; [`ProfileSnapshot::presorted`]
+//! is the same with the value order supplied by the caller.
 //! [`ProfileSnapshot::capture`] fills every slot eagerly, which is how the
 //! query executor freezes one snapshot per estimation universe (per group in
-//! a `GROUP BY`).
+//! a `GROUP BY`) on a cold miss. [`ProfileSnapshot::refreeze`] carries a
+//! snapshot across an append lazily: only the view and the value order move
+//! forward, and the first reader of the new snapshot builds the rest.
 //!
 //! Profiled and direct paths are **bit-for-bit identical** — the profile only
 //! memoizes, it never approximates. Parity is pinned for every registry kind
@@ -128,12 +131,6 @@ pub struct ProfileSnapshot {
     species_builds: Builds,
 }
 
-/// Heap bytes of a memoized vector (0 while the slot is empty).
-fn slot_bytes<T>(slot: &OnceLock<Vec<T>>) -> usize {
-    slot.get()
-        .map_or(0, |v| std::mem::size_of_val(v.as_slice()))
-}
-
 /// How many times one memo slot was built. A clone carries the count, so
 /// a cloned snapshot reports the builds behind the statistics it holds.
 #[derive(Debug, Default)]
@@ -164,6 +161,23 @@ impl ProfileSnapshot {
         ProfileSnapshot::with_order(view, OnceLock::new())
     }
 
+    /// A profile over `view` whose value-sort permutation is supplied by the
+    /// caller, with nothing else computed yet: each statistic is built by
+    /// its first reader. `sorted_idx` must hold indices into `view.items()`
+    /// in ascending-value order exactly as a stable `total_cmp` sort would
+    /// produce them (columnar tables derive it by filtering a memoized
+    /// full-column sort; the `columnar_parity` suite pins the invariant).
+    /// Every statistic is bit-for-bit what [`ProfileSnapshot::new`] would
+    /// compute, and `sort_builds` stays 0.
+    pub fn presorted(view: SampleView, sorted_idx: Vec<u32>) -> Self {
+        debug_assert_eq!(
+            sorted_idx.len(),
+            view.items().len(),
+            "permutation covers the view"
+        );
+        ProfileSnapshot::with_order(view, OnceLock::from(sorted_idx))
+    }
+
     fn with_order(view: SampleView, sorted_idx: OnceLock<Vec<u32>>) -> Self {
         ProfileSnapshot {
             view,
@@ -182,38 +196,26 @@ impl ProfileSnapshot {
 
     /// Consumes a view and computes every statistic eagerly.
     pub fn capture(view: SampleView) -> Self {
-        ProfileSnapshot::freeze(view, OnceLock::new())
+        ProfileSnapshot::new(view).warmed()
     }
 
-    /// [`ProfileSnapshot::capture`] with the value-sort permutation supplied
-    /// by the caller instead of recomputed: columnar tables derive each
-    /// selection's order by filtering a memoized full-column sort, and this
-    /// entry point freezes that permutation directly. `sorted_idx` must hold
-    /// indices into `view.items()` in ascending-value order exactly as a
-    /// stable `total_cmp` sort would produce them (the invariant the
-    /// `columnar_parity` suite pins); statistics are bit-for-bit those of
-    /// `capture`, and `sort_builds` stays 0.
+    /// [`ProfileSnapshot::presorted`], warmed: every statistic is computed
+    /// before this returns, over the caller's permutation.
     pub fn capture_presorted(view: SampleView, sorted_idx: Vec<u32>) -> Self {
-        debug_assert_eq!(
-            sorted_idx.len(),
-            view.items().len(),
-            "permutation covers the view"
-        );
-        ProfileSnapshot::freeze(view, OnceLock::from(sorted_idx))
+        ProfileSnapshot::presorted(view, sorted_idx).warmed()
     }
 
-    /// Builds a profile, then warms it: every statistic in order on the
-    /// calling thread — sort and bucket partition, diagnostics, rank
-    /// multiplicities, the species ladder. Values are identical to lazy
-    /// computation; warming only moves the cost.
-    fn freeze(view: SampleView, sorted_idx: OnceLock<Vec<u32>>) -> Self {
+    /// Warms the profile: every statistic in order on the calling thread —
+    /// sort and bucket partition, diagnostics, rank multiplicities, the
+    /// species ladder. Values are identical to lazy computation; warming
+    /// only moves the cost.
+    fn warmed(self) -> Self {
         let _span = crate::obs::span(crate::obs::Stage::Freeze);
-        let profile = ProfileSnapshot::with_order(view, sorted_idx);
-        let _ = profile.bucket_reports();
-        let _ = profile.diagnostics();
-        let _ = profile.rank_multiplicities();
-        let _ = profile.species_ladder();
-        profile
+        let _ = self.bucket_reports();
+        let _ = self.diagnostics();
+        let _ = self.rank_multiplicities();
+        let _ = self.species_ladder();
+        self
     }
 
     /// The profiled view.
@@ -244,9 +246,9 @@ impl ProfileSnapshot {
 
     /// The value-sort permutation: indices into the view's items, ascending
     /// by value (stable `total_cmp`), sorted at most once. Persisting it
-    /// alongside the items lets a durable-storage layer re-freeze the
-    /// snapshot bit-for-bit through [`ProfileSnapshot::capture_presorted`]
-    /// without re-sorting.
+    /// alongside the items lets a durable-storage layer rebuild the
+    /// snapshot bit-for-bit through [`ProfileSnapshot::presorted`] without
+    /// re-sorting.
     pub fn sorted_indices(&self) -> &[u32] {
         self.sorted_idx.get_or_init(|| {
             self.sort_builds.count(|| {
@@ -325,10 +327,16 @@ impl ProfileSnapshot {
     /// multiplicity — see [`SampleView::extended`]), `appended` are brand-new
     /// items in row order. The owned view updates from the delta alone, and
     /// the frozen value-sort permutation absorbs the appended items by a
-    /// sorted merge-insert — `O(k log k + c)` for a `k`-item delta instead of
-    /// the `O(c log c)` re-sort `capture` would pay — before the dependent
-    /// statistics (species ladder, bucket partition, diagnostics, ranks)
-    /// re-freeze over the presorted items.
+    /// galloping merge ([`merge_runs`]) — `O(k log k + k log(c/k))`
+    /// comparisons plus block copies for a `k`-item delta, instead of the
+    /// `O(c log c)` re-sort `capture` would pay.
+    ///
+    /// The result carries the extended view and the merged order, nothing
+    /// else: each dependent statistic (bucket partition, diagnostics, ranks,
+    /// species ladder) is built by its first reader, under the new
+    /// snapshot's own slot, exactly as for [`ProfileSnapshot::presorted`].
+    /// A snapshot that nobody reads before the next append costs only its
+    /// delta.
     ///
     /// Bit-for-bit identical to capturing the extended view from scratch:
     /// appended items carry strictly higher indices than every frozen item,
@@ -340,66 +348,76 @@ impl ProfileSnapshot {
         let appended_len = appended.len() as u32;
         let view = self.view.extended(bumps, appended);
         let items = view.items();
+        let value = |i: u32| items[i as usize].value;
         // Stable-sort the delta indices by value (ties keep row order), then
         // merge into the frozen permutation with old-first on ties.
         let mut delta_idx: Vec<u32> = (old_len..old_len + appended_len).collect();
-        delta_idx.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
-        let mut merged = Vec::with_capacity(items.len());
-        let mut old_iter = self.sorted_indices().iter().copied().peekable();
-        let mut new_iter = delta_idx.into_iter().peekable();
-        loop {
-            match (old_iter.peek(), new_iter.peek()) {
-                (Some(&o), Some(&n)) => {
-                    if items[o as usize]
-                        .value
-                        .total_cmp(&items[n as usize].value)
-                        .is_le()
-                    {
-                        merged.push(o);
-                        old_iter.next();
-                    } else {
-                        merged.push(n);
-                        new_iter.next();
-                    }
-                }
-                (Some(&o), None) => {
-                    merged.push(o);
-                    old_iter.next();
-                }
-                (None, Some(&n)) => {
-                    merged.push(n);
-                    new_iter.next();
-                }
-                (None, None) => break,
-            }
-        }
-        ProfileSnapshot::capture_presorted(view, merged)
+        delta_idx.sort_by(|&a, &b| value(a).total_cmp(&value(b)));
+        let merged = merge_runs(self.sorted_indices(), &delta_idx, |o, n| {
+            value(o).total_cmp(&value(n)).is_le()
+        });
+        ProfileSnapshot::presorted(view, merged)
     }
 
-    /// Approximate heap footprint of the snapshot in bytes: the owned view's
-    /// items (with their lineage vectors) plus the statistics built so far. The
-    /// figure backs [`ProfileCache`]'s byte-budget mode, so it only needs to
-    /// scale faithfully with the view size, not account for every allocator
+    /// Approximate heap footprint of the snapshot in bytes, computed from
+    /// the view alone: its items (with their lineage vectors), source sizes
+    /// and frequency ladder, plus the value order (4 bytes per item) and the
+    /// rank multiplicities (8 bytes per item) whether or not they are built
+    /// yet, so a lazily re-frozen snapshot weighs what a captured one does.
+    /// The bucket reports (tens per view) are left out. The figure backs
+    /// [`ProfileCache`]'s byte-budget mode, so it only needs to scale
+    /// faithfully with the view size, not account for every allocator
     /// header.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
-        let item_bytes: usize = self
-            .view
-            .items()
+        let items = self.view.items();
+        let item_bytes: usize = items
             .iter()
             .map(|item| size_of::<ObservedItem>() + size_of_val(item.source_counts.as_slice()))
             .sum();
         // The frequency ladder `f_1..f_max` lives behind the view too; its
         // heap buffer is one `u64` per multiplicity level.
         let ladder_bytes = self.view.freq().max_multiplicity() as usize * size_of::<u64>();
+        let order_and_ranks = items.len() * (size_of::<u32>() + size_of::<u64>());
         size_of::<Self>()
             + item_bytes
             + size_of_val(self.view.source_sizes())
             + ladder_bytes
-            + slot_bytes(&self.sorted_idx)
-            + slot_bytes(&self.buckets)
-            + slot_bytes(&self.ranks)
+            + order_and_ranks
     }
+}
+
+/// Merges two ascending runs of indices into one; `old_first(o, n)` says
+/// whether old element `o` goes before new element `n`, and must be
+/// monotone along `old` (true on a prefix, false after it) for each `n`.
+///
+/// Each new element finds its slot by a galloping search from the previous
+/// slot — probes at 1, 2, 4, … past it, then a binary search inside the last
+/// gap — and the old elements in between are copied as one block. A
+/// `k`-element `new` costs `O(k log(m/k))` comparisons for an `m`-element
+/// `old`, where a linear merge takes `m + k` steps; when `k` is close to
+/// `m`, the gaps are short and each costs a couple of probes. Both the
+/// profile re-freeze and the column store's sort permutations absorb
+/// appended rows with it.
+pub fn merge_runs(old: &[u32], new: &[u32], old_first: impl Fn(u32, u32) -> bool) -> Vec<u32> {
+    let mut merged = Vec::with_capacity(old.len() + new.len());
+    let mut pos = 0;
+    for &n in new {
+        let rest = &old[pos..];
+        // `rest[..reach / 2]` goes before `n`; `rest[reach - 1]`, when it
+        // exists, does not.
+        let mut reach = 1;
+        while reach <= rest.len() && old_first(rest[reach - 1], n) {
+            reach *= 2;
+        }
+        let (lo, hi) = (reach / 2, (reach - 1).min(rest.len()));
+        let take = lo + rest[lo..hi].partition_point(|&o| old_first(o, n));
+        merged.extend_from_slice(&rest[..take]);
+        merged.push(n);
+        pos += take;
+    }
+    merged.extend_from_slice(&old[pos..]);
+    merged
 }
 
 /// Cache key for cross-query profile reuse: one estimation-universe identity.
@@ -930,6 +948,9 @@ mod tests {
         rebuilt_items[0] = bumped;
         rebuilt_items.extend(appended);
         let rebuilt = ProfileSnapshot::capture(SampleView::from_observed_items(rebuilt_items));
+        // The re-freeze carries the view and the order, and builds nothing.
+        assert_eq!(refrozen.metrics().total_builds(), 0);
+        let unread_bytes = refrozen.approx_bytes();
         assert_eq!(refrozen.view(), rebuilt.view());
         assert_eq!(refrozen.sorted_indices(), rebuilt.sorted_indices());
         let (a, b) = (&refrozen, &rebuilt);
@@ -941,6 +962,17 @@ mod tests {
         assert_eq!(a.diagnostics(), b.diagnostics());
         assert_eq!(a.recommendation(), b.recommendation());
         assert_eq!(a.rank_multiplicities(), b.rank_multiplicities());
+        // Its first reads built each statistic once, never the sort.
+        assert_eq!(
+            refrozen.metrics(),
+            ProfileMetrics {
+                sort_builds: 0,
+                ..CAPTURED
+            }
+        );
+        // The cache weight does not depend on what has been read.
+        assert_eq!(refrozen.approx_bytes(), unread_bytes);
+        assert_eq!(refrozen.approx_bytes(), rebuilt.approx_bytes());
     }
 
     #[test]

@@ -43,6 +43,7 @@ use std::sync::{Arc, OnceLock};
 use crate::predicate::{CmpOp, Predicate, PredicateError};
 use crate::schema::{ColumnType, Schema};
 use crate::value::Value;
+use uu_core::profile::merge_runs;
 use uu_core::sample::ObservedItem;
 
 /// Bitmap word width.
@@ -213,8 +214,7 @@ impl Dict {
         delta.sort_unstable_by(|&a, &b| pool[a as usize].cmp(&pool[b as usize]));
         // New strings are distinct from every old one, so the merge never
         // ties and reproduces the full lexicographic order exactly.
-        let old = std::mem::take(&mut order.sorted);
-        *order = DictOrder::from_sorted(merge_runs(old, delta, |o, n| {
+        *order = DictOrder::from_sorted(merge_runs(&order.sorted, &delta, |o, n| {
             pool[o as usize] < pool[n as usize]
         }));
     }
@@ -230,22 +230,22 @@ impl DictOrder {
     }
 }
 
-/// Merges two ascending runs; `old_first(o, n)` says whether old element
-/// `o` goes before new element `n`.
-fn merge_runs(old: Vec<u32>, new: Vec<u32>, old_first: impl Fn(u32, u32) -> bool) -> Vec<u32> {
-    if new.is_empty() {
-        return old;
-    }
-    let mut merged = Vec::with_capacity(old.len() + new.len());
-    let mut new = new.into_iter().peekable();
-    for o in old {
-        while let Some(n) = new.next_if(|&n| !old_first(o, n)) {
-            merged.push(n);
-        }
-        merged.push(o);
-    }
-    merged.extend(new);
-    merged
+/// A column's sort permutation `perm` with the valid `delta` rows (in row
+/// order, every one past the rows `perm` covers) merged in by value.
+fn absorb_rows(
+    perm: &[u32],
+    delta: impl Iterator<Item = u32>,
+    value_at: impl Fn(u32) -> f64,
+) -> Vec<u32> {
+    let mut delta: Vec<u32> = delta.collect();
+    // Delta rows arrive in row order, so a stable sort keeps ties in row
+    // order — exactly the tie rule of a full re-sort. Every delta row index
+    // exceeds every old one, so on a value tie the old row comes first, as
+    // in the full re-sort.
+    delta.sort_by(|&a, &b| value_at(a).total_cmp(&value_at(b)));
+    merge_runs(perm, &delta, |o, n| {
+        value_at(o).total_cmp(&value_at(n)).is_le()
+    })
 }
 
 /// Primitive buffers of one column. Invalid (NULL) rows hold a placeholder;
@@ -479,28 +479,20 @@ impl Projection {
             if let ColumnData::Str { dict, .. } = &mut col.data {
                 dict.absorb();
             }
-            let Some(old_perm) = slot.take() else {
+            let Some(perm) = slot.get_mut() else {
                 continue;
             };
             merges += 1;
-            let value_at: &dyn Fn(u32) -> f64 = match &col.data {
-                ColumnData::Float { values, .. } => &|r| values[r as usize],
-                ColumnData::Int(v) => &|r| v[r as usize] as f64,
+            let delta = (old_rows..rows)
+                .filter(|&row| bit(&col.valid, row))
+                .map(|row| row as u32);
+            *perm = match &col.data {
+                ColumnData::Float { values, .. } => {
+                    absorb_rows(perm, delta, |r| values[r as usize])
+                }
+                ColumnData::Int(v) => absorb_rows(perm, delta, |r| v[r as usize] as f64),
                 ColumnData::Str { .. } => unreachable!("sort permutation of a TEXT column"),
             };
-            let mut delta: Vec<u32> = (old_rows..rows)
-                .filter(|&row| bit(&col.valid, row))
-                .map(|row| row as u32)
-                .collect();
-            // Delta rows arrive in row order, so a stable sort keeps ties in
-            // row order — exactly the tie rule of a full re-sort. Every
-            // delta row index exceeds every old one, so on a value tie the
-            // old row comes first, as in the full re-sort.
-            delta.sort_by(|&a, &b| value_at(a).total_cmp(&value_at(b)));
-            let merged = merge_runs(old_perm, delta, |o, n| {
-                value_at(o).total_cmp(&value_at(n)).is_le()
-            });
-            slot.set(merged).expect("slot was just emptied");
         }
         merges
     }
@@ -1058,6 +1050,71 @@ mod tests {
                     fresh.selection_mask(&schema, &pred).unwrap(),
                     "{op} {lit:?}"
                 );
+            }
+        }
+    }
+
+    /// A FLOAT cell from a selector: NaN of both signs, ±0.0, ±∞, NULL, and
+    /// a few small values that tie often.
+    fn float_cell(selector: u64) -> Value {
+        match selector % 10 {
+            0 => Value::Float(f64::NAN),
+            1 => Value::Float(-f64::NAN),
+            2 => Value::Float(0.0),
+            3 => Value::Float(-0.0),
+            4 => Value::Float(f64::INFINITY),
+            5 => Value::Float(f64::NEG_INFINITY),
+            6 => Value::Null,
+            // An INT cell in a FLOAT column widens like any other.
+            7 => Value::Int((selector / 10 % 4) as i64),
+            _ => Value::Float((selector / 10 % 5) as f64 * 0.5),
+        }
+    }
+
+    /// An INT cell from a selector: NULL, the extremes, and small ties.
+    fn int_cell(selector: u64) -> Value {
+        match selector % 6 {
+            0 => Value::Null,
+            1 => Value::Int(i64::MIN),
+            2 => Value::Int(i64::MAX),
+            _ => Value::Int((selector / 6 % 4) as i64 - 2),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Appending `k` rows, from one to twice the table's size, to a
+        /// store whose sort permutations are built must leave every
+        /// permutation equal to a fresh `sort_perm` of the whole table:
+        /// ties across old and new rows keep the old row first.
+        #[test]
+        fn merged_permutations_equal_a_fresh_sort(
+            base in proptest::collection::vec((0u64..1_000, 0u64..1_000), 1..40),
+            delta in proptest::collection::vec((0u64..1_000, 0u64..1_000), 1..80),
+        ) {
+            let schema = Schema::new([
+                ("k", ColumnType::Int),
+                ("x", ColumnType::Float),
+                ("n", ColumnType::Int),
+            ]);
+            let delta = &delta[..delta.len().min(2 * base.len())];
+            let rows: Vec<Vec<Value>> = base
+                .iter()
+                .chain(delta)
+                .enumerate()
+                .map(|(key, &(x, n))| vec![Value::Int(key as i64), float_cell(x), int_cell(n)])
+                .collect();
+            let mut grown = store(&schema, rows[..base.len()].to_vec());
+            for col in 0..schema.len() {
+                grown.sort_perm(col);
+            }
+            let staged = rows[base.len()..].iter().map(|cells| (cells.clone(), vec![(0, 1)]));
+            let (_, merges) = grown.extend_for_append(staged);
+            proptest::prop_assert_eq!(merges, schema.len());
+            let fresh = store(&schema, rows);
+            for col in 0..schema.len() {
+                proptest::prop_assert_eq!(grown.sort_perm(col), fresh.sort_perm(col), "column {}", col);
             }
         }
     }

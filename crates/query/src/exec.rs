@@ -2,8 +2,11 @@
 //!
 //! Every query takes one route: its estimation universes (the whole
 //! selection, or one per group of a `GROUP BY`) are frozen into a
-//! [`CachedSelection`] of fully-warmed [`ProfileSnapshot`]s, and
-//! [`results_from_selection`] answers the query from those snapshots. Each
+//! [`CachedSelection`] of [`ProfileSnapshot`]s, and
+//! [`results_from_selection`] answers the query from those snapshots. A
+//! cold freeze warms every statistic before it answers; a selection carried
+//! across an append by [`refreeze_selection`] holds only each universe's
+//! view and value order, and its first reader builds the rest. Each
 //! answer is dual: the closed-world value a classical RDBMS would give over
 //! the integrated table, and the value corrected for unknown unknowns with
 //! the estimator selected by [`CorrectionMethod`]. SUM queries additionally
@@ -417,8 +420,11 @@ pub fn freeze_selection(
 /// alone: touched rows bump their items' multiplicities in place, delta
 /// rows passing the predicate become new items (appended at the end of
 /// their universe, where a rebuild would put them), and every affected
-/// snapshot's statistics re-freeze through
-/// [`ProfileSnapshot::refreeze`]. Returns `None` when the selection cannot
+/// snapshot carries its view and value order forward through
+/// [`ProfileSnapshot::refreeze`]. No statistic is built here: the bucket
+/// partition, diagnostics, ranks and species ladder of each re-frozen
+/// universe are built by its first reader, so an append's work stays
+/// proportional to its delta. Returns `None` when the selection cannot
 /// be maintained incrementally — the predicate no longer evaluates, or a
 /// grouped selection had a touched row inside it — in which case the caller
 /// drops the entry and the next query rebuilds. A `Some` result is
@@ -560,12 +566,13 @@ fn refreeze_grouped(
         })
         .collect();
     for (value, items) in new_groups {
-        // A group born entirely from the delta freezes from scratch — it is
-        // exact by construction, not an approximation.
+        // A group born entirely from the delta is built from scratch — exact
+        // by construction, not an approximation — and, like the re-frozen
+        // groups, left for its first reader to fill.
         let mut sorted: Vec<u32> = (0..items.len() as u32).collect();
         sorted.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
         let view = SampleView::from_observed_items(items);
-        snapshots.push((value, ProfileSnapshot::capture_presorted(view, sorted)));
+        snapshots.push((value, ProfileSnapshot::presorted(view, sorted)));
     }
     // Existing groups are already in entity-key order; a stable sort slots
     // the new ones in, matching the grouped build's output order.

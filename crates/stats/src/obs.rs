@@ -902,7 +902,9 @@ counters! {
         rows_appended: Counter,
         /// Sort permutations absorbed by merge instead of a re-sort.
         permutation_merges: Counter,
-        /// Per-universe profile snapshots re-frozen from delta rows alone.
+        /// Per-universe profile snapshots carried across an append from
+        /// delta rows alone (view and value order; the first reader builds
+        /// the statistics).
         snapshots_refrozen: Counter,
         /// Cached selections dropped to a rebuild instead (stale version, a
         /// predicate that no longer evaluates, or a grouped selection with

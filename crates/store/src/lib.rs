@@ -178,10 +178,13 @@ impl Store {
 
     /// Rebuilds `catalog` from the newest valid snapshot per table plus the
     /// WAL tail. Snapshot selections re-enter the profile cache keyed at
-    /// the restored table's fresh instance id; WAL appends then replay
-    /// through [`Catalog::append_observations`], whose re-freeze loop
-    /// carries those selections forward to the final version — exactly as
-    /// the live path did. Returns the storage counters afterwards
+    /// the restored table's fresh instance id, each universe rebuilt from
+    /// its persisted items and value order with nothing else computed
+    /// ([`ProfileSnapshot::presorted`]); WAL appends then replay through
+    /// [`Catalog::append_observations`], whose re-freeze loop carries those
+    /// selections forward to the final version, lazily, exactly as the live
+    /// path did. The first query of each recovered selection builds its
+    /// statistics. Returns the storage counters afterwards
     /// (`recovered_tables`, `replayed_records`, `truncated_tail_bytes`).
     pub fn recover(&self, catalog: &mut Catalog) -> Result<StorageStats, StoreError> {
         for path in snapshot_files(&self.dir)? {
@@ -204,10 +207,7 @@ impl Store {
                         .into_iter()
                         .map(|u| {
                             let view = SampleView::from_observed_items(u.items);
-                            (
-                                u.group,
-                                ProfileSnapshot::capture_presorted(view, u.sorted_idx),
-                            )
+                            (u.group, ProfileSnapshot::presorted(view, u.sorted_idx))
                         })
                         .collect();
                     CachedSelection::from_parts(

